@@ -1,7 +1,7 @@
 //! Microbenchmarks of the computational kernels underlying the
 //! reproduction: MLP forward passes, embedding gather+pool, bucketization,
 //! the DP partitioner, Zipf sampling — and the fast-kernel comparisons
-//! (naive vs blocked matmul, sequential vs parallel shard forward).
+//! (naive vs blocked matmul, scalar vs fused gather+pool).
 //!
 //! These are not paper figures; they document the substrate's raw
 //! performance and catch algorithmic regressions (e.g. the DP going
@@ -11,11 +11,7 @@
 //! it (the default, so the tier-1 gate never needs the criterion dep tree)
 //! it is a plain wall-clock main printing a speedup summary table.
 
-use std::sync::Arc;
-
-use elasticrec::{ParallelShardExecutor, ShardedDlrm};
-use er_model::{configs, Dlrm, QueryBatch, QueryGenerator};
-use er_partition::PartitionPlan;
+use er_model::{configs, Dlrm, QueryGenerator};
 use er_sim::SimRng;
 use er_tensor::Matrix;
 
@@ -42,27 +38,6 @@ fn scrambled(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_vec(rows, cols, data).expect("sized to rows*cols")
 }
 
-/// A DP-shaped sharded model plus a batch of queries for forward-pass
-/// benchmarks.
-fn sharded_setup() -> (ShardedDlrm, Vec<QueryBatch>) {
-    let rows = 2_000u64;
-    let cfg = configs::rm1().scaled_tables(rows).with_num_tables(4);
-    let model = Dlrm::with_seed(&cfg, 7);
-    let counts: Vec<Vec<u64>> = (0..4u64)
-        .map(|t| {
-            (0..rows)
-                .map(|i| ((i * 7919 + t * 31) % rows) + 1)
-                .collect()
-        })
-        .collect();
-    let plans = vec![PartitionPlan::equal(rows, 4); 4];
-    let sharded = ShardedDlrm::new(model, &counts, plans).expect("valid decomposition");
-    let gen = QueryGenerator::new(&cfg);
-    let mut rng = SimRng::seed_from(3);
-    let queries = (0..4).map(|_| gen.generate(&mut rng)).collect();
-    (sharded, queries)
-}
-
 #[cfg(feature = "bench-harness")]
 mod harness {
     use super::*;
@@ -70,7 +45,7 @@ mod harness {
     use std::hint::black_box;
 
     use er_distribution::{LocalityTarget, ZipfDistribution};
-    use er_partition::{bucketize, partition_bucketed};
+    use er_partition::{bucketize, partition_bucketed, PartitionPlan};
     use er_tensor::{Activation, Mlp};
 
     fn bench_mlp_forward(c: &mut Criterion) {
@@ -87,11 +62,13 @@ mod harness {
         c.bench_function("matmul_256x512x256_naive", |b| {
             b.iter(|| black_box(a.matmul(black_box(&b_m)).expect("conforming")))
         });
+        let mut out = Matrix::zeros(1, 1);
         c.bench_function("matmul_256x512x256_blocked", |b| {
-            b.iter(|| black_box(a.matmul_blocked(black_box(&b_m)).expect("conforming")))
-        });
-        c.bench_function("matmul_256x512x256_parallel4", |b| {
-            b.iter(|| black_box(a.matmul_parallel(black_box(&b_m), 4).expect("conforming")))
+            b.iter(|| {
+                a.matmul_blocked_into(black_box(&b_m), &mut out)
+                    .expect("conforming");
+                black_box(out.get(0, 0))
+            })
         });
     }
 
@@ -102,27 +79,16 @@ mod harness {
         c.bench_function("gather_pool_batch32_pooling128", |b| {
             b.iter(|| black_box(model.tables()[0].gather_pool(black_box(&query.lookups[0]))))
         });
+        let lookup = &query.lookups[0];
+        let mut out = Matrix::zeros(1, 1);
         c.bench_function("gather_pool_fused_batch32_pooling128", |b| {
-            b.iter(|| black_box(model.tables()[0].gather_pool_fused(black_box(&query.lookups[0]))))
-        });
-    }
-
-    fn bench_shard_forward(c: &mut Criterion) {
-        let (sharded, queries) = sharded_setup();
-        c.bench_function("shard_forward_seq_rm1_16shards", |b| {
             b.iter(|| {
-                for q in &queries {
-                    black_box(sharded.forward_seq(black_box(q)));
-                }
-            })
-        });
-        let exec = Arc::new(ParallelShardExecutor::new(4));
-        let par = sharded.with_executor(exec);
-        c.bench_function("shard_forward_par4_rm1_16shards", |b| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(par.forward(black_box(q)));
-                }
+                model.tables()[0].gather_pool_into(
+                    black_box(lookup.indices()),
+                    black_box(lookup.offsets()),
+                    &mut out,
+                );
+                black_box(out.get(0, 0))
             })
         });
     }
@@ -178,7 +144,6 @@ mod harness {
         bench_mlp_forward,
         bench_matmul_kernels,
         bench_gather_pool,
-        bench_shard_forward,
         bench_bucketize,
         bench_dp_partition,
         bench_zipf_sampling
@@ -221,14 +186,16 @@ fn main() {
     let a = scrambled(256, 512, 1);
     let b = scrambled(512, 256, 2);
     let naive = time(20, || a.matmul(&b).expect("conforming"));
-    let blocked = time(20, || a.matmul_blocked(&b).expect("conforming"));
-    let par = time(20, || a.matmul_parallel(&b, 4).expect("conforming"));
+    let mut out = Matrix::zeros(1, 1);
+    let blocked = time(20, || {
+        a.matmul_blocked_into(&b, &mut out).expect("conforming");
+        out.get(0, 0)
+    });
     report::row(
         "matmul 256x512x256",
         &[
             ("naive", us(naive)),
             ("blocked", us(blocked)),
-            ("par4", us(par)),
             ("blocked_speedup", report::ratio(naive, blocked)),
         ],
     );
@@ -236,7 +203,12 @@ fn main() {
     let mlp_in = scrambled(32, 256, 3);
     let w = scrambled(256, 128, 4);
     let naive_s = time(200, || mlp_in.matmul(&w).expect("conforming"));
-    let blocked_s = time(200, || mlp_in.matmul_blocked(&w).expect("conforming"));
+    let blocked_s = time(200, || {
+        mlp_in
+            .matmul_blocked_into(&w, &mut out)
+            .expect("conforming");
+        out.get(0, 0)
+    });
     report::row(
         "matmul 32x256x128",
         &[
@@ -250,8 +222,10 @@ fn main() {
     let model = Dlrm::with_seed(&cfg, 2);
     let query = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(3));
     let reference = time(50, || model.tables()[0].gather_pool(&query.lookups[0]));
+    let lookup = &query.lookups[0];
     let fused = time(50, || {
-        model.tables()[0].gather_pool_fused(&query.lookups[0])
+        model.tables()[0].gather_pool_into(lookup.indices(), lookup.offsets(), &mut out);
+        out.get(0, 0)
     });
     report::row(
         "gather_pool b32 p128",
@@ -259,28 +233,6 @@ fn main() {
             ("reference", us(reference)),
             ("fused", us(fused)),
             ("fused_speedup", report::ratio(reference, fused)),
-        ],
-    );
-
-    let (sharded, queries) = sharded_setup();
-    let seq = time(5, || {
-        for q in &queries {
-            black_box(sharded.forward_seq(q));
-        }
-    });
-    let exec = Arc::new(ParallelShardExecutor::new(4));
-    let par_model = sharded.with_executor(exec);
-    let par_fwd = time(5, || {
-        for q in &queries {
-            black_box(par_model.forward(q));
-        }
-    });
-    report::row(
-        "shard_forward 16 shards",
-        &[
-            ("seq", us(seq)),
-            ("par4", us(par_fwd)),
-            ("par_speedup", report::ratio(seq, par_fwd)),
         ],
     );
 

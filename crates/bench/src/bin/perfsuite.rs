@@ -26,10 +26,7 @@
 //! A fifth group covers the quantized data plane: `quant_{f32,f16,i8}_d64`
 //! time the fused CSR gather over a dim-64 table in each storage kind
 //! (same index stream, so the wall-clock ratio is the bandwidth win of
-//! narrow storage; full mode enforces i8 >= 1.8x of f32), and the
-//! `coalesce_{single,batched}` pair times per-query gathers against one
-//! [`elasticrec::GatherCoalescer`] batch — their digests must be
-//! bit-identical or the suite exits nonzero.
+//! narrow storage; full mode enforces i8 >= 1.8x of f32).
 //!
 //! Usage:
 //!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--fleet]
@@ -53,11 +50,11 @@
 use std::time::Instant;
 
 use elasticrec::{
-    plan, Calibration, GatherCoalescer, ParSimConfig, ParSimulation, Platform, ShardedDlrm,
-    Simulation, SimulationConfig, SimulationOutcome, Strategy,
+    plan, Calibration, ParSimConfig, ParSimulation, Platform, ShardedDlrm, Simulation,
+    SimulationConfig, SimulationOutcome, Strategy,
 };
 use er_bench::perf::{self, Digest, PerfReport, Section};
-use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator, TableLookup};
+use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator};
 use er_partition::PartitionPlan;
 use er_sim::{EventQueue, SimRng};
 use er_tensor::simd::{gather_pool_csr_with, SimdBackend};
@@ -192,9 +189,6 @@ fn main() {
         report.push(s);
     }
     for s in bench_quant(scale, !smoke) {
-        report.push(s);
-    }
-    for s in bench_coalesce(scale) {
         report.push(s);
     }
     if fleet {
@@ -631,71 +625,6 @@ fn bench_quant(scale: &Scale, enforce: bool) -> Vec<Section> {
 
 /// Minimum i8-vs-f32 gather speedup the full suite enforces.
 const QUANT_I8_SPEEDUP_FLOOR: f64 = 1.8;
-
-/// The coalescing pair: `coalesce_single` serves a fixed query set one
-/// gather per query; `coalesce_batched` pushes the same set through one
-/// [`GatherCoalescer`] flush per iteration. Their digests must match
-/// bit-for-bit (coalescing is a pure batching transform) or the suite
-/// exits nonzero.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_coalesce(scale: &Scale) -> Vec<Section> {
-    let dim = 64u32;
-    let rows = scale.quant_rows.min(50_000);
-    let table = EmbeddingTable::with_seed(rows, dim, 101);
-    let queries: Vec<TableLookup> = (0..64u32)
-        .map(|q| {
-            let (idx, off) = quant_lookup(rows, 32, 16);
-            // Rotate each query's index stream so queries differ.
-            let idx = idx
-                .into_iter()
-                .map(|i| (i + q * 977) % rows)
-                .collect::<Vec<_>>();
-            // lint::allow(no_panic): quant_lookup emits offsets starting at 0, non-decreasing, in range
-            TableLookup::new(idx, off).expect("valid CSR")
-        })
-        .collect();
-    let iters = scale.quant_iters.max(4);
-    let work = iters * queries.len() as u64;
-
-    let mut scratch = Matrix::zeros(1, 1);
-    let mut single_digest = Digest::new();
-    // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for q in &queries {
-            table.gather_pool_into(q.indices(), q.offsets(), &mut scratch);
-            single_digest.fold_f64(f64::from(scratch.get(0, 0)));
-        }
-    }
-    let single_wall = t0.elapsed().as_secs_f64();
-
-    let mut co = GatherCoalescer::new();
-    let mut batched_digest = Digest::new();
-    // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for q in &queries {
-            co.push(q);
-        }
-        for pooled in co.flush(&table) {
-            batched_digest.fold_f64(f64::from(pooled.get(0, 0)));
-        }
-    }
-    let batched_wall = t0.elapsed().as_secs_f64();
-
-    if single_digest.hex() != batched_digest.hex() {
-        eprintln!(
-            "perfsuite: coalesced gather digest {} != per-query digest {}",
-            batched_digest.hex(),
-            single_digest.hex()
-        );
-        std::process::exit(1);
-    }
-    vec![
-        Section::new("coalesce_single", single_wall, work, single_digest),
-        Section::new("coalesce_batched", batched_wall, work, batched_digest),
-    ]
-}
 
 /// The `--quant-parity` CI stage: every SIMD backend this CPU offers must
 /// produce bit-identical f32 gathers (absent backends are skipped with an

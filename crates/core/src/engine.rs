@@ -49,14 +49,6 @@ pub struct SimulationConfig {
     /// Pods on it vanish; their ReplicaSets immediately recreate them
     /// elsewhere (paying startup time), as Kubernetes would.
     pub fail_node_at: Option<f64>,
-    /// Embedding-request coalescing window (seconds). When set, each
-    /// sparse shard buffers the gather requests landing within the window
-    /// and serves the batch in one invocation, paying the fixed
-    /// per-invocation overhead once
-    /// ([`ShardService::coalesced_busy_secs`]) at the price of up to one
-    /// window of added queueing delay. `None` (the default) preserves the
-    /// uncoalesced legacy behaviour bit-for-bit.
-    pub coalesce_window_secs: Option<f64>,
 }
 
 impl SimulationConfig {
@@ -72,19 +64,7 @@ impl SimulationConfig {
             max_nodes: None,
             max_replicas: 512,
             fail_node_at: None,
-            coalesce_window_secs: None,
         }
-    }
-
-    /// Enables embedding-request coalescing with the given window.
-    #[must_use]
-    pub fn with_coalescing(mut self, window_secs: f64) -> Self {
-        assert!(
-            window_secs >= 0.0 && window_secs.is_finite(),
-            "coalescing window must be finite and non-negative, got {window_secs}"
-        );
-        self.coalesce_window_secs = Some(window_secs);
-        self
     }
 }
 
@@ -155,11 +135,6 @@ enum Event {
     /// bit-identical outcomes.
     FanIn {
         qid: u64,
-    },
-    /// A sparse shard's coalescing window expires: serve everything that
-    /// buffered since the window opened as one batched invocation.
-    CoalesceFlush {
-        shard: usize,
     },
     TopDone {
         qid: u64,
@@ -303,10 +278,6 @@ struct Engine<'a> {
     emb_req_secs: Vec<f64>,
     /// Response transfer time back from any embedding shard.
     emb_resp_secs: f64,
-    /// Per-shard coalescing buffers (indexed like `plan.shards`; only
-    /// embedding shards ever hold entries). A non-empty buffer always has
-    /// exactly one pending `CoalesceFlush` in the queue.
-    coalesce_buf: Vec<Vec<u64>>,
     total_queries: u64,
     completed: u64,
     latency: Histogram,
@@ -416,7 +387,6 @@ impl<'a> Engine<'a> {
                 q.batch_size as u64,
                 q.embedding_dim() as u64,
             )),
-            coalesce_buf: vec![Vec::new(); plan.shards.len()],
             total_queries: 0,
             completed: 0,
             latency: Histogram::new(),
@@ -533,21 +503,8 @@ impl<'a> Engine<'a> {
     }
 
     fn on_sparse_arrive(&mut self, now: f64, qid: u64, shard: usize) {
-        if let Some(window) = self.cfg.coalesce_window_secs {
-            // Buffer the request; the first one in an empty buffer opens
-            // the window and schedules its flush.
-            let buf = &mut self.coalesce_buf[shard];
-            buf.push(qid);
-            if buf.len() == 1 {
-                self.queue.schedule(
-                    SimTime::from_secs(now + window),
-                    Event::CoalesceFlush { shard },
-                );
-            }
-            return;
-        }
         let (pod, start) = self.assign_pod(shard, now);
-        let ShardService::Sparse { secs, .. } = self.plan.shards[shard].service else {
+        let ShardService::Sparse { secs } = self.plan.shards[shard].service else {
             unreachable!("sparse events only target sparse shards")
         };
         let end = self.occupy(pod, start, secs);
@@ -570,24 +527,6 @@ impl<'a> Engine<'a> {
             let at = q.sparse_done;
             self.queue
                 .schedule(SimTime::from_secs(at), Event::FanIn { qid });
-        }
-    }
-
-    /// Serves everything buffered on `shard` as one batched invocation:
-    /// one pod pays the fixed overhead once plus the per-query bandwidth
-    /// term for each buffered request, and every query in the batch sees
-    /// the same completion time.
-    fn on_coalesce_flush(&mut self, now: f64, shard: usize) {
-        let batch = std::mem::take(&mut self.coalesce_buf[shard]);
-        debug_assert!(!batch.is_empty(), "flush fires only after a first arrival");
-        let (pod, start) = self.assign_pod(shard, now);
-        let busy = self.plan.shards[shard]
-            .service
-            .coalesced_busy_secs(batch.len() as u64);
-        let end = self.occupy(pod, start, busy);
-        let done = end + self.emb_resp_secs;
-        for qid in batch {
-            self.finish_sparse(qid, done);
         }
     }
 
@@ -746,7 +685,6 @@ impl<'a> Engine<'a> {
                 // lint::allow(hot_alloc): cold failure-recovery path
                 Event::NodeFailure => self.on_node_failure(now),
                 Event::SparseArrive { qid, shard } => self.on_sparse_arrive(now, qid, shard),
-                Event::CoalesceFlush { shard } => self.on_coalesce_flush(now, shard),
                 Event::FanIn { qid } => self.on_fan_in(now, qid),
                 Event::TopDone { qid } => self.on_top_done(now, qid),
                 // lint::allow(hot_alloc): cold control-plane tick
@@ -934,66 +872,6 @@ mod tests {
             .map(|pt| pt.value)
             .fold(0.0, f64::max);
         assert!(late_p95 < 400.0, "late p95 {late_p95} ms");
-    }
-
-    #[test]
-    fn coalescing_is_off_by_default_and_opt_in() {
-        let cfg = SimulationConfig::new(TrafficSchedule::constant(10.0), 1.0, 1);
-        assert!(cfg.coalesce_window_secs.is_none());
-        assert_eq!(cfg.with_coalescing(0.002).coalesce_window_secs, Some(0.002));
-    }
-
-    #[test]
-    fn coalesced_run_serves_and_accounts_consistently() {
-        let calib = Calibration::cpu_only();
-        let p = plan(&small_model(), Platform::CpuOnly, Strategy::Elastic, &calib);
-        let cfg =
-            SimulationConfig::new(TrafficSchedule::constant(50.0), 20.0, 42).with_coalescing(0.002);
-        let out = Simulation::run(&p, &calib, &cfg);
-        assert!(
-            out.completed_queries as f64 >= 0.95 * out.total_queries as f64,
-            "{}/{}",
-            out.completed_queries,
-            out.total_queries
-        );
-        assert_eq!(out.latency.count(), out.completed_queries);
-        assert_eq!(out.stages.client_rtt.count(), out.completed_queries);
-    }
-
-    #[test]
-    fn coalescing_trades_window_delay_for_sparse_capacity() {
-        // A near-free dense stage makes the sparse shards the bottleneck,
-        // so the batching effect is what the comparison measures.
-        let mut calib = Calibration::cpu_only();
-        calib.dense_base_secs = 1.0e-4;
-        calib.cpu_flops_per_core = 2.5e9;
-        let p = plan(&small_model(), Platform::CpuOnly, Strategy::Elastic, &calib);
-        // Light load: batches are mostly singletons, so coalescing only
-        // adds its window of buffering delay.
-        let light = SimulationConfig::new(TrafficSchedule::constant(20.0), 10.0, 7);
-        let base = Simulation::run(&p, &calib, &light);
-        let co = Simulation::run(&p, &calib, &light.clone().with_coalescing(0.004));
-        assert!(
-            co.mean_latency_secs() > base.mean_latency_secs(),
-            "coalesced={} uncoalesced={}",
-            co.mean_latency_secs(),
-            base.mean_latency_secs()
-        );
-        // Overload with the autoscaler pinned to one replica per shard:
-        // every in-flight query still completes once the queue drains, but
-        // without coalescing the saturated sparse shards build unbounded
-        // backlog, while a batch paying the base cost once keeps up — so
-        // coalescing must cut the mean latency.
-        let mut heavy = SimulationConfig::new(TrafficSchedule::constant(400.0), 10.0, 7);
-        heavy.max_replicas = 1;
-        let base = Simulation::run(&p, &calib, &heavy);
-        let co = Simulation::run(&p, &calib, &heavy.clone().with_coalescing(0.01));
-        assert!(
-            co.mean_latency_secs() < base.mean_latency_secs(),
-            "coalesced={} uncoalesced={}",
-            co.mean_latency_secs(),
-            base.mean_latency_secs()
-        );
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   Kubernetes cluster with per-shard HPA — the Figure 19 experiment;
 //! * [`utility`] measures per-shard memory utility (Figures 14/17);
 //! * [`ShardedDlrm`] is the functional serving path (hotness sort →
-//!   bucketize → distributed gather → merge) proven bit-identical to the
-//!   monolithic model, optionally executing shard gathers concurrently on
-//!   a [`ParallelShardExecutor`] with a deterministic merge order.
+//!   bucketize → per-shard gather → merge) checked against the monolithic
+//!   model, allocation-free once its [`ForwardWorkspace`] is warm.
 //!
 //! # Examples
 //!
@@ -38,9 +37,7 @@
 #![deny(missing_debug_implementations, unreachable_pub)]
 
 mod calib;
-mod coalesce;
 mod engine;
-mod executor;
 mod par_engine;
 mod planning;
 #[cfg(feature = "race-check")]
@@ -52,15 +49,13 @@ pub mod utility;
 mod workspace;
 
 pub use calib::Calibration;
-pub use coalesce::GatherCoalescer;
 pub use engine::{Simulation, SimulationConfig, SimulationOutcome, StageBreakdown};
-pub use executor::{ParallelShardExecutor, Pending};
 pub use par_engine::{ParSimConfig, ParSimulation};
 pub use planning::{
     plan, plan_elastic_fixed_shards, plan_elastic_with_plans, Platform, ServingPlan, Strategy,
 };
 #[cfg(feature = "race-check")]
-pub use race::{RaceChecker, RaceEvent, VectorClock, WindowRaceChecker, WindowRaceEvent};
+pub use race::{VectorClock, WindowRaceChecker, WindowRaceEvent};
 pub use sharded::ShardedDlrm;
 pub use shards::{ShardRole, ShardService, ShardSpec};
 pub use sizing::{SteadyState, STEADY_UTILIZATION};

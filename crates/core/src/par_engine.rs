@@ -513,10 +513,6 @@ impl ParSimulation {
         par: &ParSimConfig,
         obs: Option<&dyn WindowObserver>,
     ) -> (SimulationOutcome, WindowStats) {
-        assert!(
-            cfg.coalesce_window_secs.is_none(),
-            "request coalescing is not supported by the parallel engine; use Simulation::run"
-        );
         let profile = calib.node_profile(serving_plan.platform == Platform::CpuGpu);
         let mut cluster = Cluster::new(profile, cfg.max_nodes);
         let initial_rate = cfg.schedule.rate_at(0.0).max(1.0);
@@ -617,7 +613,7 @@ impl ParSimulation {
         // before the cluster moves into the control LP.
         let mut emb_lps = Vec::with_capacity(emb_shards.len());
         for &i in &emb_shards {
-            let ShardService::Sparse { secs, .. } = serving_plan.shards[i].service else {
+            let ShardService::Sparse { secs } = serving_plan.shards[i].service else {
                 unreachable!("embedding shards always have sparse service")
             };
             let pods = cluster

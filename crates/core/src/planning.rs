@@ -341,7 +341,6 @@ fn embedding_shard_spec(
         ),
         service: ShardService::Sparse {
             secs: calib.cpu_sparse_secs(vector_bytes * expected_gathers, calib.sparse_cores),
-            base_secs: calib.sparse_base_secs,
         },
         expected_gathers,
     }

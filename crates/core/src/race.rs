@@ -1,28 +1,12 @@
-//! Vector-clock happens-before checker for the parallel shard data plane.
+//! Vector-clock happens-before checker for the parallel simulation core.
 //!
-//! Compiled only under the `race-check` feature. The sharded forward pass
-//! is bit-identical to the sequential walk *because* three happens-before
-//! edges always hold in [`crate::ParallelShardExecutor`]:
-//!
-//! 1. **Routing** — every task for shard key `k` executes on worker
-//!    `k % threads`, so one shard's tasks are totally ordered by its
-//!    worker's queue.
-//! 2. **Per-worker FIFO** — a worker starts tasks in exactly the order the
-//!    submitter enqueued them (crossbeam channels are FIFO per sender).
-//! 3. **Finish-before-merge, ascending** — the collector merges slot `s`
-//!    only after slot `s`'s task finished (the result channel carries the
-//!    edge), and merges slots in ascending order (the fixed FP reduction
-//!    order).
-//!
-//! [`RaceChecker`] turns those invariants into runtime assertions: each
-//! thread (workers, submitter, collector) carries a logical vector clock,
-//! every event is logged with a clock snapshot, and a violated edge fails
-//! loudly with the reconstructed interleaving so the offending shard pair
-//! is named in the panic message. [`ParallelShardExecutor::with_race_checking`]
-//! (`crate::ParallelShardExecutor::with_race_checking`) threads a checker
-//! through scatter/execute/collect.
+//! Compiled only under the `race-check` feature. [`WindowRaceChecker`]
+//! attaches to [`er_sim::ShardedSim`] through [`er_sim::WindowObserver`]
+//! and turns its barrier and handoff invariants into runtime assertions:
+//! each shard carries a [`VectorClock`], every event is logged with a
+//! clock snapshot, and a violated edge fails loudly with the reconstructed
+//! window trace so the offending shard pair is named in the panic message.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -72,310 +56,6 @@ impl std::fmt::Display for VectorClock {
             write!(f, "{t}")?;
         }
         f.write_str("}")
-    }
-}
-
-/// One observed event in the scatter/execute/merge lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceEvent {
-    /// The submitter enqueued `slot` (shard key `shard`) on `worker`.
-    Submit {
-        /// Submission slot (merge position).
-        slot: usize,
-        /// Shard key the task was routed by.
-        shard: usize,
-        /// Worker index the task was enqueued on.
-        worker: usize,
-    },
-    /// `worker` dequeued `slot` and began executing it.
-    Start {
-        /// Submission slot.
-        slot: usize,
-        /// Executing worker.
-        worker: usize,
-    },
-    /// `worker` finished `slot` and sent its result to the collector.
-    Finish {
-        /// Submission slot.
-        slot: usize,
-        /// Executing worker.
-        worker: usize,
-    },
-    /// The collector merged `slot` into the reduction.
-    Merge {
-        /// Submission slot.
-        slot: usize,
-    },
-}
-
-impl std::fmt::Display for RaceEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            RaceEvent::Submit {
-                slot,
-                shard,
-                worker,
-            } => {
-                write!(
-                    f,
-                    "[submitter] submit slot={slot} shard={shard} -> worker {worker}"
-                )
-            }
-            RaceEvent::Start { slot, worker } => write!(f, "[worker {worker}]  start  slot={slot}"),
-            RaceEvent::Finish { slot, worker } => {
-                write!(f, "[worker {worker}]  finish slot={slot}")
-            }
-            RaceEvent::Merge { slot } => write!(f, "[collector] merge  slot={slot}"),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Recorded {
-    event: RaceEvent,
-    clock: VectorClock,
-}
-
-#[derive(Debug)]
-struct State {
-    /// Clocks for `threads` workers, then the submitter, then the collector.
-    clocks: Vec<VectorClock>,
-    log: Vec<Recorded>,
-    /// Per slot: the submit-message clock (the submit→start edge payload).
-    submit_clock: Vec<Option<VectorClock>>,
-    /// Per slot: the finish-message clock (the finish→merge edge payload).
-    finish_clock: Vec<Option<VectorClock>>,
-    /// Per slot: the shard key, for naming shards in violation traces.
-    shard_of: Vec<Option<usize>>,
-    /// Per worker: submitted-but-not-started slots, in submission order.
-    fifo: Vec<VecDeque<usize>>,
-    /// Next slot the collector must merge.
-    next_merge: usize,
-}
-
-/// Observes one scatter batch at a time and panics — with the reconstructed
-/// interleaving — the moment a happens-before edge is violated.
-///
-/// The instrumented executor calls the `on_*` hooks from the real threads;
-/// tests for the checker itself may drive them directly to simulate an
-/// interleaving the correct executor can never produce.
-#[derive(Debug)]
-pub struct RaceChecker {
-    threads: usize,
-    state: Mutex<State>,
-}
-
-impl RaceChecker {
-    /// A checker for a pool of `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        Self {
-            threads,
-            state: Mutex::new(State {
-                clocks: vec![VectorClock::new(threads + 2); threads + 2],
-                log: Vec::new(),
-                submit_clock: Vec::new(),
-                finish_clock: Vec::new(),
-                shard_of: Vec::new(),
-                fifo: vec![VecDeque::new(); threads],
-                next_merge: 0,
-            }),
-        }
-    }
-
-    /// Worker count the checker validates routing against.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Resets per-batch slot state (clocks and the event log persist, so a
-    /// violation in batch N still shows the tail of batch N−1's events).
-    pub fn begin_batch(&self) {
-        let mut st = self.lock();
-        st.submit_clock.clear();
-        st.finish_clock.clear();
-        st.shard_of.clear();
-        for q in &mut st.fifo {
-            q.clear();
-        }
-        st.next_merge = 0;
-    }
-
-    /// The submitter enqueued `slot` (shard key `shard`) on `worker`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with rule `fixed-routing` if `worker != shard % threads`.
-    pub fn on_submit(&self, slot: usize, shard: usize, worker: usize) {
-        let mut st = self.lock();
-        let sub = self.threads; // submitter clock index
-        st.clocks[sub].tick(sub);
-        let clock = st.clocks[sub].clone();
-        st.log.push(Recorded {
-            event: RaceEvent::Submit {
-                slot,
-                shard,
-                worker,
-            },
-            clock: clock.clone(),
-        });
-        if worker != shard % self.threads {
-            self.violation(
-                &st,
-                "fixed-routing",
-                &format!(
-                    "slot {slot} (shard {shard}) was enqueued on worker {worker}, \
-                     but shard {shard} is pinned to worker {}",
-                    shard % self.threads
-                ),
-            );
-        }
-        ensure_slot(&mut st.submit_clock, slot);
-        st.submit_clock[slot] = Some(clock);
-        ensure_slot(&mut st.shard_of, slot);
-        st.shard_of[slot] = Some(shard);
-        st.fifo[worker].push_back(slot);
-    }
-
-    /// `worker` dequeued `slot` and began executing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics with rule `worker-fifo` if `slot` is not the oldest
-    /// unstarted submission on `worker`'s queue, or if it was never
-    /// submitted there.
-    pub fn on_start(&self, slot: usize, worker: usize) {
-        let mut st = self.lock();
-        match st.fifo[worker].front().copied() {
-            Some(expected) if expected == slot => {
-                st.fifo[worker].pop_front();
-            }
-            Some(expected) => {
-                let (se, ss) = (self.shard_name(&st, expected), self.shard_name(&st, slot));
-                self.violation(
-                    &st,
-                    "worker-fifo",
-                    &format!(
-                        "worker {worker} started slot {slot} (shard {ss}) before \
-                         slot {expected} (shard {se}), which was enqueued first"
-                    ),
-                );
-            }
-            None => {
-                self.violation(
-                    &st,
-                    "worker-fifo",
-                    &format!("worker {worker} started slot {slot} with an empty queue"),
-                );
-            }
-        }
-        // Receive the submit→start edge, then take a local step.
-        let msg = st.submit_clock.get(slot).and_then(Clone::clone);
-        if let Some(msg) = msg {
-            st.clocks[worker].join(&msg);
-        }
-        st.clocks[worker].tick(worker);
-        let clock = st.clocks[worker].clone();
-        st.log.push(Recorded {
-            event: RaceEvent::Start { slot, worker },
-            clock,
-        });
-    }
-
-    /// `worker` finished `slot`; its result (and clock) travel to the
-    /// collector.
-    pub fn on_finish(&self, slot: usize, worker: usize) {
-        let mut st = self.lock();
-        st.clocks[worker].tick(worker);
-        let clock = st.clocks[worker].clone();
-        st.log.push(Recorded {
-            event: RaceEvent::Finish { slot, worker },
-            clock: clock.clone(),
-        });
-        ensure_slot(&mut st.finish_clock, slot);
-        st.finish_clock[slot] = Some(clock);
-    }
-
-    /// The collector merged `slot` into the running reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics with rule `ascending-merge` if slots are merged out of
-    /// ascending order, or `finish-before-merge` if `slot`'s task has not
-    /// finished — either way the FP reduction order (and so bit-exactness)
-    /// would be broken.
-    pub fn on_merge(&self, slot: usize) {
-        let mut st = self.lock();
-        let col = self.threads + 1; // collector clock index
-        if slot != st.next_merge {
-            let (sa, sb) = (
-                self.shard_name(&st, slot),
-                self.shard_name(&st, st.next_merge),
-            );
-            let expected = st.next_merge;
-            self.violation(
-                &st,
-                "ascending-merge",
-                &format!(
-                    "collector merged slot {slot} (shard {sa}) before slot {expected} \
-                     (shard {sb}); partial pools must reduce in ascending slot order \
-                     or the FP sum reassociates"
-                ),
-            );
-        }
-        let finish = st.finish_clock.get(slot).and_then(Clone::clone);
-        match finish {
-            Some(msg) => {
-                st.clocks[col].join(&msg);
-                st.clocks[col].tick(col);
-                let clock = st.clocks[col].clone();
-                debug_assert!(clock.dominates(&msg), "join establishes dominance");
-                st.log.push(Recorded {
-                    event: RaceEvent::Merge { slot },
-                    clock,
-                });
-            }
-            None => {
-                let s = self.shard_name(&st, slot);
-                self.violation(
-                    &st,
-                    "finish-before-merge",
-                    &format!(
-                        "collector merged slot {slot} (shard {s}) before its task \
-                         finished — no finish event establishes the happens-before edge"
-                    ),
-                );
-            }
-        }
-        st.next_merge += 1;
-    }
-
-    /// The interleaving observed so far, one event per line with its clock
-    /// snapshot — what violation panics embed.
-    pub fn trace(&self) -> String {
-        format_trace(&self.lock())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        match self.state.lock() {
-            Ok(g) => g,
-            // A prior violation panicked while holding the lock; the state
-            // is still consistent for reporting.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn shard_name(&self, st: &State, slot: usize) -> String {
-        match st.shard_of.get(slot).and_then(|s| *s) {
-            Some(shard) => shard.to_string(),
-            None => "?".to_string(),
-        }
-    }
-
-    fn violation(&self, st: &State, rule: &str, detail: &str) -> ! {
-        let trace = format_trace(st);
-        // lint::allow(no_panic): the checker's whole purpose is to fail loudly on a violated happens-before edge
-        panic!("race-check: {rule} violated: {detail}\ninterleaving trace:\n{trace}");
     }
 }
 
@@ -635,23 +315,6 @@ impl er_sim::WindowObserver for WindowRaceChecker {
     }
 }
 
-fn ensure_slot<T: Clone + Default>(v: &mut Vec<T>, slot: usize) {
-    if v.len() <= slot {
-        v.resize(slot + 1, T::default());
-    }
-}
-
-fn format_trace(st: &State) -> String {
-    let mut out = String::new();
-    for rec in &st.log {
-        let _ = writeln!(out, "  {} @ {}", rec.event, rec.clock);
-    }
-    if st.log.is_empty() {
-        out.push_str("  (no events recorded)\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,99 +326,6 @@ mod tests {
             .cloned()
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .expect("panic payload is a string")
-    }
-
-    /// Drives a full, correct two-worker batch through the checker.
-    fn clean_batch(rc: &RaceChecker) {
-        rc.begin_batch();
-        // shards 4, 5, 6 on 2 workers: 4 and 6 pin to worker 0, 5 to 1.
-        rc.on_submit(0, 4, 0);
-        rc.on_submit(1, 5, 1);
-        rc.on_submit(2, 6, 0);
-        // Workers interleave arbitrarily; per-worker order is what matters.
-        rc.on_start(1, 1);
-        rc.on_start(0, 0);
-        rc.on_finish(1, 1);
-        rc.on_finish(0, 0);
-        rc.on_start(2, 0);
-        rc.on_finish(2, 0);
-        rc.on_merge(0);
-        rc.on_merge(1);
-        rc.on_merge(2);
-    }
-
-    #[test]
-    fn clean_interleavings_pass() {
-        let rc = RaceChecker::new(2);
-        clean_batch(&rc);
-        clean_batch(&rc); // checker is reusable across batches
-        let trace = rc.trace();
-        assert!(trace.contains("[submitter] submit slot=0 shard=4 -> worker 0"));
-        assert!(trace.contains("[collector] merge  slot=2"));
-    }
-
-    #[test]
-    fn out_of_order_merge_names_the_offending_shard_pair() {
-        let rc = RaceChecker::new(2);
-        rc.begin_batch();
-        rc.on_submit(0, 4, 0);
-        rc.on_submit(1, 5, 1);
-        rc.on_submit(2, 6, 0);
-        rc.on_start(0, 0);
-        rc.on_finish(0, 0);
-        rc.on_start(1, 1);
-        rc.on_finish(1, 1);
-        rc.on_start(2, 0);
-        rc.on_finish(2, 0);
-        rc.on_merge(0);
-        // The deliberate bug: merge slot 2 before slot 1.
-        let msg = violation_message(AssertUnwindSafe(|| rc.on_merge(2)));
-        assert!(msg.contains("ascending-merge"), "{msg}");
-        assert!(
-            msg.contains("slot 2 (shard 6) before slot 1 (shard 5)"),
-            "{msg}"
-        );
-        // The trace reconstructs the interleaving up to the violation.
-        assert!(msg.contains("interleaving trace:"), "{msg}");
-        assert!(msg.contains("[worker 1]  finish slot=1"), "{msg}");
-        assert!(msg.contains("[collector] merge  slot=0"), "{msg}");
-    }
-
-    #[test]
-    fn merge_before_finish_is_caught() {
-        let rc = RaceChecker::new(2);
-        rc.begin_batch();
-        rc.on_submit(0, 2, 0);
-        rc.on_start(0, 0);
-        // Merge before the task finished: the finish→merge edge is missing.
-        let msg = violation_message(AssertUnwindSafe(|| rc.on_merge(0)));
-        assert!(msg.contains("finish-before-merge"), "{msg}");
-        assert!(msg.contains("slot 0 (shard 2)"), "{msg}");
-    }
-
-    #[test]
-    fn misrouted_shard_is_caught() {
-        let rc = RaceChecker::new(2);
-        rc.begin_batch();
-        // Shard 5 pins to worker 1 on a 2-thread pool; worker 0 is wrong.
-        let msg = violation_message(AssertUnwindSafe(|| rc.on_submit(0, 5, 0)));
-        assert!(msg.contains("fixed-routing"), "{msg}");
-        assert!(msg.contains("pinned to worker 1"), "{msg}");
-    }
-
-    #[test]
-    fn fifo_inversion_on_one_worker_is_caught() {
-        let rc = RaceChecker::new(1);
-        rc.begin_batch();
-        rc.on_submit(0, 0, 0);
-        rc.on_submit(1, 1, 0);
-        // The worker starts the second submission first.
-        let msg = violation_message(AssertUnwindSafe(|| rc.on_start(1, 0)));
-        assert!(msg.contains("worker-fifo"), "{msg}");
-        assert!(
-            msg.contains("slot 1 (shard 1) before slot 0 (shard 0)"),
-            "{msg}"
-        );
     }
 
     #[test]
@@ -864,28 +434,5 @@ mod tests {
             stats.control_windows > 0,
             "HPA ticks run as control windows"
         );
-    }
-
-    #[test]
-    fn merge_clock_dominates_every_finish_clock() {
-        let rc = RaceChecker::new(2);
-        clean_batch(&rc);
-        let st = rc.lock();
-        let merges: Vec<&Recorded> = st
-            .log
-            .iter()
-            .filter(|r| matches!(r.event, RaceEvent::Merge { .. }))
-            .collect();
-        let finishes: Vec<&Recorded> = st
-            .log
-            .iter()
-            .filter(|r| matches!(r.event, RaceEvent::Finish { .. }))
-            .collect();
-        // The last merge happens-after every finish: the reduction saw all
-        // partial results.
-        let last = merges.last().expect("batch merged");
-        for f in &finishes {
-            assert!(last.clock.dominates(&f.clock));
-        }
     }
 }

@@ -8,21 +8,19 @@
 //! correctness argument for the whole decomposition: partitioning is an
 //! execution detail, not a model change.
 //!
-//! Shard gathers are independent, so the walk can run sequentially (the
-//! oracle, [`ShardedDlrm::forward_seq`]) or concurrently on a
-//! [`ParallelShardExecutor`] ([`ShardedDlrm::forward_with`]); partial pools
-//! are always merged in ascending shard order, so both paths produce
-//! bit-identical outputs at every thread count.
-
-use std::sync::Arc;
+//! There is one implementation of that walk, [`ShardedDlrm::forward_ws`],
+//! which recycles every intermediate through a caller-owned
+//! [`ForwardWorkspace`]; [`ShardedDlrm::forward`] runs it on a fresh one.
+//! Partial pools are merged in ascending shard order, so the output does
+//! not depend on what the workspace held before.
 
 use er_distribution::sorting::HotnessPermutation;
-use er_model::{dot_interaction_into, Dlrm, EmbeddingTable, QueryBatch, TableLookup};
-use er_partition::{bucketize, bucketize_into, bucketize_tables, PartitionPlan};
+use er_model::{dot_interaction_into, Dlrm, EmbeddingTable, QueryBatch};
+use er_partition::{bucketize_into, PartitionPlan};
 use er_tensor::Matrix;
 use er_units::{Bytes, ElemKind};
 
-use crate::{ForwardWorkspace, ParallelShardExecutor};
+use crate::ForwardWorkspace;
 
 /// A DLRM decomposed into embedding shards, functionally equivalent to the
 /// monolithic model it was built from.
@@ -48,14 +46,6 @@ use crate::{ForwardWorkspace, ParallelShardExecutor};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedDlrm {
-    // Shared immutable model state, so executor tasks (which must be
-    // 'static) can hold it across threads without copying tables.
-    inner: Arc<Inner>,
-    executor: Option<Arc<ParallelShardExecutor>>,
-}
-
-#[derive(Debug, Clone)]
-struct Inner {
     dlrm: Dlrm,
     perms: Vec<HotnessPermutation>,
     plans: Vec<PartitionPlan>,
@@ -126,64 +116,37 @@ impl ShardedDlrm {
             shard_tables.push(shards);
         }
         Ok(Self {
-            inner: Arc::new(Inner {
-                dlrm,
-                perms,
-                plans,
-                shard_tables,
-            }),
-            executor: None,
+            dlrm,
+            perms,
+            plans,
+            shard_tables,
         })
-    }
-
-    /// Attaches a shared executor; [`ShardedDlrm::forward`] then runs shard
-    /// gathers concurrently on it (when it has more than one thread).
-    ///
-    /// One executor can be shared by many models — clones of this
-    /// `ShardedDlrm` share both the model state and the executor.
-    #[must_use]
-    pub fn with_executor(mut self, executor: Arc<ParallelShardExecutor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// The attached executor, if any.
-    pub fn executor(&self) -> Option<&Arc<ParallelShardExecutor>> {
-        self.executor.as_ref()
     }
 
     /// Requantizes every shard's embedding storage to `kind`, leaving the
     /// dense MLPs and the monolithic reference model in f32 — ElasticRec's
     /// placement view of quantization: precision is a per-shard storage
-    /// decision, not a model change. All forward paths (sequential,
-    /// workspace, parallel) keep agreeing bit-for-bit on the quantized
-    /// storage; outputs track the f32 sharding within the kernels'
-    /// analytic error bounds.
+    /// decision, not a model change. Outputs track the f32 sharding within
+    /// the kernels' analytic error bounds.
     ///
     /// # Panics
     ///
     /// Panics if the shards are no longer in f32 storage (requantizing an
     /// already-quantized model would compound rounding error silently).
     #[must_use]
-    pub fn with_elem_kind(self, kind: ElemKind) -> Self {
-        let Self { inner, executor } = self;
-        let mut inner = Arc::try_unwrap(inner).unwrap_or_else(|a| (*a).clone());
-        for shards in &mut inner.shard_tables {
+    pub fn with_elem_kind(mut self, kind: ElemKind) -> Self {
+        for shards in &mut self.shard_tables {
             for table in shards.iter_mut() {
                 *table = table.quantized(kind);
             }
         }
-        Self {
-            inner: Arc::new(inner),
-            executor,
-        }
+        self
     }
 
     /// Total bytes of embedding storage across all shards, reflecting each
     /// shard's element kind.
     pub fn shard_param_bytes(&self) -> Bytes {
-        self.inner
-            .shard_tables
+        self.shard_tables
             .iter()
             .flatten()
             .fold(Bytes::ZERO, |acc, t| acc + t.bytes())
@@ -191,131 +154,40 @@ impl ShardedDlrm {
 
     /// The underlying monolithic model.
     pub fn dlrm(&self) -> &Dlrm {
-        &self.inner.dlrm
+        &self.dlrm
     }
 
     /// The partition plans, per table.
     pub fn plans(&self) -> &[PartitionPlan] {
-        &self.inner.plans
+        &self.plans
     }
 
-    /// Full forward pass through the sharded serving path.
-    ///
-    /// Dispatches to [`ShardedDlrm::forward_with`] when an executor with
-    /// more than one thread is attached, and to
-    /// [`ShardedDlrm::forward_seq`] otherwise. Both produce bit-identical
-    /// results.
+    /// Full forward pass through the sharded serving path:
+    /// [`ShardedDlrm::forward_ws`] on a fresh workspace, with the result
+    /// copied out. Serving loops should keep one workspace and call
+    /// `forward_ws` directly, which stops allocating once warm.
     ///
     /// # Panics
     ///
     /// Panics if the query addresses a different number of tables than the
     /// model has.
     pub fn forward(&self, query: &QueryBatch) -> Matrix {
-        match &self.executor {
-            Some(exec) if exec.threads() > 1 => self.forward_with(query, exec),
-            _ => self.forward_seq(query),
-        }
-    }
-
-    /// Sequential forward pass: one shard gather at a time, in (table,
-    /// shard) order. This is the oracle the parallel path is verified
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query addresses a different number of tables than the
-    /// model has.
-    pub fn forward_seq(&self, query: &QueryBatch) -> Matrix {
-        self.check_query(query);
-        let bottom = self.inner.dlrm.forward_bottom(&query.dense);
-        let pooled: Vec<Matrix> = query
-            .lookups
-            .iter()
-            .enumerate()
-            .map(|(t, l)| self.inner.sparse_table(t, l))
-            .collect();
-        self.inner.dlrm.forward_top(&bottom, &pooled)
-    }
-
-    /// Parallel forward pass: every (table, shard) gather becomes one task
-    /// on `executor`, the dense bottom MLP runs on the caller thread while
-    /// gathers are in flight (like the paper's dense DNN shard overlapping
-    /// embedding RPCs), and partial pools are merged in ascending shard
-    /// order — bit-identical to [`ShardedDlrm::forward_seq`] at every
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query addresses a different number of tables than the
-    /// model has, or a shard task panics.
-    pub fn forward_with(&self, query: &QueryBatch, executor: &ParallelShardExecutor) -> Matrix {
-        self.check_query(query);
-        let inner = &self.inner;
-        // Remap each table's lookup into sorted-ID space, then bucketize
-        // every table (table-parallel) up front.
-        let sorted: Vec<TableLookup> = query
-            .lookups
-            .iter()
-            .enumerate()
-            .map(|(t, l)| l.map_indices(|orig| inner.perms[t].to_sorted(orig)))
-            .collect();
-        let raw: Vec<(&[u32], &[u32])> =
-            sorted.iter().map(|l| (l.indices(), l.offsets())).collect();
-        let buckets = bucketize_tables(&raw, &inner.plans, executor.threads());
-        // One task per (table, shard), keyed by a running shard counter so
-        // work spreads round-robin across the pinned worker queues.
-        let mut jobs: Vec<(usize, Box<dyn FnOnce() -> Matrix + Send>)> = Vec::new();
-        for (t, bucket) in buckets.into_iter().enumerate() {
-            for (s, (idx, off)) in bucket.indices.into_iter().zip(bucket.offsets).enumerate() {
-                let inner = Arc::clone(inner);
-                jobs.push((
-                    jobs.len(),
-                    Box::new(move || {
-                        let lookup =
-                            // lint::allow(no_panic): bucketize emits offsets starting at 0, non-decreasing, in range
-                            TableLookup::new(idx, off).expect("bucketize emits valid offsets");
-                        inner.shard_tables[t][s].gather_pool_fused(&lookup)
-                    }),
-                ));
-            }
-        }
-        let pending = executor.scatter(jobs);
-        // Dense bottom overlaps with the in-flight shard gathers.
-        let bottom = inner.dlrm.forward_bottom(&query.dense);
-        let partials = pending.collect();
-        // Deterministic merge: collect() restored submission order, so
-        // summing each table's run of partials walks shards in ascending
-        // order — the exact FP op sequence of the sequential path.
-        let mut pooled = Vec::with_capacity(inner.plans.len());
-        let mut it = partials.into_iter();
-        for (t, plan) in inner.plans.iter().enumerate() {
-            let dim = inner.dlrm.tables()[t].dim() as usize;
-            let mut acc = Matrix::zeros(query.lookups[t].num_inputs(), dim);
-            for _ in 0..plan.num_shards() {
-                // lint::allow(no_panic): scatter returned exactly one partial per (table, shard) job
-                let partial = it.next().expect("one partial per shard");
-                // lint::allow(no_panic): acc and partial are both (num_inputs x dim) by construction
-                acc = acc.add(&partial).expect("shapes match by construction");
-            }
-            pooled.push(acc);
-        }
-        inner.dlrm.forward_top(&bottom, &pooled)
+        self.forward_ws(query, &mut self.workspace()).clone()
     }
 
     /// Creates a [`ForwardWorkspace`] sized for this model, for use with
     /// [`ShardedDlrm::forward_ws`].
     pub fn workspace(&self) -> ForwardWorkspace {
-        ForwardWorkspace::for_tables(self.inner.plans.len())
+        ForwardWorkspace::for_tables(self.plans.len())
     }
 
-    /// Sequential forward pass through caller-owned scratch: the same
-    /// hotness-remap → bucketize → per-shard gather → ascending merge →
-    /// interaction → MLP pipeline as [`ShardedDlrm::forward_seq`], with
-    /// every intermediate recycled from `ws`. Each stage is bit-identical
-    /// to its allocating counterpart (per-shard partials are still pooled
-    /// into a zeroed scratch and then summed in ascending shard order, so
-    /// the FP op sequence is unchanged), and once `ws` is warm a call
-    /// performs zero heap allocations.
+    /// Forward pass through caller-owned scratch: per table, remap the
+    /// lookups into hotness-sorted space, bucketize them onto the shards,
+    /// gather and pool each shard into a zeroed partial and sum the
+    /// partials in ascending shard order; then the bottom MLP, the dot
+    /// interaction and the top MLP. Every intermediate is recycled from
+    /// `ws`, so once it is warm a call performs zero heap allocations, and
+    /// the output is bit-identical whatever `ws` was used for before.
     ///
     /// The returned reference points into `ws` and is valid until the next
     /// use of the workspace.
@@ -326,7 +198,6 @@ impl ShardedDlrm {
     /// model has.
     pub fn forward_ws<'w>(&self, query: &QueryBatch, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
         self.check_query(query);
-        let inner = &self.inner;
         let tables = query.lookups.len();
         // Grow-only guard so a workspace built for a smaller model still
         // works; `resize` would re-allocate its template matrix every call.
@@ -336,21 +207,17 @@ impl ShardedDlrm {
         }
         for (t, lookup) in query.lookups.iter().enumerate() {
             ws.sorted.clear();
-            ws.sorted.extend(
-                lookup
-                    .indices()
-                    .iter()
-                    .map(|&i| inner.perms[t].to_sorted(i)),
-            );
+            ws.sorted
+                .extend(lookup.indices().iter().map(|&i| self.perms[t].to_sorted(i)));
             bucketize_into(
                 &ws.sorted,
                 lookup.offsets(),
-                &inner.plans[t],
+                &self.plans[t],
                 &mut ws.buckets,
             );
-            let dim = inner.dlrm.tables()[t].dim() as usize;
+            let dim = self.dlrm.tables()[t].dim() as usize;
             ws.pooled[t].reshape_zeroed(lookup.num_inputs(), dim);
-            for (s, table) in inner.shard_tables[t].iter().enumerate() {
+            for (s, table) in self.shard_tables[t].iter().enumerate() {
                 table.gather_pool_into(
                     &ws.buckets.indices[s],
                     &ws.buckets.offsets[s],
@@ -363,13 +230,11 @@ impl ShardedDlrm {
             }
         }
         let bottom =
-            inner
-                .dlrm
+            self.dlrm
                 .bottom_mlp()
                 .forward_into(&query.dense, &mut ws.mlp_a, &mut ws.mlp_b);
         dot_interaction_into(bottom, &ws.pooled[..tables], &mut ws.interacted);
-        inner
-            .dlrm
+        self.dlrm
             .top_mlp()
             .forward_into(&ws.interacted, &mut ws.mlp_a, &mut ws.mlp_b)
     }
@@ -377,33 +242,11 @@ impl ShardedDlrm {
     fn check_query(&self, query: &QueryBatch) {
         assert_eq!(
             query.lookups.len(),
-            self.inner.plans.len(),
+            self.plans.len(),
             "query addresses {} tables, model has {}",
             query.lookups.len(),
-            self.inner.plans.len()
+            self.plans.len()
         );
-    }
-}
-
-impl Inner {
-    /// Runs the sparse stage the distributed way for one table: remap to
-    /// sorted IDs, bucketize, gather per shard, sum the partial pools.
-    fn sparse_table(&self, t: usize, lookup: &TableLookup) -> Matrix {
-        let sorted = lookup.map_indices(|orig| self.perms[t].to_sorted(orig));
-        let buckets = bucketize(sorted.indices(), sorted.offsets(), &self.plans[t]);
-        let dim = self.dlrm.tables()[t].dim() as usize;
-        let mut pooled = Matrix::zeros(lookup.num_inputs(), dim);
-        let mut partial = Matrix::zeros(lookup.num_inputs(), dim);
-        for (s, table) in self.shard_tables[t].iter().enumerate() {
-            // Gathering straight off the bucketized slices skips the
-            // per-shard index/offset clones a TableLookup would need.
-            table.gather_pool_into(&buckets.indices[s], &buckets.offsets[s], &mut partial);
-            pooled
-                .add_assign(&partial)
-                // lint::allow(no_panic): pooled and partial are both (num_inputs x dim) by construction
-                .expect("shapes match by construction");
-        }
-        pooled
     }
 }
 
@@ -472,108 +315,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_forward_is_bit_identical_to_sequential() {
-        let (cfg, _, sharded) = setup(300, 3, vec![30, 120, 300]);
-        let gen = QueryGenerator::new(&cfg);
-        let mut rng = SimRng::seed_from(17);
-        for threads in [1, 2, 3, 8] {
-            let exec = ParallelShardExecutor::new(threads);
-            for _ in 0..3 {
-                let q = gen.generate(&mut rng);
-                assert_eq!(
-                    sharded.forward_seq(&q),
-                    sharded.forward_with(&q, &exec),
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    /// The full sharded forward pass under the vector-clock checker: every
-    /// happens-before edge of the scatter → gather → ascending-merge data
-    /// plane holds on real queries, and results stay bit-identical.
-    #[cfg(feature = "race-check")]
-    #[test]
-    fn race_checked_forward_is_clean_and_bit_identical() {
-        let (cfg, _, sharded) = setup(300, 3, vec![30, 120, 300]);
-        let gen = QueryGenerator::new(&cfg);
-        let mut rng = SimRng::seed_from(29);
-        for threads in [1, 2, 4] {
-            let exec = ParallelShardExecutor::with_race_checking(threads);
-            for _ in 0..2 {
-                let q = gen.generate(&mut rng);
-                assert_eq!(
-                    sharded.forward_seq(&q),
-                    sharded.forward_with(&q, &exec),
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn workspace_forward_is_bit_identical_to_sequential() {
-        // One workspace recycled across queries of a non-trivial sharding:
-        // every call must reproduce the allocating oracle bit-for-bit.
-        let (cfg, _, sharded) = setup(300, 3, vec![30, 120, 300]);
-        let gen = QueryGenerator::new(&cfg);
-        let mut rng = SimRng::seed_from(41);
-        let mut ws = sharded.workspace();
-        for i in 0..6 {
-            let q = gen.generate(&mut rng);
-            assert_eq!(
-                *sharded.forward_ws(&q, &mut ws),
-                sharded.forward_seq(&q),
-                "query {i}"
-            );
-        }
-    }
-
-    #[test]
     fn workspace_survives_model_switch() {
-        // A workspace warmed on one sharding keeps matching when reused on
-        // a model with more tables and different shard counts.
-        let (cfg_a, _, sharded_a) = setup(100, 2, vec![10, 50, 100]);
-        let (cfg_b, _, sharded_b) = setup(200, 4, vec![40, 200]);
+        // One long-lived workspace, reused across random queries and
+        // alternately on two differently-shaped models (more tables,
+        // different shard counts), must reproduce a fresh workspace
+        // bit-for-bit and stay within f32 reassociation of the monolith.
+        let (cfg_a, model_a, sharded_a) = setup(100, 2, vec![10, 50, 100]);
+        let (cfg_b, model_b, sharded_b) = setup(200, 4, vec![40, 200]);
+        let (gen_a, gen_b) = (QueryGenerator::new(&cfg_a), QueryGenerator::new(&cfg_b));
+        let mut rng = SimRng::seed_from(41);
         let mut ws = sharded_a.workspace();
-        let q_a = QueryGenerator::new(&cfg_a).generate(&mut SimRng::seed_from(2));
-        assert_eq!(
-            *sharded_a.forward_ws(&q_a, &mut ws),
-            sharded_a.forward_seq(&q_a)
-        );
-        let q_b = QueryGenerator::new(&cfg_b).generate(&mut SimRng::seed_from(3));
-        assert_eq!(
-            *sharded_b.forward_ws(&q_b, &mut ws),
-            sharded_b.forward_seq(&q_b)
-        );
-        assert_eq!(
-            *sharded_a.forward_ws(&q_a, &mut ws),
-            sharded_a.forward_seq(&q_a)
-        );
-    }
-
-    #[test]
-    fn attached_executor_routes_forward_through_parallel_path() {
-        let (cfg, _, sharded) = setup(128, 2, vec![16, 64, 128]);
-        let exec = Arc::new(ParallelShardExecutor::new(4));
-        let par = sharded.clone().with_executor(Arc::clone(&exec));
-        assert_eq!(par.executor().map(|e| e.threads()), Some(4));
-        let q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(23));
-        assert_eq!(sharded.forward(&q), par.forward(&q));
-    }
-
-    #[test]
-    fn executor_is_reusable_across_queries_and_models() {
-        let exec = Arc::new(ParallelShardExecutor::new(3));
-        for seed in [1u64, 2] {
-            let (cfg, _, sharded) = setup(100 + seed * 20, 2, vec![10, 50, 100 + seed * 20]);
-            let par = sharded.clone().with_executor(Arc::clone(&exec));
-            let gen = QueryGenerator::new(&cfg);
-            let mut rng = SimRng::seed_from(seed);
-            for _ in 0..2 {
-                let q = gen.generate(&mut rng);
-                assert_eq!(sharded.forward_seq(&q), par.forward(&q));
-            }
+        for i in 0..6 {
+            let (gen, model, sharded) = if i % 2 == 0 {
+                (&gen_a, &model_a, &sharded_a)
+            } else {
+                (&gen_b, &model_b, &sharded_b)
+            };
+            let q = gen.generate(&mut rng);
+            let fresh = sharded.forward(&q);
+            assert_eq!(*sharded.forward_ws(&q, &mut ws), fresh, "query {i}");
+            let diff = model.forward(&q).max_abs_diff(&fresh);
+            assert!(diff < 1e-4, "query {i}: diff={diff}");
         }
     }
 
@@ -581,7 +343,7 @@ mod tests {
     fn quantized_shards_track_the_f32_path_within_tolerance() {
         let (cfg, _, sharded) = setup(300, 3, vec![30, 120, 300]);
         let q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(51));
-        let reference = sharded.forward_seq(&q);
+        let reference = sharded.forward(&q);
         let f32_bytes = sharded.shard_param_bytes();
         for kind in [ElemKind::F16, ElemKind::I8] {
             let quant = sharded.clone().with_elem_kind(kind);
@@ -591,14 +353,13 @@ mod tests {
                 "{kind}: {:?} !< {f32_bytes:?}",
                 quant.shard_param_bytes()
             );
-            let out = quant.forward_seq(&q);
+            let out = quant.forward(&q);
             let diff = reference.max_abs_diff(&out);
             assert!(diff < 0.05, "{kind}: diff={diff}");
-            // Every serving path agrees bit-for-bit on quantized storage.
-            let mut ws = quant.workspace();
+            // A reused workspace agrees bit-for-bit on quantized storage.
+            let mut ws = sharded.workspace();
+            sharded.forward_ws(&q, &mut ws);
             assert_eq!(*quant.forward_ws(&q, &mut ws), out, "{kind} ws");
-            let exec = ParallelShardExecutor::new(3);
-            assert_eq!(quant.forward_with(&q, &exec), out, "{kind} par");
         }
     }
 
@@ -607,7 +368,7 @@ mod tests {
         let (cfg, _, sharded) = setup(100, 2, vec![10, 50, 100]);
         let q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(9));
         let same = sharded.clone().with_elem_kind(ElemKind::F32);
-        assert_eq!(sharded.forward_seq(&q), same.forward_seq(&q));
+        assert_eq!(sharded.forward(&q), same.forward(&q));
         assert_eq!(
             sharded.shard_param_bytes().raw(),
             same.shard_param_bytes().raw()
@@ -647,6 +408,5 @@ mod tests {
         assert_eq!(sharded.plans().len(), 2);
         assert_eq!(sharded.plans()[0].num_shards(), 2);
         assert_eq!(sharded.dlrm().tables().len(), 2);
-        assert!(sharded.executor().is_none());
     }
 }

@@ -53,10 +53,6 @@ pub enum ShardService {
     Sparse {
         /// Seconds per query (fixed overhead included).
         secs: f64,
-        /// Fixed per-invocation overhead (request decode, pooling setup)
-        /// already included in `secs`. A coalesced batch of `k` queries
-        /// pays it once: `base_secs + k * (secs - base_secs)`.
-        base_secs: f64,
     },
     /// Monolithic server: one sequential phase covering everything.
     Monolithic {
@@ -74,25 +70,7 @@ impl ShardService {
                 bottom_secs,
                 top_secs,
             } => bottom_secs + top_secs,
-            ShardService::Sparse { secs, .. } | ShardService::Monolithic { secs } => secs,
-        }
-    }
-
-    /// Replica busy time for serving `batch` queries in one coalesced
-    /// invocation.
-    ///
-    /// A sparse shard pays its fixed overhead once and the bandwidth term
-    /// per query, so batching strictly beats `batch * busy_secs()`; other
-    /// services have no coalescable overhead and scale linearly. A batch of
-    /// one is *not* guaranteed to equal `busy_secs()` to the last bit
-    /// (`base + (secs - base)` re-rounds), so engines must use one formula
-    /// or the other consistently within a run.
-    pub fn coalesced_busy_secs(&self, batch: u64) -> f64 {
-        match *self {
-            ShardService::Sparse { secs, base_secs } => {
-                base_secs + batch as f64 * (secs - base_secs)
-            }
-            _ => batch as f64 * self.busy_secs(),
+            ShardService::Sparse { secs } | ShardService::Monolithic { secs } => secs,
         }
     }
 
@@ -143,28 +121,9 @@ mod tests {
 
     #[test]
     fn sparse_and_monolithic_are_single_phase() {
-        let sparse = ShardService::Sparse {
-            secs: 0.02,
-            base_secs: 0.003,
-        };
+        let sparse = ShardService::Sparse { secs: 0.02 };
         assert_eq!(sparse.busy_secs(), 0.02);
         assert_eq!(ShardService::Monolithic { secs: 0.05 }.qps_max(), 20.0);
-    }
-
-    #[test]
-    fn coalesced_batches_pay_the_base_cost_once() {
-        let sparse = ShardService::Sparse {
-            secs: 0.02,
-            base_secs: 0.003,
-        };
-        // k queries: one base + k bandwidth terms.
-        let four = sparse.coalesced_busy_secs(4);
-        assert!((four - (0.003 + 4.0 * 0.017)).abs() < 1e-12);
-        // Strictly cheaper than serving them back-to-back.
-        assert!(four < 4.0 * sparse.busy_secs());
-        // Services without a coalescable base scale linearly.
-        let mono = ShardService::Monolithic { secs: 0.05 };
-        assert_eq!(mono.coalesced_busy_secs(3), 3.0 * 0.05);
     }
 
     #[test]
@@ -185,10 +144,7 @@ mod tests {
             name: "emb-t0-s0".into(),
             role: ShardRole::Embedding { table: 0, shard: 0 },
             pod: PodSpec::new("emb-t0-s0", ResourceRequest::cpu(2000, 1 << 30), 3.0),
-            service: ShardService::Sparse {
-                secs: 0.01,
-                base_secs: 0.003,
-            },
+            service: ShardService::Sparse { secs: 0.01 },
             expected_gathers: 3686.0,
         };
         assert!((spec.qps_max() - 100.0).abs() < 1e-9);

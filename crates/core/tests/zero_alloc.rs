@@ -98,12 +98,13 @@ fn warm_workspace_forward_performs_zero_allocations() {
 
 #[test]
 fn allocating_oracle_path_is_visible_to_the_counter() {
-    // Sanity-check the instrument itself: the allocating forward_seq path
-    // must register plenty of traffic, or a zero above would be vacuous.
+    // Sanity-check the instrument itself: `forward` builds and grows a
+    // fresh workspace per call, which must register plenty of traffic, or
+    // a zero above would be vacuous.
     let (cfg, sharded) = build_sharded(400, 3);
     let q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(9));
     let n = allocs_during(|| {
-        let _ = sharded.forward_seq(&q);
+        let _ = sharded.forward(&q);
     });
     assert!(n > 10, "expected the allocating path to allocate, saw {n}");
     assert!(DEALLOCS.load(Ordering::Relaxed) > 0);

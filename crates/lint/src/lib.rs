@@ -2,7 +2,7 @@
 //! workspace.
 //!
 //! The simulator's headline guarantees are *determinism invariants*: the
-//! parallel shard executor is bit-identical to the sequential walk, the
+//! fast kernels are bit-identical to their naive oracles, the
 //! discrete-event simulation replays exactly per seed, and float
 //! reductions happen in one documented order. Property tests exercise
 //! those guarantees; this crate enforces the coding rules they rest on, so

@@ -114,27 +114,12 @@ impl Dlrm {
         self.tables
             .iter()
             .zip(&query.lookups)
-            .map(|(t, l)| t.gather_pool_fused(l))
+            .map(|(t, l)| {
+                let mut pooled = Matrix::zeros(1, 1);
+                t.gather_pool_into(l.indices(), l.offsets(), &mut pooled);
+                pooled
+            })
             .collect()
-    }
-
-    /// Runs the sparse stage table-parallel across up to `threads` worker
-    /// threads. Bit-identical to [`Dlrm::forward_sparse`] at every thread
-    /// count (tables are independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query addresses a different number of tables than the
-    /// model has.
-    pub fn forward_sparse_parallel(&self, query: &QueryBatch, threads: usize) -> Vec<Matrix> {
-        assert_eq!(
-            query.lookups.len(),
-            self.tables.len(),
-            "query addresses {} tables but the model has {}",
-            query.lookups.len(),
-            self.tables.len()
-        );
-        crate::gather_pool_all(&self.tables, &query.lookups, threads)
     }
 
     /// Runs the dense *top* stage: interaction + top MLP, producing the
@@ -211,17 +196,6 @@ mod tests {
         let q1 = gen.generate(&mut rng);
         let q2 = gen.generate(&mut rng);
         assert_ne!(model.forward(&q1), model.forward(&q2));
-    }
-
-    #[test]
-    fn parallel_sparse_stage_matches_sequential() {
-        let cfg = small_cfg();
-        let model = Dlrm::with_seed(&cfg, 21);
-        let q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(7));
-        let seq = model.forward_sparse(&q);
-        for threads in [1, 2, 8] {
-            assert_eq!(seq, model.forward_sparse_parallel(&q, threads));
-        }
     }
 
     #[test]

@@ -238,32 +238,19 @@ impl EmbeddingTable {
         out
     }
 
-    /// Fused gather+pool: the same `EmbeddingBag` operation as
-    /// [`EmbeddingTable::gather_pool`], pooled directly out of the table's
-    /// flat storage by the `er_tensor` CSR kernels (which dispatch down the
-    /// AVX-512 → AVX2 → scalar ladder, recompiling the same Rust code — no
-    /// intrinsics, no FP reordering). Per output element the additions
-    /// happen in exactly the reference order (lookup order, ascending dim),
-    /// so results are **bit-identical** to `gather_pool` at every
-    /// [`ElemKind`] — f32 tables additionally stay bit-identical to the
-    /// historical f32-only implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn gather_pool_fused(&self, lookup: &TableLookup) -> Matrix {
-        let mut out = Matrix::zeros(lookup.num_inputs(), self.dim as usize);
-        self.gather_dispatch(lookup.indices(), lookup.offsets(), &mut out);
-        out
-    }
-
     /// Fused gather+pool into a caller-owned matrix (reshaped in place)
-    /// over raw CSR `(indices, offsets)` arrays — the allocation-free form
-    /// of [`EmbeddingTable::gather_pool_fused`], bit-identical to it. Takes
-    /// raw slices instead of a [`TableLookup`] so callers holding bucketized
-    /// per-shard arrays (see `er_partition::bucketize_into`) can gather
-    /// without materializing a lookup; once `out`'s capacity is warm the
-    /// call performs no allocation.
+    /// over raw CSR `(indices, offsets)` arrays: the same `EmbeddingBag`
+    /// operation as [`EmbeddingTable::gather_pool`], pooled directly out of
+    /// the table's flat storage by the `er_tensor` CSR kernels (which
+    /// dispatch down the AVX-512 → AVX2 → scalar ladder, recompiling the
+    /// same Rust code — no intrinsics, no FP reordering). Per output
+    /// element the additions happen in exactly the reference order (lookup
+    /// order, ascending dim), so results are **bit-identical** to
+    /// `gather_pool` at every [`ElemKind`]. Takes raw slices instead of a
+    /// [`TableLookup`] so callers holding bucketized per-shard arrays (see
+    /// `er_partition::bucketize_into`) can gather without materializing a
+    /// lookup; once `out`'s capacity is warm the call performs no
+    /// allocation.
     ///
     /// # Panics
     ///
@@ -271,11 +258,6 @@ impl EmbeddingTable {
     /// descending, or any index is out of range.
     pub fn gather_pool_into(&self, indices: &[u32], offsets: &[u32], out: &mut Matrix) {
         out.reshape_zeroed(offsets.len(), self.dim as usize);
-        self.gather_dispatch(indices, offsets, out);
-    }
-
-    /// One kind-dispatch point for every fused gather path.
-    fn gather_dispatch(&self, indices: &[u32], offsets: &[u32], out: &mut Matrix) {
         match &self.storage {
             TableStorage::F32(data) => {
                 er_tensor::gather_pool_csr(data, self.rows, indices, offsets, out);
@@ -432,64 +414,16 @@ impl EmbeddingTable {
     }
 }
 
-/// Runs the fused gather+pool over many tables at once, table-parallel
-/// across up to `threads` scoped worker threads — the multi-table sparse
-/// stage of a DLRM forward pass. Tables are independent, so results are
-/// bit-identical to the sequential per-table kernels at every thread count,
-/// and output order always matches table order.
-///
-/// `threads <= 1` (or a single table) runs inline without spawning.
-///
-/// # Panics
-///
-/// Panics if `tables` and `lookups` lengths differ, or any index is out of
-/// range for its table.
-pub fn gather_pool_all(
-    tables: &[EmbeddingTable],
-    lookups: &[TableLookup],
-    threads: usize,
-) -> Vec<Matrix> {
-    assert_eq!(
-        tables.len(),
-        lookups.len(),
-        "got {} tables but {} lookups",
-        tables.len(),
-        lookups.len()
-    );
-    let threads = threads.max(1).min(tables.len().max(1));
-    if threads == 1 {
-        return tables
-            .iter()
-            .zip(lookups)
-            .map(|(t, l)| t.gather_pool_fused(l))
-            .collect();
-    }
-    let mut out: Vec<Option<Matrix>> = vec![None; tables.len()];
-    let chunk = tables.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for ((out_chunk, table_chunk), lookup_chunk) in out
-            .chunks_mut(chunk)
-            .zip(tables.chunks(chunk))
-            .zip(lookups.chunks(chunk))
-        {
-            scope.spawn(move || {
-                for ((slot, table), lookup) in
-                    out_chunk.iter_mut().zip(table_chunk).zip(lookup_chunk)
-                {
-                    *slot = Some(table.gather_pool_fused(lookup));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        // lint::allow(no_panic): scoped threads joined; every chunk worker filled its slots
-        .map(|m| m.expect("every chunk filled by its worker"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `gather_pool_into` on a fresh output.
+    fn fused(t: &EmbeddingTable, lookup: &TableLookup) -> Matrix {
+        let mut out = Matrix::zeros(1, 1);
+        t.gather_pool_into(lookup.indices(), lookup.offsets(), &mut out);
+        out
+    }
 
     fn tiny() -> EmbeddingTable {
         EmbeddingTable::from_rows(&[
@@ -599,11 +533,7 @@ mod tests {
             let lookup =
                 TableLookup::new(vec![0, 49, 7, 7, 23, 12, 3, 44, 44, 44], vec![0, 2, 2, 6])
                     .unwrap();
-            assert_eq!(
-                t.gather_pool(&lookup),
-                t.gather_pool_fused(&lookup),
-                "dim {dim}"
-            );
+            assert_eq!(t.gather_pool(&lookup), fused(&t, &lookup), "dim {dim}");
         }
     }
 
@@ -617,7 +547,7 @@ mod tests {
                         .unwrap();
                 assert_eq!(
                     t.gather_pool(&lookup),
-                    t.gather_pool_fused(&lookup),
+                    fused(&t, &lookup),
                     "{kind} dim {dim}"
                 );
             }
@@ -631,7 +561,7 @@ mod tests {
         for kind in [ElemKind::F16, ElemKind::I8] {
             let t = EmbeddingTable::with_seed(50, 16, 77);
             let reference = t.gather_pool(&lookup);
-            let got = t.quantized(kind).gather_pool_fused(&lookup);
+            let got = fused(&t.quantized(kind), &lookup);
             let bound = t.quant_error_bound(kind, lookup.indices(), lookup.offsets());
             for input in 0..reference.rows() {
                 for j in 0..reference.cols() {
@@ -665,7 +595,7 @@ mod tests {
         // Slicing rows [2, 8) then gathering {0, 3} == gathering {2, 5}.
         let s = t.slice(2, 8);
         let whole = TableLookup::new(vec![2, 5], vec![0, 1]).unwrap();
-        assert_eq!(s.gather_pool_fused(&lookup), t.gather_pool_fused(&whole));
+        assert_eq!(fused(&s, &lookup), fused(&t, &whole));
         // Reversing twice is the identity, scales included.
         let back = t.permuted(|p| 11 - p, 12).permuted(|p| 11 - p, 12);
         assert_eq!(back, t);
@@ -687,7 +617,7 @@ mod tests {
     fn fused_gather_handles_empty_bags() {
         let t = tiny();
         let lookup = TableLookup::new(vec![1], vec![0, 0]).unwrap();
-        assert_eq!(t.gather_pool(&lookup), t.gather_pool_fused(&lookup));
+        assert_eq!(t.gather_pool(&lookup), fused(&t, &lookup));
     }
 
     #[test]
@@ -695,11 +625,11 @@ mod tests {
     fn fused_gather_rejects_bad_ids() {
         let t = tiny();
         let lookup = TableLookup::new(vec![4], vec![0]).unwrap();
-        t.gather_pool_fused(&lookup);
+        fused(&t, &lookup);
     }
 
     #[test]
-    fn gather_into_matches_fused_with_dirty_reused_output() {
+    fn gather_into_matches_reference_with_dirty_reused_output() {
         let mut out = Matrix::filled(1, 1, 42.0);
         for dim in [1u32, 4, 11] {
             let t = EmbeddingTable::with_seed(50, dim, 21);
@@ -707,7 +637,7 @@ mod tests {
                 TableLookup::new(vec![0, 49, 7, 7, 23, 12, 3, 44, 44, 44], vec![0, 2, 2, 6])
                     .unwrap();
             t.gather_pool_into(lookup.indices(), lookup.offsets(), &mut out);
-            assert_eq!(out, t.gather_pool_fused(&lookup), "dim {dim}");
+            assert_eq!(out, t.gather_pool(&lookup), "dim {dim}");
         }
     }
 
@@ -715,35 +645,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn gather_into_rejects_bad_ids() {
         tiny().gather_pool_into(&[4], &[0], &mut Matrix::zeros(1, 1));
-    }
-
-    #[test]
-    fn gather_pool_all_matches_per_table_kernels() {
-        let tables: Vec<EmbeddingTable> = (0..5)
-            .map(|i| EmbeddingTable::with_seed(40 + i, 8, i as u64))
-            .collect();
-        let lookups: Vec<TableLookup> = (0..5)
-            .map(|i| TableLookup::new(vec![i, 39 + i, 2 * i, 7], vec![0, 1, 3]).unwrap())
-            .collect();
-        let expect: Vec<Matrix> = tables
-            .iter()
-            .zip(&lookups)
-            .map(|(t, l)| t.gather_pool(l))
-            .collect();
-        for threads in [0, 1, 2, 5, 16] {
-            assert_eq!(
-                gather_pool_all(&tables, &lookups, threads),
-                expect,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "tables but")]
-    fn gather_pool_all_rejects_mismatched_lengths() {
-        let tables = vec![tiny()];
-        gather_pool_all(&tables, &[], 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod query;
 
 pub use configs::{EmbeddingTableConfig, MicrobenchGrid, MlpSize, ModelConfig};
 pub use dlrm::Dlrm;
-pub use embedding::{gather_pool_all, EmbeddingTable};
+pub use embedding::EmbeddingTable;
 pub use flops::{dense_phase_flops, CostBreakdown, LayerCosts};
 pub use interaction::{dot_interaction, dot_interaction_into};
 pub use query::{AccessCounter, LookupError, QueryBatch, QueryGenerator, TableLookup};

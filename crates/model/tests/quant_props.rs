@@ -97,9 +97,11 @@ proptest! {
         let table = build_table(rows, dim, seed);
         let (indices, offsets) = build_lookup(&runs, rows);
         let lookup = TableLookup::new(indices, offsets).unwrap();
+        let mut out = Matrix::zeros(1, 1);
         for kind in [ElemKind::F32, ElemKind::F16, ElemKind::I8] {
             let q = table.quantized(kind);
-            prop_assert_eq!(q.gather_pool(&lookup), q.gather_pool_fused(&lookup));
+            q.gather_pool_into(lookup.indices(), lookup.offsets(), &mut out);
+            prop_assert_eq!(&q.gather_pool(&lookup), &out);
         }
     }
 }

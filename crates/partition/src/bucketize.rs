@@ -145,61 +145,6 @@ pub fn bucketize_into(
     }
 }
 
-/// Bucketizes many tables' lookups at once, table-parallel across up to
-/// `threads` scoped worker threads — the multi-table remap step of a
-/// sharded DLRM forward pass. Tables are independent, so output is
-/// identical to calling [`bucketize`] per table at every thread count, and
-/// output order always matches table order.
-///
-/// `threads <= 1` (or a single table) runs inline without spawning.
-///
-/// # Panics
-///
-/// Panics if `lookups` and `plans` lengths differ, or any per-table input
-/// violates [`bucketize`]'s contract.
-pub fn bucketize_tables(
-    lookups: &[(&[u32], &[u32])],
-    plans: &[PartitionPlan],
-    threads: usize,
-) -> Vec<BucketizedLookup> {
-    assert_eq!(
-        lookups.len(),
-        plans.len(),
-        "got {} lookups but {} plans",
-        lookups.len(),
-        plans.len()
-    );
-    let threads = threads.max(1).min(lookups.len().max(1));
-    if threads == 1 {
-        return lookups
-            .iter()
-            .zip(plans)
-            .map(|(&(idx, off), plan)| bucketize(idx, off, plan))
-            .collect();
-    }
-    let mut out: Vec<Option<BucketizedLookup>> = vec![None; lookups.len()];
-    let chunk = lookups.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for ((out_chunk, lookup_chunk), plan_chunk) in out
-            .chunks_mut(chunk)
-            .zip(lookups.chunks(chunk))
-            .zip(plans.chunks(chunk))
-        {
-            scope.spawn(move || {
-                for ((slot, &(idx, off)), plan) in
-                    out_chunk.iter_mut().zip(lookup_chunk).zip(plan_chunk)
-                {
-                    *slot = Some(bucketize(idx, off, plan));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        // lint::allow(no_panic): scope() joins every worker, each fills its slot
-        .map(|b| b.expect("every chunk filled by its worker"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,38 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn bucketize_tables_matches_per_table_calls() {
-        let plans = vec![
-            fig11_plan(),
-            PartitionPlan::single(10),
-            PartitionPlan::new(vec![2, 5, 10], 10).unwrap(),
-            PartitionPlan::new(vec![3, 10], 10).unwrap(),
-        ];
-        let raw: Vec<(Vec<u32>, Vec<u32>)> = vec![
-            (vec![1, 7, 3, 6, 9, 2], vec![0, 2]),
-            (vec![4, 9, 0, 7], vec![0, 1, 3]),
-            (vec![9, 1, 1, 4, 0, 6, 3, 2], vec![0, 3, 3, 6]),
-            (vec![], vec![0, 0]),
-        ];
-        let lookups: Vec<(&[u32], &[u32])> = raw
-            .iter()
-            .map(|(i, o)| (i.as_slice(), o.as_slice()))
-            .collect();
-        let expect: Vec<BucketizedLookup> = lookups
-            .iter()
-            .zip(&plans)
-            .map(|(&(i, o), p)| bucketize(i, o, p))
-            .collect();
-        for threads in [0, 1, 2, 4, 9] {
-            assert_eq!(
-                bucketize_tables(&lookups, &plans, threads),
-                expect,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn bucketize_into_reuse_matches_fresh_calls() {
         // One reused output cycles through plans with different shard
         // counts and stale contents; every refill must equal a fresh call.
@@ -356,12 +269,6 @@ mod tests {
             bucketize_into(indices, offsets, plan, &mut out);
             assert_eq!(out, bucketize(indices, offsets, plan));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "lookups but")]
-    fn bucketize_tables_rejects_mismatched_lengths() {
-        bucketize_tables(&[], &[fig11_plan()], 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod dp;
 mod plan;
 mod qps_model;
 
-pub use bucketize::{bucketize, bucketize_into, bucketize_tables, BucketizedLookup};
+pub use bucketize::{bucketize, bucketize_into, BucketizedLookup};
 pub use cost::{CostModel, DEFAULT_TARGET_TRAFFIC};
 pub use dp::{partition_bucketed, partition_bucketed_k, partition_exact};
 pub use plan::PartitionPlan;

@@ -14,9 +14,9 @@ use crate::Matrix;
 /// ```
 /// use er_tensor::{Activation, Matrix};
 ///
-/// let x = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]).unwrap();
-/// let y = Activation::Relu.apply(&x);
-/// assert_eq!(y.row(0), &[0.0, 0.0, 2.0]);
+/// let mut x = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]).unwrap();
+/// Activation::Relu.apply_in_place(&mut x);
+/// assert_eq!(x.row(0), &[0.0, 0.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Activation {
@@ -39,16 +39,7 @@ impl Activation {
         }
     }
 
-    /// Applies the activation element-wise to a matrix.
-    pub fn apply(self, m: &Matrix) -> Matrix {
-        match self {
-            Activation::Identity => m.clone(),
-            _ => m.map(|x| self.eval(x)),
-        }
-    }
-
-    /// Applies the activation element-wise in place — the allocation-free
-    /// form of [`Activation::apply`], bit-identical to it.
+    /// Applies the activation element-wise to a matrix, in place.
     pub fn apply_in_place(self, m: &mut Matrix) {
         if self == Activation::Identity {
             return;
@@ -88,26 +79,14 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_noop() {
-        let x = Matrix::from_rows(&[&[-2.0, 7.0]]).unwrap();
-        assert_eq!(Activation::Identity.apply(&x), x);
-    }
-
-    #[test]
-    fn apply_matches_eval() {
-        let x = Matrix::from_rows(&[&[-1.0, 1.0]]).unwrap();
-        let y = Activation::Sigmoid.apply(&x);
-        assert_eq!(y.get(0, 0), Activation::Sigmoid.eval(-1.0));
-        assert_eq!(y.get(0, 1), Activation::Sigmoid.eval(1.0));
-    }
-
-    #[test]
-    fn apply_in_place_matches_apply() {
+    fn apply_in_place_matches_eval() {
         let x = Matrix::from_rows(&[&[-2.0, 0.0, 3.5]]).unwrap();
         for act in [Activation::Relu, Activation::Sigmoid, Activation::Identity] {
             let mut m = x.clone();
             act.apply_in_place(&mut m);
-            assert_eq!(m, act.apply(&x), "{act:?}");
+            for (c, &v) in x.row(0).iter().enumerate() {
+                assert_eq!(m.get(0, c), act.eval(v), "{act:?}");
+            }
         }
     }
 

@@ -86,29 +86,22 @@ impl Linear {
         self.activation = activation;
     }
 
-    /// Forward pass for a batch: `x` is `batch x in_dim`.
+    /// Forward pass for a batch: `x` is `batch x in_dim`. Allocates the
+    /// output; [`Linear::forward_into`] is the same computation into a
+    /// reused buffer.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != in_dim()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        // The blocked kernel is bit-identical to the naive one, just faster.
-        let z = x
-            .matmul_blocked(&self.weights)
-            // lint::allow(no_panic): documented panic surface of forward(): input width must match
-            .unwrap_or_else(|e| panic!("linear layer shape mismatch: {e}"));
-        let z = z
-            .add_row_broadcast(&self.bias)
-            // lint::allow(no_panic): bias length equals out_dim since construction
-            .expect("bias width checked at construction");
-        self.activation.apply(&z)
+        let mut out = Matrix::zeros(x.rows(), self.out_dim());
+        self.forward_into(x, &mut out);
+        out
     }
 
-    /// Forward pass writing into `out` (reshaped in place) instead of
-    /// allocating: matmul into the reused buffer, then bias and activation
-    /// applied in place. Each step is bit-identical to its allocating
-    /// counterpart, so `forward_into` reproduces [`Linear::forward`]
-    /// exactly; once `out`'s capacity is warm the call performs no
+    /// Forward pass writing into `out` (reshaped in place): the blocked
+    /// matmul into the reused buffer, then bias and activation applied in
+    /// place. Once `out`'s capacity is warm the call performs no
     /// allocation.
     ///
     /// # Panics
@@ -201,13 +194,36 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_is_bit_identical_to_forward() {
+    fn forward_matches_naive_matmul_bias_and_activation() {
+        // The test-local oracle: naive matmul, then bias, then the scalar
+        // activation. One reused `out` must match it bit-for-bit, as must
+        // the allocating `forward`.
         let mut out = Matrix::zeros(1, 1);
-        for act in [Activation::Relu, Activation::Sigmoid, Activation::Identity] {
-            let layer = Linear::with_seed(7, 11, act, 17);
-            let x = Matrix::filled(3, 7, -0.6);
+        for (i, act) in [Activation::Relu, Activation::Sigmoid, Activation::Identity]
+            .into_iter()
+            .enumerate()
+        {
+            let weights = Matrix::from_vec(
+                7,
+                11,
+                (0..77)
+                    .map(|j| ((j * 37 + i) % 19) as f32 / 9.0 - 1.0)
+                    .collect(),
+            )
+            .unwrap();
+            let bias: Vec<f32> = (0..11).map(|j| j as f32 * 0.25 - 1.5).collect();
+            let x =
+                Matrix::from_vec(3, 7, (0..21).map(|j| (j % 5) as f32 - 2.2).collect()).unwrap();
+            let mut expect = x.matmul(&weights).unwrap();
+            for r in 0..expect.rows() {
+                for (o, &b) in expect.row_mut(r).iter_mut().zip(&bias) {
+                    *o = act.eval(*o + b);
+                }
+            }
+            let layer = Linear::from_parts(weights, bias, act);
             layer.forward_into(&x, &mut out);
-            assert_eq!(out, layer.forward(&x), "{act:?}");
+            assert_eq!(out, expect, "{act:?}");
+            assert_eq!(layer.forward(&x), expect, "{act:?}");
         }
     }
 

@@ -232,7 +232,9 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Register-blocked matrix product `self * other`.
+    /// Register-blocked matrix product `self * other`, written into `out`
+    /// (reshaped and zeroed in place); once `out`'s capacity is warm the
+    /// call performs no allocation.
     ///
     /// A 6-row x 16-column micro-kernel accumulates each output block in
     /// registers across the whole `k` extent (the naive kernel re-reads and
@@ -243,32 +245,6 @@ impl Matrix {
     /// (ascending `k`), so for finite inputs the result is
     /// **bit-identical** to [`Matrix::matmul`] — the naive kernel stays as
     /// the test oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.cols() != other.rows()`.
-    pub fn matmul_blocked(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.cols != other.rows {
-            return Err(ShapeError::new(format!(
-                "matmul shape mismatch: {}x{} * {}x{}",
-                self.rows, self.cols, other.rows, other.cols
-            )));
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_rows_blocked(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.cols,
-            other.cols,
-        );
-        Ok(out)
-    }
-
-    /// Like [`Matrix::matmul_blocked`], but writes the product into `out`
-    /// (reshaped and zeroed in place) instead of allocating a fresh matrix.
-    /// Bit-identical to every other matmul kernel; once `out`'s capacity is
-    /// warm the call performs no allocation.
     ///
     /// # Errors
     ///
@@ -291,73 +267,7 @@ impl Matrix {
         Ok(())
     }
 
-    /// Row-chunk parallel matrix product for large batches: splits the
-    /// output rows across `threads` scoped worker threads, each running the
-    /// blocked panel kernel of [`Matrix::matmul_blocked`] on its chunk.
-    /// Rows are independent, so the result is bit-identical to both the
-    /// blocked and the naive kernel at every thread count.
-    ///
-    /// `threads == 0` or `1` (or a matrix too small to split) falls back to
-    /// the single-threaded blocked kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.cols() != other.rows()`.
-    pub fn matmul_parallel(&self, other: &Matrix, threads: usize) -> Result<Matrix, ShapeError> {
-        if self.cols != other.rows {
-            return Err(ShapeError::new(format!(
-                "matmul shape mismatch: {}x{} * {}x{}",
-                self.rows, self.cols, other.rows, other.cols
-            )));
-        }
-        let threads = threads.max(1).min(self.rows);
-        if threads == 1 {
-            return self.matmul_blocked(other);
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let k = self.cols;
-        let n = other.cols;
-        let chunk_rows = self.rows.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (c, out_chunk) in out.data.chunks_mut(chunk_rows * n).enumerate() {
-                let a_chunk = &self.data[c * chunk_rows * k..];
-                let a_chunk = &a_chunk[..out_chunk.len() / n * k];
-                let b = &other.data;
-                scope.spawn(move || matmul_rows_blocked(a_chunk, b, out_chunk, k, n));
-            }
-        });
-        Ok(out)
-    }
-
-    /// Element-wise sum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] on shape mismatch.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.shape() != other.shape() {
-            return Err(ShapeError::new(format!(
-                "add shape mismatch: {:?} vs {:?}",
-                self.shape(),
-                other.shape()
-            )));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Self {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Element-wise `self += other`, allocation-free. Per element the
-    /// addition is exactly [`Matrix::add`]'s, so accumulating partials with
-    /// either entry point is bit-identical.
+    /// Element-wise `self += other`, allocation-free.
     ///
     /// # Errors
     ///
@@ -376,30 +286,8 @@ impl Matrix {
         Ok(())
     }
 
-    /// Adds a row vector to every row (broadcast), as in a layer bias.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Result<Matrix, ShapeError> {
-        if bias.len() != self.cols {
-            return Err(ShapeError::new(format!(
-                "bias of length {} cannot broadcast over width {}",
-                bias.len(),
-                self.cols
-            )));
-        }
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Adds a row vector to every row in place — the allocation-free form
-    /// of [`Matrix::add_row_broadcast`], bit-identical to it.
+    /// Adds a row vector to every row in place (broadcast), as in a layer
+    /// bias.
     ///
     /// # Errors
     ///
@@ -429,15 +317,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Applies `f` to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -495,13 +374,12 @@ const MR: usize = 6;
 /// dispatched to an AVX2-compiled clone when the CPU supports it.
 ///
 /// Per output element the additions happen in exactly the naive kernel's
-/// order (ascending `k`), so every caller — blocked, parallel row chunks —
-/// is bit-identical to [`Matrix::matmul`] for finite inputs. (The naive
-/// kernel skips zero `a` entries; the micro-kernel multiplies them, which
-/// changes nothing for finite operands: the accumulator can never be
-/// `-0.0` — additions from a `+0.0` start can't produce it — and
-/// `x + ±0.0 == x` otherwise. Only non-finite `b` values could diverge,
-/// since `0.0 * inf` is NaN.)
+/// order (ascending `k`), so the result is bit-identical to
+/// [`Matrix::matmul`] for finite inputs. (The naive kernel skips zero `a`
+/// entries; the micro-kernel multiplies them, which changes nothing for
+/// finite operands: the accumulator can never be `-0.0` — additions from a
+/// `+0.0` start can't produce it — and `x + ±0.0 == x` otherwise. Only
+/// non-finite `b` values could diverge, since `0.0 * inf` is NaN.)
 fn matmul_rows_blocked(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     debug_assert!(k == 0 || a.len().is_multiple_of(k));
     debug_assert!(n == 0 || out.len().is_multiple_of(n));
@@ -650,13 +528,14 @@ mod tests {
 
     #[test]
     fn add_and_broadcast() {
-        let a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        assert_eq!(a.add(&b).unwrap(), Matrix::filled(2, 2, 3.0));
-        let c = a.add_row_broadcast(&[10.0, 20.0]).unwrap();
-        assert_eq!(c.row(0), &[11.0, 21.0]);
-        assert_eq!(c.row(1), &[11.0, 21.0]);
-        assert!(a.add_row_broadcast(&[1.0]).is_err());
+        let mut a = Matrix::filled(2, 2, 1.0);
+        a.add_assign(&Matrix::filled(2, 2, 2.0)).unwrap();
+        assert_eq!(a, Matrix::filled(2, 2, 3.0));
+        assert!(a.add_assign(&Matrix::zeros(2, 3)).is_err());
+        a.add_row_broadcast_in_place(&[10.0, 20.0]).unwrap();
+        assert_eq!(a.row(0), &[13.0, 23.0]);
+        assert_eq!(a.row(1), &[13.0, 23.0]);
+        assert!(a.add_row_broadcast_in_place(&[1.0]).is_err());
     }
 
     #[test]
@@ -666,13 +545,6 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t.get(2, 1), 6.0);
         assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
-    fn map_applies_elementwise() {
-        let a = Matrix::from_rows(&[&[-1.0, 2.0]]).unwrap();
-        let r = a.map(|x| x.max(0.0));
-        assert_eq!(r.row(0), &[0.0, 2.0]);
     }
 
     #[test]
@@ -720,7 +592,9 @@ mod tests {
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
         // Shapes chosen to hit full panels, ragged tails, k-unroll
-        // remainders, and degenerate 1-wide cases.
+        // remainders, and degenerate 1-wide cases; one `out` is reused as
+        // the shapes grow and shrink.
+        let mut out = Matrix::zeros(1, 1);
         for (m, k, n) in [
             (1, 1, 1),
             (2, 3, 5),
@@ -732,41 +606,8 @@ mod tests {
         ] {
             let a = scrambled(m, k, (m * 31 + k) as u64);
             let b = scrambled(k, n, (k * 17 + n) as u64);
-            let naive = a.matmul(&b).unwrap();
-            let blocked = a.matmul_blocked(&b).unwrap();
-            assert_eq!(naive, blocked, "{m}x{k} * {k}x{n}");
-        }
-    }
-
-    #[test]
-    fn parallel_matmul_is_bit_identical_at_every_thread_count() {
-        let a = scrambled(37, 29, 3);
-        let b = scrambled(29, 41, 4);
-        let naive = a.matmul(&b).unwrap();
-        for threads in [0, 1, 2, 3, 8, 64] {
-            let par = a.matmul_parallel(&b, threads).unwrap();
-            assert_eq!(naive, par, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fast_kernels_reject_mismatched_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul_blocked(&b).is_err());
-        assert!(a.matmul_parallel(&b, 4).is_err());
-    }
-
-    #[test]
-    fn matmul_into_matches_allocating_kernel_across_reuse() {
-        // One `out` cycles through growing and shrinking shapes; every
-        // product must match the allocating kernel bit-for-bit.
-        let mut out = Matrix::zeros(1, 1);
-        for (m, k, n) in [(3, 4, 5), (8, 17, 31), (2, 2, 2), (7, 13, 16)] {
-            let a = scrambled(m, k, (m + k) as u64);
-            let b = scrambled(k, n, (k + n) as u64);
             a.matmul_blocked_into(&b, &mut out).unwrap();
-            assert_eq!(out, a.matmul_blocked(&b).unwrap(), "{m}x{k} * {k}x{n}");
+            assert_eq!(out, a.matmul(&b).unwrap(), "{m}x{k} * {k}x{n}");
         }
     }
 
@@ -787,26 +628,6 @@ mod tests {
         // Growing back within the original capacity stays zeroed too.
         m.reshape_zeroed(10, 10);
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn add_assign_matches_add() {
-        let a = scrambled(5, 7, 1);
-        let b = scrambled(5, 7, 2);
-        let mut acc = a.clone();
-        acc.add_assign(&b).unwrap();
-        assert_eq!(acc, a.add(&b).unwrap());
-        assert!(acc.add_assign(&Matrix::zeros(5, 8)).is_err());
-    }
-
-    #[test]
-    fn broadcast_in_place_matches_allocating_form() {
-        let a = scrambled(4, 6, 9);
-        let bias: Vec<f32> = (0..6).map(|i| i as f32 - 2.5).collect();
-        let mut inplace = a.clone();
-        inplace.add_row_broadcast_in_place(&bias).unwrap();
-        assert_eq!(inplace, a.add_row_broadcast(&bias).unwrap());
-        assert!(inplace.add_row_broadcast_in_place(&[1.0]).is_err());
     }
 
     #[test]

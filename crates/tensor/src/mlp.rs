@@ -80,25 +80,23 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim()
     }
 
-    /// Forward pass for a batch.
+    /// Forward pass for a batch: [`Mlp::forward_into`] on two fresh scratch
+    /// matrices, with the result copied out.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != in_dim()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = self.layers[0].forward(x);
-        for layer in &self.layers[1..] {
-            h = layer.forward(&h);
-        }
-        h
+        let mut a = Matrix::zeros(1, 1);
+        let mut b = Matrix::zeros(1, 1);
+        self.forward_into(x, &mut a, &mut b).clone()
     }
 
     /// Forward pass ping-ponging between two caller-owned scratch matrices
     /// instead of allocating one activation matrix per layer. Returns a
     /// reference to whichever scratch holds the final layer's output. Each
-    /// layer runs [`Linear::forward_into`], so the result is bit-identical
-    /// to [`Mlp::forward`]; once both buffers' capacity covers the widest
-    /// layer the call performs no allocation.
+    /// layer runs [`Linear::forward_into`]; once both buffers' capacity
+    /// covers the widest layer the call performs no allocation.
     ///
     /// # Panics
     ///
@@ -210,18 +208,53 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_is_bit_identical_for_odd_and_even_depths() {
+    fn forward_into_matches_naive_layers_for_odd_and_even_depths() {
         // Odd and even layer counts land the result in different ping-pong
-        // buffers; both must reproduce the allocating pass exactly, and the
-        // scratch pair must survive reuse across calls.
+        // buffers; both must reproduce the test-local oracle (naive matmul,
+        // bias, scalar activation per layer) exactly, and the scratch pair
+        // must survive reuse across calls.
         let mut a = Matrix::zeros(1, 1);
         let mut b = Matrix::zeros(1, 1);
         for widths in [&[8][..], &[8, 4], &[16, 8, 2], &[8, 8, 8, 1]] {
-            let mlp = Mlp::with_seed(6, widths, Activation::Relu, 31)
-                .with_output_activation(Activation::Sigmoid);
+            let mut parts = Vec::new();
+            let mut prev = 6;
+            for (i, &w) in widths.iter().enumerate() {
+                let weights = Matrix::from_vec(
+                    prev,
+                    w,
+                    (0..prev * w)
+                        .map(|j| ((j * 37 + i) % 23) as f32 / 11.0 - 1.0)
+                        .collect(),
+                )
+                .unwrap();
+                let bias: Vec<f32> = (0..w).map(|j| j as f32 * 0.125 - 0.5).collect();
+                let act = if i + 1 == widths.len() {
+                    Activation::Sigmoid
+                } else {
+                    Activation::Relu
+                };
+                parts.push((weights, bias, act));
+                prev = w;
+            }
+            let mlp = Mlp {
+                layers: parts
+                    .iter()
+                    .map(|(w, bias, act)| Linear::from_parts(w.clone(), bias.clone(), *act))
+                    .collect(),
+            };
             let x = Matrix::filled(5, 6, 0.4);
-            let expect = mlp.forward(&x);
+            let mut expect = x.clone();
+            for (weights, bias, act) in &parts {
+                let mut z = expect.matmul(weights).unwrap();
+                for r in 0..z.rows() {
+                    for (o, &c) in z.row_mut(r).iter_mut().zip(bias) {
+                        *o = act.eval(*o + c);
+                    }
+                }
+                expect = z;
+            }
             assert_eq!(*mlp.forward_into(&x, &mut a, &mut b), expect, "{widths:?}");
+            assert_eq!(mlp.forward(&x), expect, "{widths:?}");
         }
     }
 }

@@ -3,9 +3,7 @@
 //! counts, partition from it, and check that Algorithm 1's CDF-based load
 //! predictions match what the shards actually receive.
 
-use std::sync::Arc;
-
-use elasticrec::{ParallelShardExecutor, ShardedDlrm};
+use elasticrec::ShardedDlrm;
 use er_distribution::sorting::HotnessPermutation;
 use er_distribution::{AccessModel, EmpiricalCdf};
 use er_model::{configs, AccessCounter, Dlrm, QueryGenerator};
@@ -81,11 +79,12 @@ fn observed_counts_drive_an_accurate_partition() {
 }
 
 #[test]
-fn observed_partition_serves_identically_in_parallel() {
+fn observed_partition_serves_identically_through_a_reused_workspace() {
     // Close the loop all the way to serving: observe traffic, partition
     // from the observed counts, decompose the model onto the resulting
-    // shards, and serve fresh queries through the parallel data plane —
-    // which must be bit-identical to the sequential shard walk.
+    // shards, and serve fresh queries through one long-lived workspace —
+    // bit-identical to a fresh-workspace forward and within f32
+    // reassociation of the monolith.
     let rows = 600u64;
     let cfg = configs::rm1().scaled_tables(rows).with_num_tables(1);
     let gen = QueryGenerator::new(&cfg);
@@ -110,12 +109,13 @@ fn observed_partition_serves_identically_in_parallel() {
 
     let model = Dlrm::with_seed(&cfg, 19);
     let sharded =
-        ShardedDlrm::new(model, std::slice::from_ref(&counts), vec![plan]).expect("valid");
-    let exec = Arc::new(ParallelShardExecutor::new(4));
-    let par = sharded.clone().with_executor(exec);
+        ShardedDlrm::new(model.clone(), std::slice::from_ref(&counts), vec![plan]).expect("valid");
+    let mut ws = sharded.workspace();
     for _ in 0..5 {
         let q = gen.generate(&mut rng);
-        assert_eq!(sharded.forward_seq(&q), par.forward(&q));
+        let fresh = sharded.forward(&q);
+        assert_eq!(*sharded.forward_ws(&q, &mut ws), fresh);
+        assert!(model.forward(&q).max_abs_diff(&fresh) < 1e-4);
     }
 }
 

@@ -4,9 +4,7 @@
 //! decomposed from, with the shard boundaries chosen by the *real*
 //! partitioning pipeline.
 
-use std::sync::Arc;
-
-use elasticrec::{ParallelShardExecutor, ShardedDlrm};
+use elasticrec::ShardedDlrm;
 use er_distribution::{EmpiricalCdf, LocalityTarget};
 use er_model::{configs, Dlrm, QueryGenerator};
 use er_partition::{partition_exact, AnalyticGatherModel, CostModel, PartitionPlan};
@@ -103,36 +101,39 @@ fn every_shard_count_gives_the_same_answers() {
 }
 
 #[test]
-fn parallel_executor_matches_sequential_on_every_model() {
-    // The parallel data plane must be bit-identical to the sequential walk
-    // (not merely within TOL) on all three paper workloads, at every
-    // tested thread count.
+fn reused_workspace_matches_fresh_forward_on_every_model() {
+    // One long-lived workspace serves all three paper workloads in turn
+    // (different dense widths, embedding dims and MLP depths). Every output
+    // must be bit-identical to a fresh-workspace forward (not merely within
+    // TOL), and within TOL of the monolith.
     let rows = 256u64;
-    for (name, cfg) in [
-        ("RM1", configs::rm1()),
-        ("RM2", configs::rm2()),
-        ("RM3", configs::rm3()),
-    ] {
-        let cfg = cfg.scaled_tables(rows).with_num_tables(2);
-        let model = Dlrm::with_seed(&cfg, 41);
-        let counts: Vec<Vec<u64>> = (0..2)
-            .map(|t| synthetic_counts(rows, 0.9, 300 + t as u64))
-            .collect();
-        let plans = vec![PartitionPlan::new(vec![16, 64, 256], rows).unwrap(); 2];
-        let sharded = ShardedDlrm::new(model.clone(), &counts, plans).expect("valid");
-        let gen = QueryGenerator::new(&cfg);
-        let mut rng = SimRng::seed_from(7);
-        for threads in [1usize, 2, 8] {
-            let exec = Arc::new(ParallelShardExecutor::new(threads));
-            let par = sharded.clone().with_executor(Arc::clone(&exec));
-            for i in 0..3 {
-                let q = gen.generate(&mut rng);
-                let seq = sharded.forward_seq(&q);
-                let dist = par.forward(&q);
-                assert_eq!(seq, dist, "{name} threads={threads} query {i}");
-                let diff = model.forward(&q).max_abs_diff(&dist);
-                assert!(diff < TOL, "{name} threads={threads} query {i}: {diff}");
-            }
+    let models: Vec<_> = [configs::rm1(), configs::rm2(), configs::rm3()]
+        .into_iter()
+        .map(|cfg| {
+            let cfg = cfg.scaled_tables(rows).with_num_tables(2);
+            let model = Dlrm::with_seed(&cfg, 41);
+            let counts: Vec<Vec<u64>> = (0..2)
+                .map(|t| synthetic_counts(rows, 0.9, 300 + t as u64))
+                .collect();
+            let plans = vec![PartitionPlan::new(vec![16, 64, 256], rows).unwrap(); 2];
+            let sharded = ShardedDlrm::new(model.clone(), &counts, plans).expect("valid");
+            (QueryGenerator::new(&cfg), model, sharded)
+        })
+        .collect();
+    let mut ws = models[0].2.workspace();
+    let mut rng = SimRng::seed_from(7);
+    for round in 0..3 {
+        for (gen, model, sharded) in &models {
+            let name = &model.config().name;
+            let q = gen.generate(&mut rng);
+            let fresh = sharded.forward(&q);
+            assert_eq!(
+                *sharded.forward_ws(&q, &mut ws),
+                fresh,
+                "{name} round {round}"
+            );
+            let diff = model.forward(&q).max_abs_diff(&fresh);
+            assert!(diff < TOL, "{name} round {round}: {diff}");
         }
     }
 }

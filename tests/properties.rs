@@ -1,16 +1,14 @@
 //! Property-based tests over the core data structures and algorithms.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
-use elasticrec::{ParallelShardExecutor, ShardedDlrm};
+use elasticrec::ShardedDlrm;
 use er_cluster::{Cluster, HardwareProfile, PodSpec, ResourceRequest};
 use er_distribution::sorting::HotnessPermutation;
 use er_distribution::{AccessModel, EmpiricalCdf, LocalityTarget, ZipfDistribution};
 use er_metrics::Histogram;
 use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator, TableLookup};
-use er_partition::{bucketize, bucketize_tables, partition_exact, PartitionPlan};
+use er_partition::{bucketize, partition_exact, PartitionPlan};
 use er_sim::{SimRng, SimTime};
 use er_tensor::Matrix;
 
@@ -286,21 +284,22 @@ proptest! {
         }
     }
 
-    /// The blocked and row-parallel matmul kernels are bit-identical to
-    /// the naive oracle — not merely close — for any shape, any data
-    /// (including exact zeros, which exercise the skip path), and any
-    /// thread count.
+    /// The blocked matmul kernel is bit-identical to the naive oracle —
+    /// not merely close — for any shape and any data (including exact
+    /// zeros, which exercise the skip path), whatever its output buffer
+    /// held before.
     #[test]
     fn fast_matmul_kernels_match_naive_exactly(
         (a, b) in matmul_operands(),
-        threads in 1usize..9,
+        stale_rows in 1usize..20,
     ) {
         let naive = a.matmul(&b).expect("shapes conform");
-        prop_assert_eq!(&naive, &a.matmul_blocked(&b).expect("shapes conform"));
-        prop_assert_eq!(&naive, &a.matmul_parallel(&b, threads).expect("shapes conform"));
+        let mut out = Matrix::filled(stale_rows, 3, 7.0);
+        a.matmul_blocked_into(&b, &mut out).expect("shapes conform");
+        prop_assert_eq!(&naive, &out);
     }
 
-    /// The fused gather+pool kernel is bit-identical to the slice-based
+    /// The fused gather+pool kernel is bit-identical to the scalar
     /// reference for any lookup shape and embedding width.
     #[test]
     fn fused_gather_matches_reference_exactly(
@@ -310,53 +309,48 @@ proptest! {
     ) {
         let table = EmbeddingTable::with_seed(64, dim, seed);
         let lookup = TableLookup::new(indices, offsets).expect("strategy emits valid lookups");
-        prop_assert_eq!(table.gather_pool(&lookup), table.gather_pool_fused(&lookup));
+        let mut out = Matrix::zeros(1, 1);
+        table.gather_pool_into(lookup.indices(), lookup.offsets(), &mut out);
+        prop_assert_eq!(table.gather_pool(&lookup), out);
     }
 
-    /// Table-parallel bucketization equals the per-table calls at every
-    /// thread count.
+    /// For any partition and seed, one long-lived workspace reused across
+    /// random queries and across two differently-shaped models (table
+    /// count and top MLP differ) reproduces a fresh-workspace forward
+    /// bit-for-bit, within f32 reassociation of the monolith.
     #[test]
-    fn table_parallel_bucketize_matches_per_table(
-        tables in proptest::collection::vec((lookup_strategy(64), plan_strategy(64)), 1..6),
-        threads in 0usize..9,
-    ) {
-        let lookups: Vec<(&[u32], &[u32])> = tables
-            .iter()
-            .map(|((i, o), _)| (i.as_slice(), o.as_slice()))
-            .collect();
-        let plans: Vec<PartitionPlan> = tables.iter().map(|(_, p)| p.clone()).collect();
-        let expect: Vec<_> = lookups
-            .iter()
-            .zip(&plans)
-            .map(|(&(i, o), p)| bucketize(i, o, p))
-            .collect();
-        prop_assert_eq!(bucketize_tables(&lookups, &plans, threads), expect);
-    }
-
-    /// A forward pass on the parallel shard executor is bit-identical to
-    /// the sequential shard walk for any partition, seed, and thread
-    /// count.
-    #[test]
-    fn executor_forward_matches_sequential_for_any_partition(
+    fn reused_workspace_forward_matches_fresh_for_any_partition(
         cuts in proptest::collection::btree_set(1u64..96, 0..4),
-        threads in 1usize..9,
         seed in 0u64..100,
     ) {
         let rows = 96u64;
-        let cfg = configs::rm1().scaled_tables(rows).with_num_tables(2);
-        let model = Dlrm::with_seed(&cfg, seed);
-        let counts: Vec<Vec<u64>> = (0..2u64)
-            .map(|t| (0..rows).map(|i| ((i * 31 + seed + t) % rows) + 1).collect())
-            .collect();
         let mut cuts: Vec<u64> = cuts.into_iter().collect();
         cuts.push(rows);
-        let plans = vec![PartitionPlan::new(cuts, rows).expect("valid"); 2];
-        let sharded = ShardedDlrm::new(model, &counts, plans).expect("valid");
-        let par = sharded
-            .clone()
-            .with_executor(Arc::new(ParallelShardExecutor::new(threads)));
-        let q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(seed));
-        prop_assert_eq!(sharded.forward_seq(&q), par.forward(&q));
+        let models: Vec<_> = [(configs::rm1(), 2usize), (configs::rm2(), 3)]
+            .into_iter()
+            .map(|(cfg, tables)| {
+                let mut cfg = cfg.scaled_tables(rows).with_num_tables(tables);
+                // A small batch keeps the debug-build proptest fast; the
+                // shard walk is the same at any batch size.
+                cfg.batch_size = 8;
+                let model = Dlrm::with_seed(&cfg, seed);
+                let counts: Vec<Vec<u64>> = (0..tables as u64)
+                    .map(|t| (0..rows).map(|i| ((i * 31 + seed + t) % rows) + 1).collect())
+                    .collect();
+                let plans = vec![PartitionPlan::new(cuts.clone(), rows).expect("valid"); tables];
+                let sharded = ShardedDlrm::new(model.clone(), &counts, plans).expect("valid");
+                (QueryGenerator::new(&cfg), model, sharded)
+            })
+            .collect();
+        let mut ws = models[0].2.workspace();
+        let mut rng = SimRng::seed_from(seed);
+        // Model A, then B (more tables), then A again on the grown workspace.
+        for (gen, model, sharded) in [&models[0], &models[1], &models[0]] {
+            let q = gen.generate(&mut rng);
+            let fresh = sharded.forward(&q);
+            prop_assert_eq!(sharded.forward_ws(&q, &mut ws), &fresh);
+            prop_assert!(model.forward(&q).max_abs_diff(&fresh) < 1e-4);
+        }
     }
 
     /// Partition plans tile their table for any cut set.
