@@ -1,7 +1,7 @@
 //! Microbenchmarks of the computational kernels underlying the
 //! reproduction: MLP forward passes, embedding gather+pool, bucketization,
 //! the DP partitioner, Zipf sampling — and the fast-kernel comparisons
-//! (naive vs blocked matmul, scalar vs fused gather+pool).
+//! (naive vs packed matmul, scalar vs fused gather+pool).
 //!
 //! These are not paper figures; they document the substrate's raw
 //! performance and catch algorithmic regressions (e.g. the DP going
@@ -62,10 +62,20 @@ mod harness {
         c.bench_function("matmul_256x512x256_naive", |b| {
             b.iter(|| black_box(a.matmul(black_box(&b_m)).expect("conforming")))
         });
+        let packed = b_m.packed();
         let mut out = Matrix::zeros(1, 1);
-        c.bench_function("matmul_256x512x256_blocked", |b| {
+        c.bench_function("matmul_256x512x256_packed", |b| {
             b.iter(|| {
-                a.matmul_blocked_into(black_box(&b_m), &mut out)
+                a.matmul_packed_into(black_box(&packed), &mut out)
+                    .expect("conforming");
+                black_box(out.get(0, 0))
+            })
+        });
+        let x = scrambled(32, 2560, 5);
+        let w = scrambled(2560, 512, 6).packed();
+        c.bench_function("matmul_32x2560x512_packed_rm3_bottom", |b| {
+            b.iter(|| {
+                x.matmul_packed_into(black_box(&w), &mut out)
                     .expect("conforming");
                 black_box(out.get(0, 0))
             })
@@ -183,40 +193,37 @@ fn main() {
 
     report::header("kernels", "fast-kernel speedups vs naive oracles");
 
-    let a = scrambled(256, 512, 1);
-    let b = scrambled(512, 256, 2);
-    let naive = time(20, || a.matmul(&b).expect("conforming"));
+    let gflops = |(m, k, n): (usize, usize, usize), secs: f64| {
+        format!("{:.1} GFLOP/s", 2.0 * (m * k * n) as f64 / secs / 1e9)
+    };
     let mut out = Matrix::zeros(1, 1);
-    let blocked = time(20, || {
-        a.matmul_blocked_into(&b, &mut out).expect("conforming");
-        out.get(0, 0)
-    });
-    report::row(
-        "matmul 256x512x256",
-        &[
-            ("naive", us(naive)),
-            ("blocked", us(blocked)),
-            ("blocked_speedup", report::ratio(naive, blocked)),
-        ],
-    );
-
-    let mlp_in = scrambled(32, 256, 3);
-    let w = scrambled(256, 128, 4);
-    let naive_s = time(200, || mlp_in.matmul(&w).expect("conforming"));
-    let blocked_s = time(200, || {
-        mlp_in
-            .matmul_blocked_into(&w, &mut out)
-            .expect("conforming");
-        out.get(0, 0)
-    });
-    report::row(
-        "matmul 32x256x128",
-        &[
-            ("naive", us(naive_s)),
-            ("blocked", us(blocked_s)),
-            ("blocked_speedup", report::ratio(naive_s, blocked_s)),
-        ],
-    );
+    // (label, m x k x n, reps): an MLP-shaped square-ish product, an RM1
+    // bottom-MLP batch, and the RM3 bottom layer that dominates the dense
+    // forward pass.
+    for (label, (m, k, n), reps) in [
+        ("matmul 256x512x256", (256, 512, 256), 20),
+        ("matmul 32x256x128", (32, 256, 128), 200),
+        ("matmul 32x2560x512 (RM3 bottom)", (32, 2560, 512), 20),
+    ] {
+        let a = scrambled(m, k, (m + k) as u64);
+        let b = scrambled(k, n, (k + n) as u64);
+        let packed_b = b.packed();
+        let naive = time(reps, || a.matmul(&b).expect("conforming"));
+        let packed = time(reps, || {
+            a.matmul_packed_into(&packed_b, &mut out)
+                .expect("conforming");
+            out.get(0, 0)
+        });
+        report::row(
+            label,
+            &[
+                ("naive", us(naive)),
+                ("packed", us(packed)),
+                ("packed_gflops", gflops((m, k, n), packed)),
+                ("packed_speedup", report::ratio(naive, packed)),
+            ],
+        );
+    }
 
     let cfg = configs::rm1().scaled_tables(100_000).with_num_tables(1);
     let model = Dlrm::with_seed(&cfg, 2);

@@ -86,7 +86,7 @@ impl Default for Config {
                 "gather_pool_into",
                 "dot_interaction_into",
                 "forward_into",
-                "matmul_blocked_into",
+                "matmul_packed_into",
                 "gather_pool_csr",
                 "gather_pool_csr_f16",
                 "gather_pool_csr_i8",

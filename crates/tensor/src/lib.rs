@@ -37,7 +37,7 @@ pub use aligned::Aligned;
 pub use error::ShapeError;
 pub use gather::gather_pool_csr;
 pub use linear::Linear;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, PackedMatrix};
 pub use mlp::Mlp;
 pub use quant::{gather_pool_csr_f16, gather_pool_csr_i8, quantize_f16, quantize_i8_rows};
 pub use simd::SimdBackend;

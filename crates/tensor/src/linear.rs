@@ -4,9 +4,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, Matrix};
+use crate::{Activation, Matrix, PackedMatrix};
 
 /// A dense layer `y = act(x W + b)` with weights `W: in_dim x out_dim`.
+///
+/// `W` is packed once, at construction, into the panel-major layout the
+/// matmul kernel streams ([`Matrix::packed`]); the layer keeps no
+/// row-major copy.
 ///
 /// # Examples
 ///
@@ -19,7 +23,7 @@ use crate::{Activation, Matrix};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
-    weights: Matrix,
+    weights: PackedMatrix,
     bias: Vec<f32>,
     activation: Activation,
 }
@@ -43,13 +47,13 @@ impl Linear {
         // lint::allow(no_panic): data vector is exactly in_dim * out_dim elements by construction
         let weights = Matrix::from_vec(in_dim, out_dim, data).expect("sized by construction");
         Self {
-            weights,
+            weights: weights.packed(),
             bias: vec![0.0; out_dim],
             activation,
         }
     }
 
-    /// Creates a layer from explicit parameters.
+    /// Creates a layer from explicit parameters, packing `weights`.
     ///
     /// # Panics
     ///
@@ -61,7 +65,7 @@ impl Linear {
             "bias length must equal the layer's output width"
         );
         Self {
-            weights,
+            weights: weights.packed(),
             bias,
             activation,
         }
@@ -99,7 +103,7 @@ impl Linear {
         out
     }
 
-    /// Forward pass writing into `out` (reshaped in place): the blocked
+    /// Forward pass writing into `out` (reshaped in place): the packed
     /// matmul into the reused buffer, then bias and activation applied in
     /// place. Once `out`'s capacity is warm the call performs no
     /// allocation.
@@ -108,7 +112,7 @@ impl Linear {
     ///
     /// Panics if `x.cols() != in_dim()`.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_blocked_into(&self.weights, out)
+        x.matmul_packed_into(&self.weights, out)
             // lint::allow(no_panic): documented panic surface of forward_into(): input width must match
             .unwrap_or_else(|e| panic!("linear layer shape mismatch: {e}"));
         out.add_row_broadcast_in_place(&self.bias)
@@ -117,7 +121,8 @@ impl Linear {
         self.activation.apply_in_place(out);
     }
 
-    /// Number of parameters (weights + biases).
+    /// Number of parameters (weights + biases), counted on the logical
+    /// `in_dim x out_dim` weight shape, not the padded packed storage.
     pub fn param_count(&self) -> u64 {
         (self.weights.rows() * self.weights.cols() + self.bias.len()) as u64
     }
@@ -179,6 +184,19 @@ mod tests {
     }
 
     #[test]
+    fn accounting_uses_the_logical_shape_not_the_padded_panels() {
+        // 20 and 1 output columns pack into 32- and 16-wide panels; the
+        // layer still reports its logical shape and parameters.
+        for (i, o) in [(2560, 20), (128, 1)] {
+            let layer = Linear::with_seed(i, o, Activation::Relu, 0);
+            assert_eq!((layer.in_dim(), layer.out_dim()), (i, o));
+            assert_eq!(layer.param_count(), (i * o + o) as u64);
+            assert_eq!(layer.param_bytes(), (i * o + o) as u64 * 4);
+            assert_eq!(layer.flops(1), (2 * i * o + o) as u64);
+        }
+    }
+
+    #[test]
     fn xavier_bound_is_respected() {
         let layer = Linear::with_seed(10, 10, Activation::Relu, 3);
         let bound = (6.0f32 / 20.0).sqrt();
@@ -186,7 +204,7 @@ mod tests {
         for i in 0..10 {
             let mut x = Matrix::zeros(1, 10);
             x.set(0, i, 1.0);
-            let w = Linear::from_parts(layer.clone().weights, vec![0.0; 10], Activation::Identity);
+            let w = layer.replace_activation(Activation::Identity);
             for &v in w.forward(&x).row(0) {
                 assert!(v.abs() <= bound);
             }

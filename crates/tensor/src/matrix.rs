@@ -6,9 +6,10 @@ use crate::ShapeError;
 
 /// A row-major `rows x cols` matrix of `f32` values.
 ///
-/// Sized for DLRM workloads: batches of a few dozen rows against layers of a
-/// few hundred columns, where a straightforward cache-friendly triple loop is
-/// perfectly adequate.
+/// Activations, pooled embeddings and the naive [`Matrix::matmul`] oracle
+/// use this layout. Layer weights are multiplied through
+/// [`Matrix::matmul_packed_into`] against a [`PackedMatrix`], the
+/// panel-major copy [`Matrix::packed`] builds once at construction.
 ///
 /// # Examples
 ///
@@ -232,24 +233,55 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Register-blocked matrix product `self * other`, written into `out`
-    /// (reshaped and zeroed in place); once `out`'s capacity is warm the
-    /// call performs no allocation.
+    /// The panel-major copy of this matrix that
+    /// [`Matrix::matmul_packed_into`] multiplies by: each 16-column panel
+    /// becomes one contiguous `rows x 16` block, the last one zero-padded.
+    /// Allocates; build it once, when a layer is constructed, never per
+    /// query.
+    pub fn packed(&self) -> PackedMatrix {
+        let panel_len = self.rows * PANEL;
+        let mut data = vec![0.0; self.cols.div_ceil(PANEL) * panel_len];
+        for (p, panel) in data.chunks_exact_mut(panel_len).enumerate() {
+            let jb = p * PANEL;
+            let w = (self.cols - jb).min(PANEL);
+            for (src, dst) in self
+                .data
+                .chunks_exact(self.cols)
+                .zip(panel.chunks_exact_mut(PANEL))
+            {
+                dst[..w].copy_from_slice(&src[jb..jb + w]);
+            }
+        }
+        PackedMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Matrix product `self * other` against a packed right operand,
+    /// written into `out` (reshaped in place); once `out`'s capacity is
+    /// warm the call performs no allocation.
     ///
-    /// A 6-row x 16-column micro-kernel accumulates each output block in
-    /// registers across the whole `k` extent (the naive kernel re-reads and
-    /// re-writes the output row once per `k`) and reuses every loaded
-    /// `other` panel across all six rows; on x86-64 with AVX2 the same code
-    /// is dispatched to a 256-bit-vector compilation at runtime. Per output
-    /// element the additions happen in exactly the naive kernel's order
-    /// (ascending `k`), so for finite inputs the result is
-    /// **bit-identical** to [`Matrix::matmul`] — the naive kernel stays as
-    /// the test oracle.
+    /// The kernel walks `k` in blocks of 256 so that one 256 x 16 slab of a
+    /// packed panel (16 KiB) stays in L1 while every 6-row block of `self`
+    /// uses it, and holds each 6-row x 16-column output tile in registers
+    /// across the block. Leftover rows run a tile of exactly `rows % 6`
+    /// rows, and the zero-padded last panel covers ragged widths. Per
+    /// output element the additions happen in exactly the naive kernel's
+    /// order (ascending `k`, one unfused multiply then add per step, the
+    /// tile reloaded from `out` between `k` blocks), so for finite inputs
+    /// the result is **bit-identical** to [`Matrix::matmul`] on every SIMD
+    /// rung — the naive kernel stays as the test oracle.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `self.cols() != other.rows()`.
-    pub fn matmul_blocked_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
+    pub fn matmul_packed_into(
+        &self,
+        other: &PackedMatrix,
+        out: &mut Matrix,
+    ) -> Result<(), ShapeError> {
         if self.cols != other.rows {
             return Err(ShapeError::new(format!(
                 "matmul shape mismatch: {}x{} * {}x{}",
@@ -257,13 +289,7 @@ impl Matrix {
             )));
         }
         out.reshape_zeroed(self.rows, other.cols);
-        matmul_rows_blocked(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.cols,
-            other.cols,
-        );
+        crate::simd::matmul_packed(&self.data, other, &mut out.data);
         Ok(())
     }
 
@@ -308,42 +334,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// Horizontal concatenation `[self | other]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if row counts differ.
-    pub fn hconcat(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.rows != other.rows {
-            return Err(ShapeError::new(format!(
-                "hconcat row mismatch: {} vs {}",
-                self.rows, other.rows
-            )));
-        }
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
-        }
-        Ok(Self {
-            rows: self.rows,
-            cols,
-            data,
-        })
-    }
-
     /// Maximum absolute difference to another matrix of the same shape.
     ///
     /// # Panics
@@ -359,122 +349,205 @@ impl Matrix {
     }
 }
 
-/// Output-panel width of the blocked kernel: 16 f32 accumulators per row
-/// live in registers across the whole `k` extent (two 256-bit vectors, or
-/// four 128-bit ones).
+/// A `k x n` matrix stored panel-major for [`Matrix::matmul_packed_into`]:
+/// 16-column panels, each one contiguous `k x 16` block, the last one
+/// zero-padded to full width. Built by [`Matrix::packed`].
+///
+/// The kernel streams each panel top to bottom, so every cache line it
+/// loads carries 16 useful weights; in the row-major layout each `k` step
+/// of a panel is a separate line `n * 4` bytes further on.
+///
+/// # Examples
+///
+/// ```
+/// use er_tensor::Matrix;
+///
+/// let w = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
+/// let packed = w.packed();
+/// assert_eq!((packed.rows(), packed.cols()), (2, 3));
+///
+/// let x = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
+/// let mut y = Matrix::zeros(1, 1);
+/// x.matmul_packed_into(&packed, &mut y).unwrap();
+/// assert_eq!(y, x.matmul(&w).unwrap());
+/// ```
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PackedMatrix {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+impl PackedMatrix {
+    /// Number of rows (the `k` of a product).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns, without the padding of the last panel.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Panel `p`: rows `0..k` of columns `16p..16p + 16`, row by row.
+    fn panel(&self, p: usize) -> &[f32] {
+        let len = self.rows * PANEL;
+        &self.data[p * len..(p + 1) * len]
+    }
+}
+
+/// Width of one packed panel: 16 f32 columns, one 512-bit vector or two
+/// 256-bit ones per tile row.
 const PANEL: usize = 16;
 
-/// Row-block height of the micro-kernel: 6 A rows share every loaded B
-/// panel, the classic 6x16 f32 register block (12 accumulator vectors + 2
-/// B vectors + 1 broadcast under AVX2's 16 ymm registers).
+/// Row-block height of a tile: 6 A rows share every loaded B vector. At
+/// one panel per tile that is the classic 6x16 register block (12
+/// accumulator vectors + B + broadcast under AVX2's 16 ymm registers); at
+/// two panels, 12 of AVX-512's 32 zmm registers.
 const MR: usize = 6;
 
-/// Computes `out = a * b` for `a: m_rows x k` (`m_rows` implied by slice
-/// lengths), `b: k x n`, through the 6x16 register-blocked micro-kernel,
-/// dispatched to an AVX2-compiled clone when the CPU supports it.
+/// Depth of one `k` block: a 256 x 16 panel slab is 16 KiB, so it stays in
+/// L1 while every row block of the batch reads it.
+const KC: usize = 256;
+
+/// One `k` block of a product: rows `kb..kb + kc` of the packed operand
+/// and the matching columns of `a`.
+struct KBlock<'a> {
+    a: &'a [f32],
+    b: &'a PackedMatrix,
+    kb: usize,
+    kc: usize,
+}
+
+/// Computes `out = a * b` for `a: m x k` (`m` implied by `out.len()`),
+/// processing `NP` adjacent panels per tile: the AVX-512 rung runs 6x32
+/// tiles, the others 6x16 (see [`crate::simd`]). [`crate::simd`]
+/// recompiles this exact code per rung (no intrinsics — same FP op
+/// sequence, wider registers), which is why it must stay
+/// architecture-unconditional.
 ///
 /// Per output element the additions happen in exactly the naive kernel's
 /// order (ascending `k`), so the result is bit-identical to
-/// [`Matrix::matmul`] for finite inputs. (The naive kernel skips zero `a`
-/// entries; the micro-kernel multiplies them, which changes nothing for
-/// finite operands: the accumulator can never be `-0.0` — additions from a
-/// `+0.0` start can't produce it — and `x + ±0.0 == x` otherwise. Only
-/// non-finite `b` values could diverge, since `0.0 * inf` is NaN.)
-fn matmul_rows_blocked(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    debug_assert!(k == 0 || a.len().is_multiple_of(k));
-    debug_assert!(n == 0 || out.len().is_multiple_of(n));
-    debug_assert_eq!(b.len(), k * n);
-    crate::simd::matmul_rows(a, b, out, k, n);
+/// [`Matrix::matmul`] for finite inputs, whatever the tile shape. (The
+/// naive kernel skips zero `a` entries; this one multiplies them, which
+/// changes nothing for finite operands: the accumulator can never be
+/// `-0.0` — additions from a `+0.0` start can't produce it — and
+/// `x + ±0.0 == x` otherwise. Only non-finite `b` values could diverge,
+/// since `0.0 * inf` is NaN. The padded columns of the last panel are
+/// computed and never stored.)
+#[inline(always)]
+pub(crate) fn matmul_packed_body<const NP: usize>(a: &[f32], b: &PackedMatrix, out: &mut [f32]) {
+    let (k, n) = (b.rows, b.cols);
+    let panels = n.div_ceil(PANEL);
+    let mut kb = 0;
+    while kb < k {
+        let blk = KBlock {
+            a,
+            b,
+            kb,
+            kc: KC.min(k - kb),
+        };
+        let mut p = 0;
+        while p + NP <= panels {
+            row_blocks::<NP>(&blk, out, p);
+            p += NP;
+        }
+        while p < panels {
+            row_blocks::<1>(&blk, out, p);
+            p += 1;
+        }
+        kb += blk.kc;
+    }
 }
 
-/// The portable micro-kernel body. [`crate::simd`] recompiles this exact
-/// code with AVX2 enabled (no intrinsics — same FP op sequence, wider
-/// registers), which is why it must stay architecture-unconditional.
+/// Every row block of the batch against panels `p..p + NP` of one `k`
+/// block: full `MR`-row tiles, then one tile of exactly the leftover rows.
 #[inline(always)]
-pub(crate) fn matmul_rows_body(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    if n == 0 || k == 0 {
-        return; // out is already the all-zeros product
-    }
-    let m = out.len() / n;
-    let jp = n - n % PANEL;
+fn row_blocks<const NP: usize>(blk: &KBlock<'_>, out: &mut [f32], p: usize) {
+    let m = out.len() / blk.b.cols;
     let mut i = 0;
     while i + MR <= m {
-        let a_block = &a[i * k..(i + MR) * k];
-        let o_block = &mut out[i * n..(i + MR) * n];
-        let arows: [&[f32]; MR] = core::array::from_fn(|r| &a_block[r * k..(r + 1) * k]);
-        let mut jb = 0;
-        while jb < jp {
-            micro_panel(arows, b, o_block, k, n, jb);
-            jb += PANEL;
-        }
-        if jb < n {
-            for (r, arow) in arows.into_iter().enumerate() {
-                ragged_tail(arow, b, &mut o_block[r * n..(r + 1) * n], k, n, jb);
-            }
-        }
+        tile::<MR, NP>(blk, out, i, p);
         i += MR;
     }
-    // Leftover rows (m % MR) run the same panel kernel one row at a time.
-    while i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut jb = 0;
-        while jb < jp {
-            micro_panel([arow], b, orow, k, n, jb);
-            jb += PANEL;
-        }
-        if jb < n {
-            ragged_tail(arow, b, orow, k, n, jb);
-        }
-        i += 1;
+    match m - i {
+        1 => tile::<1, NP>(blk, out, i, p),
+        2 => tile::<2, NP>(blk, out, i, p),
+        3 => tile::<3, NP>(blk, out, i, p),
+        4 => tile::<4, NP>(blk, out, i, p),
+        5 => tile::<5, NP>(blk, out, i, p),
+        _ => {} // one arm per leftover count below MR
     }
 }
 
-/// Accumulates `R` output rows' `[jb, jb + PANEL)` columns in registers
-/// across the whole `k` extent; each loaded B panel is reused by all `R`
-/// rows. The naive kernel instead re-reads and re-writes the output row
-/// once per `k`.
+const _: () = assert!(
+    MR == 6,
+    "row_blocks has one leftover arm per count below MR"
+);
+
+/// Rows `i..i + R` x panels `p..p + NP` for one `k` block: the tile
+/// starts from zero in the first block and from `out` after it, and is
+/// stored back without the padded columns.
 #[inline(always)]
-fn micro_panel<const R: usize>(
-    arows: [&[f32]; R],
-    b: &[f32],
-    out_rows: &mut [f32],
-    k: usize,
-    n: usize,
-    jb: usize,
-) {
-    let mut acc = [[0.0f32; PANEL]; R];
-    // `kk` strides two buffers at once (a columns, b rows); iterator form
-    // would need a zip that breaks the const-R unroll.
-    #[allow(clippy::needless_range_loop)]
-    for kk in 0..k {
-        let off = kk * n + jb;
-        // lint::allow(no_panic): slice is exactly PANEL long; try_into cannot fail
-        let bp: &[f32; PANEL] = b[off..off + PANEL].try_into().expect("PANEL-sized");
-        for r in 0..R {
-            let av = arows[r][kk];
-            for p in 0..PANEL {
-                acc[r][p] += av * bp[p];
+fn tile<const R: usize, const NP: usize>(blk: &KBlock<'_>, out: &mut [f32], i: usize, p: usize) {
+    let (k, n) = (blk.b.rows, blk.b.cols);
+    let widths: [usize; NP] = core::array::from_fn(|q| (n - (p + q) * PANEL).min(PANEL));
+    let mut acc = [[[0.0f32; PANEL]; NP]; R];
+    if blk.kb > 0 {
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (q, lanes) in row.iter_mut().enumerate() {
+                let o = (i + r) * n + (p + q) * PANEL;
+                // Staged through a temporary: `acc` itself is only ever
+                // written whole, which keeps it in registers.
+                let mut t = [0.0; PANEL];
+                t[..widths[q]].copy_from_slice(&out[o..o + widths[q]]);
+                *lanes = t;
             }
         }
     }
-    for (r, row_acc) in acc.iter().enumerate() {
-        out_rows[r * n + jb..r * n + jb + PANEL].copy_from_slice(row_acc);
+    let arows: [&[f32]; R] = core::array::from_fn(|r| &blk.a[(i + r) * k + blk.kb..][..blk.kc]);
+    let slabs: [&[[f32; PANEL]]; NP] = core::array::from_fn(|q| {
+        blk.b.panel(p + q)[blk.kb * PANEL..][..blk.kc * PANEL]
+            .as_chunks()
+            .0
+    });
+    let acc = accumulate(acc, arows, slabs);
+    for (r, row) in acc.iter().enumerate() {
+        for (q, lanes) in row.iter().enumerate() {
+            let o = (i + r) * n + (p + q) * PANEL;
+            out[o..o + widths[q]].copy_from_slice(&lanes[..widths[q]]);
+        }
     }
 }
 
-/// Scalar tail for the last `n % PANEL` columns, in the naive order.
+/// The inner loop: one `acc += a * b` per element per `k` step. Kept a
+/// separate by-value function over slices re-cut to the slab length so
+/// that, once inlined, every tile shape compiles to whole-vector
+/// multiplies and adds with no bounds checks in the loop (inlined into
+/// the tile directly, some leftover-row shapes fell back to scalar code).
 #[inline(always)]
-fn ragged_tail(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize, jb: usize) {
-    for (kk, &av) in arow.iter().take(k).enumerate() {
-        if av == 0.0 {
-            continue;
-        }
-        let brow = &b[kk * n + jb..kk * n + n];
-        for (o, &bv) in orow[jb..].iter_mut().zip(brow) {
-            *o += av * bv;
+fn accumulate<const R: usize, const NP: usize>(
+    mut acc: [[[f32; PANEL]; NP]; R],
+    arows: [&[f32]; R],
+    slabs: [&[[f32; PANEL]]; NP],
+) -> [[[f32; PANEL]; NP]; R] {
+    let kc = slabs[0].len();
+    let arows: [&[f32]; R] = core::array::from_fn(|r| &arows[r][..kc]);
+    // `kk` indexes R + NP buffers at once; an iterator form would need a
+    // zip that breaks the const-size unroll.
+    #[allow(clippy::needless_range_loop)]
+    for kk in 0..kc {
+        let bv: [&[f32; PANEL]; NP] = core::array::from_fn(|q| &slabs[q][kk]);
+        for r in 0..R {
+            let av = arows[r][kk];
+            for q in 0..NP {
+                for l in 0..PANEL {
+                    acc[r][q][l] += av * bv[q][l];
+                }
+            }
         }
     }
+    acc
 }
 
 #[cfg(test)]
@@ -539,25 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trips() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let t = a.transpose();
-        assert_eq!(t.shape(), (3, 2));
-        assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
-    fn hconcat_joins_columns() {
-        let a = Matrix::filled(2, 1, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        let c = a.hconcat(&b).unwrap();
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.row(0), &[1.0, 2.0, 2.0]);
-        assert!(a.hconcat(&Matrix::zeros(3, 1)).is_err());
-    }
-
-    #[test]
     fn max_abs_diff_measures_distance() {
         let a = Matrix::filled(1, 3, 1.0);
         let b = Matrix::from_rows(&[&[1.0, 1.5, 0.0]]).unwrap();
@@ -571,7 +625,7 @@ mod tests {
     }
 
     /// Deterministic pseudo-random matrix with some exact zeros, to exercise
-    /// the zero-skip path of every kernel.
+    /// the naive kernel's zero-skip path.
     fn scrambled(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let data = (0..rows * cols)
@@ -591,22 +645,31 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // Shapes chosen to hit full panels, ragged tails, k-unroll
-        // remainders, and degenerate 1-wide cases; one `out` is reused as
-        // the shapes grow and shrink.
-        let mut out = Matrix::zeros(1, 1);
+        // Shapes chosen to hit every leftover-row count (m % 6), full and
+        // zero-padded panels (n < 16, n % 16 != 0, odd and even panel
+        // counts for the two-panel tile), k blocks with a partial last
+        // block (k > 256, k % 256 != 0), the top MLP's n = 1 head and the
+        // RM3 bottom layer; one stale `out` is reused as the shapes grow
+        // and shrink.
+        let mut out = Matrix::filled(3, 5, 7.0);
         for (m, k, n) in [
             (1, 1, 1),
             (2, 3, 5),
-            (7, 13, 16),
-            (8, 17, 31),
-            (33, 64, 33),
-            (5, 2, 100),
-            (16, 50, 48),
+            (3, 13, 16),
+            (4, 17, 31),
+            (5, 64, 33),
+            (6, 2, 100),
+            (7, 50, 48),
+            (8, 300, 17),
+            (11, 513, 64),
+            (13, 257, 1),
+            (32, 128, 1),
+            (32, 700, 70),
+            (32, 2560, 512),
         ] {
             let a = scrambled(m, k, (m * 31 + k) as u64);
             let b = scrambled(k, n, (k * 17 + n) as u64);
-            a.matmul_blocked_into(&b, &mut out).unwrap();
+            a.matmul_packed_into(&b.packed(), &mut out).unwrap();
             assert_eq!(out, a.matmul(&b).unwrap(), "{m}x{k} * {k}x{n}");
         }
     }
@@ -616,7 +679,7 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let mut out = Matrix::zeros(1, 1);
-        assert!(a.matmul_blocked_into(&b, &mut out).is_err());
+        assert!(a.matmul_packed_into(&b.packed(), &mut out).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Oracle-ordered float reductions.
 //!
 //! Floating-point addition is not associative, so a reduction's *order* is
-//! part of its result. The workspace's bit-exactness guarantees (blocked
-//! vs. naive kernels, AVX2 kernels vs. portable builds) hold because
+//! part of its result. The workspace's bit-exactness guarantees (packed
+//! vs. naive kernels, SIMD kernels vs. portable builds) hold because
 //! every float reduction happens in one documented order:
 //! **ascending index, one scalar accumulator**. These helpers are that
 //! order, named; `er-lint`'s `float_reduction` rule steers ad-hoc

@@ -1,10 +1,15 @@
 //! The workspace's only `unsafe` module: SIMD-recompiled kernel clones.
 //!
 //! Every function here is an exact clone of a portable kernel body
-//! (`matmul_rows_body`, `gather_pool_csr_body`, and the quantized bodies in
-//! [`crate::quant`]) compiled with `#[target_feature(...)]` for AVX2 or
+//! (`matmul_packed_body`, `gather_pool_csr_body`, and the quantized bodies
+//! in [`crate::quant`]) compiled with `#[target_feature(...)]` for AVX2 or
 //! AVX-512 — the same Rust source on wider registers, no intrinsics, so the
 //! FP op sequence (and therefore the bits) cannot diverge between backends.
+//! The one per-rung choice is the matmul tile width: AVX-512 runs two
+//! 16-column panels per tile (6x32, 12 of its 32 vector registers), the
+//! other rungs one (6x16), over the same packed layout; the tile width
+//! changes which outputs share a loop, never the op sequence of any one
+//! output.
 //! Dispatch walks the ladder AVX-512 → AVX2 → scalar via explicit runtime
 //! CPUID checks (`is_x86_feature_detected!`), so a 1-core AVX2-only dev
 //! box and an AVX-512 server produce bit-identical results from different
@@ -25,7 +30,7 @@
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::Matrix;
+use crate::{Matrix, PackedMatrix};
 
 /// One rung of the SIMD dispatch ladder.
 ///
@@ -167,36 +172,38 @@ fn check_available(backend: SimdBackend) {
     );
 }
 
-/// `out = a * b` through the 6x16 register-blocked micro-kernel,
-/// auto-dispatched down the ladder. See `matmul_rows_body` in `matrix.rs`
-/// for the kernel and the bit-exactness argument.
-pub(crate) fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    matmul_rows_with(SimdBackend::detect(), a, b, out, k, n);
+/// `out = a * b` through the packed-panel kernel, auto-dispatched down the
+/// ladder. See `matmul_packed_body` in `matrix.rs` for the kernel and the
+/// bit-exactness argument.
+pub(crate) fn matmul_packed(a: &[f32], b: &PackedMatrix, out: &mut [f32]) {
+    matmul_packed_with(SimdBackend::detect(), a, b, out);
 }
 
-/// `out = a * b` on a forced backend (parity testing; see module docs).
+/// `out = a * b` on a forced backend (parity testing; see module docs):
+/// `a` is `m x k` row-major, `out` is `m x n` row-major, where `k x n` is
+/// `b`'s shape.
 ///
 /// # Panics
 ///
-/// Panics if `backend` is unavailable on this CPU, or on the shape
-/// violations documented for [`crate::Matrix::matmul`].
-pub fn matmul_rows_with(
-    backend: SimdBackend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-) {
+/// Panics if `backend` is unavailable on this CPU, or if `a.len()` and
+/// `out.len()` are not `m * k` and `m * n` for one `m`.
+pub fn matmul_packed_with(backend: SimdBackend, a: &[f32], b: &PackedMatrix, out: &mut [f32]) {
     check_available(backend);
+    let (k, n) = (b.rows(), b.cols());
+    assert!(
+        a.len().is_multiple_of(k) && a.len() / k * n == out.len(),
+        "matmul operand lengths {} and {} do not fit a {k}x{n} packed matrix",
+        a.len(),
+        out.len()
+    );
     match backend {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx512 => unsafe { matmul_rows_avx512(a, b, out, k, n) },
+        SimdBackend::Avx512 => unsafe { matmul_packed_avx512(a, b, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx2 => unsafe { matmul_rows_avx2(a, b, out, k, n) },
-        _ => crate::matrix::matmul_rows_body(a, b, out, k, n),
+        SimdBackend::Avx2 => unsafe { matmul_packed_avx2(a, b, out) },
+        _ => crate::matrix::matmul_packed_body::<1>(a, b, out),
     }
 }
 
@@ -330,18 +337,18 @@ pub fn gather_pool_csr_i8_with(
     }
 }
 
-/// The matmul micro-kernel body recompiled with 256-bit vectors.
+/// The packed matmul body recompiled with 256-bit vectors, 6x16 tiles.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_rows_avx2(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    crate::matrix::matmul_rows_body(a, b, out, k, n);
+unsafe fn matmul_packed_avx2(a: &[f32], b: &PackedMatrix, out: &mut [f32]) {
+    crate::matrix::matmul_packed_body::<1>(a, b, out);
 }
 
-/// The matmul micro-kernel body recompiled with 512-bit vectors.
+/// The packed matmul body recompiled with 512-bit vectors, 6x32 tiles.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-unsafe fn matmul_rows_avx512(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    crate::matrix::matmul_rows_body(a, b, out, k, n);
+unsafe fn matmul_packed_avx512(a: &[f32], b: &PackedMatrix, out: &mut [f32]) {
+    crate::matrix::matmul_packed_body::<2>(a, b, out);
 }
 
 /// The f32 gather+pool body recompiled with 256-bit vectors.

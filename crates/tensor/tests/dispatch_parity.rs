@@ -6,7 +6,7 @@
 //! log line*, never silently passed.
 
 use er_tensor::simd::{
-    gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, matmul_rows_with,
+    gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, matmul_packed_with,
     SimdBackend,
 };
 use er_tensor::{quantize_f16, quantize_i8_rows, Matrix};
@@ -109,22 +109,27 @@ fn i8_gather_is_bit_identical_across_backends() {
 
 #[test]
 fn matmul_is_bit_identical_across_backends() {
-    // Shapes exercising the 6x16 micro-kernel's full blocks and remainders.
-    for (m, k, n) in [(1usize, 1usize, 1usize), (6, 8, 16), (13, 32, 37)] {
-        let a: Vec<f32> = (0..m * k).map(|i| val(i as u64)).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| val(1000 + i as u64)).collect();
-        let mut reference: Option<Vec<f32>> = None;
+    // Shapes exercising full 6-row tiles and leftover rows, one- and
+    // two-panel tiles with zero-padded tails, and k past one 256-deep k
+    // block at the serving batch of 32; every rung must also match the
+    // naive oracle.
+    for (m, k, n) in [
+        (1usize, 1usize, 1usize),
+        (6, 8, 16),
+        (13, 32, 37),
+        (32, 300, 40),
+        (32, 600, 1),
+    ] {
+        let a = Matrix::from_vec(m, k, (0..m * k).map(|i| val(i as u64)).collect()).unwrap();
+        let b = Matrix::from_vec(k, n, (0..k * n).map(|i| val(1000 + i as u64)).collect()).unwrap();
+        let packed = b.packed();
+        let naive = a.matmul(&b).unwrap();
         for backend in backends() {
-            let mut out = vec![0.0f32; m * n];
-            matmul_rows_with(backend, &a, &b, &mut out, k, n);
+            let mut out = vec![7.0f32; m * n];
+            matmul_packed_with(backend, a.as_slice(), &packed, &mut out);
             let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            match &reference {
-                None => reference = Some(out.clone()),
-                Some(r) => {
-                    let rbits: Vec<u32> = r.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(bits, rbits, "matmul {m}x{k}x{n} backend {backend}");
-                }
-            }
+            let rbits: Vec<u32> = naive.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, rbits, "matmul {m}x{k}x{n} backend {backend}");
         }
     }
 }

@@ -37,9 +37,11 @@ fn plan_strategy(rows: u64) -> impl Strategy<Value = PartitionPlan> {
 }
 
 /// Generates conforming matmul operands with exact zeros sprinkled in (the
-/// fast kernels have a zero-skip path that must not change results).
+/// naive oracle skips them, the packed kernel multiplies them; results
+/// must not differ). `k` reaches past one 256-deep k block of the packed
+/// kernel.
 fn matmul_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
-    (1usize..24, 1usize..24, 1usize..40).prop_flat_map(|(m, k, n)| {
+    (1usize..24, 1usize..600, 1usize..40).prop_flat_map(|(m, k, n)| {
         (
             proptest::collection::vec(-2.0f32..2.0, m * k),
             proptest::collection::vec(-2.0f32..2.0, k * n),
@@ -284,10 +286,10 @@ proptest! {
         }
     }
 
-    /// The blocked matmul kernel is bit-identical to the naive oracle —
+    /// The packed matmul kernel is bit-identical to the naive oracle —
     /// not merely close — for any shape and any data (including exact
-    /// zeros, which exercise the skip path), whatever its output buffer
-    /// held before.
+    /// zeros, which exercise the oracle's skip path), whatever its output
+    /// buffer held before.
     #[test]
     fn fast_matmul_kernels_match_naive_exactly(
         (a, b) in matmul_operands(),
@@ -295,7 +297,7 @@ proptest! {
     ) {
         let naive = a.matmul(&b).expect("shapes conform");
         let mut out = Matrix::filled(stale_rows, 3, 7.0);
-        a.matmul_blocked_into(&b, &mut out).expect("shapes conform");
+        a.matmul_packed_into(&b.packed(), &mut out).expect("shapes conform");
         prop_assert_eq!(&naive, &out);
     }
 
