@@ -243,5 +243,42 @@ fn main() {
         ],
     );
 
+    // The RM1 sparse shards' f16 gather at the serving shape: 3,122
+    // lookups in 32 inputs, dim 32, over the hot shard (L2-resident) and a
+    // cold shard (past the prefetch threshold). Reported on the rung
+    // `SimdBackend::detect` picks; `ER_SIMD=avx2` pins the AVX2 rung.
+    let rung = er_tensor::SimdBackend::detect();
+    for (label, rows) in [
+        ("f16 gather RM1 hot shard 3712x32", 3_712u32),
+        ("f16 gather RM1 cold shard 251823x32", 251_823),
+    ] {
+        let dim = 32;
+        let table = er_tensor::quantize_f16(scrambled(rows as usize, dim, 7).as_slice());
+        let lookups = 3_122usize;
+        let indices: Vec<u32> = (0..lookups as u64)
+            .map(|i| {
+                (i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29) % u64::from(rows)) as u32
+            })
+            .collect();
+        let offsets: Vec<u32> = (0..32).map(|i| (i * lookups / 32) as u32).collect();
+        let mut pooled = Matrix::zeros(32, dim);
+        let secs = time(200, || {
+            er_tensor::gather_pool_csr_f16(&table, rows, &indices, &offsets, &mut pooled);
+            pooled.get(0, 0)
+        });
+        let row_bytes = (dim * std::mem::size_of::<u16>()) as f64;
+        report::row(
+            label,
+            &[
+                ("rung", rung.name().to_string()),
+                ("ns_per_row", format!("{:.2}", secs * 1e9 / lookups as f64)),
+                (
+                    "gbps",
+                    format!("{:.1} GB/s", lookups as f64 * row_bytes / secs / 1e9),
+                ),
+            ],
+        );
+    }
+
     println!("\n(re-run with --features er-bench/bench-harness for criterion statistics)");
 }

@@ -40,9 +40,10 @@
 //! section slower than 0.95x of its baseline fails the run (opt out with
 //! `--no-enforce-speedup`). `--par-parity` runs only the parallel-engine
 //! digest-equality check (the CI stage); `--quant-parity` runs only the
-//! quantized-data-plane checks: f32 gather digests bit-identical across
-//! every available SIMD backend, and quantized gathers within their
-//! analytic error bounds. `--mc` runs only the bounded er-mc control-plane
+//! quantized-data-plane checks: f32, f16 and i8 gather digests
+//! bit-identical across every available SIMD backend, every rung's f16
+//! decode exact on all 65,536 bit patterns, and quantized gathers within
+//! their analytic error bounds. `--mc` runs only the bounded er-mc control-plane
 //! check at smoke scale (both route policies), timed like a perf section,
 //! exiting nonzero on any counterexample. `--fleet` adds the 1000-node
 //! synthetic fleet scenario as a timed section.
@@ -57,8 +58,11 @@ use er_bench::perf::{self, Digest, PerfReport, Section};
 use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator};
 use er_partition::PartitionPlan;
 use er_sim::{EventQueue, SimRng};
-use er_tensor::simd::{gather_pool_csr_with, SimdBackend};
-use er_tensor::Matrix;
+use er_tensor::quant::f16_to_f32;
+use er_tensor::simd::{
+    gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, SimdBackend,
+};
+use er_tensor::{quantize_f16, quantize_i8_rows, Matrix};
 use er_units::ElemKind;
 use er_workload::TrafficSchedule;
 
@@ -627,43 +631,88 @@ fn bench_quant(scale: &Scale, enforce: bool) -> Vec<Section> {
 const QUANT_I8_SPEEDUP_FLOOR: f64 = 1.8;
 
 /// The `--quant-parity` CI stage: every SIMD backend this CPU offers must
-/// produce bit-identical f32 gathers (absent backends are skipped with an
-/// explicit log line), and the quantized gathers must stay within their
-/// analytic error bounds against the f32 reference.
+/// produce bit-identical f32, f16 and i8 gathers and decode every f16 bit
+/// pattern exactly (absent backends are skipped with an explicit log
+/// line), and the quantized gathers must stay within their analytic error
+/// bounds against the f32 reference.
 fn run_quant_parity() {
     let dim = 64u32;
     let rows = 4096u32;
     let table = EmbeddingTable::with_seed(rows, dim, 97);
     let (indices, offsets) = quant_lookup(rows, 512, 24);
 
-    // Backend parity on the raw f32 kernel, over a deterministic buffer.
+    // Backend parity of the f32, f16 and i8 gathers, over a deterministic
+    // buffer: one digest per backend and element kind.
     let raw: Vec<f32> = (0..u64::from(rows) * u64::from(dim))
         .map(|i| {
             let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
             ((h % 2001) as f32 - 1000.0) / 10_000.0
         })
         .collect();
-    let mut digests = Vec::new();
-    for backend in SimdBackend::ALL {
-        if !backend.is_available() {
-            println!("quant-parity: SKIPPING backend {backend}: not available on this CPU");
-            continue;
+    let half = quantize_f16(&raw);
+    let (codes, scales) = quantize_i8_rows(&raw, dim as usize);
+    let backends: Vec<SimdBackend> = SimdBackend::ALL
+        .into_iter()
+        .filter(|b| {
+            if !b.is_available() {
+                println!("quant-parity: SKIPPING backend {b}: not available on this CPU");
+            }
+            b.is_available()
+        })
+        .collect();
+    for kind in [ElemKind::F32, ElemKind::F16, ElemKind::I8] {
+        let mut digests = Vec::new();
+        for &backend in &backends {
+            let mut out = Matrix::zeros(offsets.len(), dim as usize);
+            match kind {
+                ElemKind::F32 => {
+                    gather_pool_csr_with(backend, &raw, rows, &indices, &offsets, &mut out)
+                }
+                ElemKind::F16 => {
+                    gather_pool_csr_f16_with(backend, &half, rows, &indices, &offsets, &mut out)
+                }
+                ElemKind::I8 => gather_pool_csr_i8_with(
+                    backend, &codes, &scales, rows, &indices, &offsets, &mut out,
+                ),
+            }
+            let mut digest = Digest::new();
+            for &v in out.as_slice() {
+                digest.fold_f64(f64::from(v));
+            }
+            println!(
+                "quant-parity: {kind} backend {backend}: digest {}",
+                digest.hex()
+            );
+            digests.push(digest.hex());
         }
-        let mut out = Matrix::zeros(offsets.len(), dim as usize);
-        gather_pool_csr_with(backend, &raw, rows, &indices, &offsets, &mut out);
-        let mut digest = Digest::new();
-        for r in 0..out.rows() {
-            for j in 0..out.cols() {
-                digest.fold_f64(f64::from(out.get(r, j)));
+        if digests.iter().any(|d| d != &digests[0]) {
+            eprintln!("perfsuite: {kind} gather digests diverged across backends: {digests:?}");
+            std::process::exit(1);
+        }
+    }
+
+    // The f16 decode of every rung against `f16_to_f32` on all 65,536 bit
+    // patterns: one lookup per 16-lane row into an output of -0.0, which
+    // the add returns unchanged (a signalling NaN comes back quiet, as
+    // `f16_to_f32` returns it).
+    let every: Vec<u16> = (0..=u16::MAX).collect();
+    let lanes = 16;
+    let n = (every.len() / lanes) as u32;
+    let ids: Vec<u32> = (0..n).collect();
+    for &backend in &backends {
+        let mut out = Matrix::filled(n as usize, lanes, -0.0);
+        gather_pool_csr_f16_with(backend, &every, n, &ids, &ids, &mut out);
+        for (&h, &v) in every.iter().zip(out.as_slice()) {
+            if v.to_bits() != f16_to_f32(h).to_bits() {
+                eprintln!(
+                    "perfsuite: {backend} decodes f16 {h:#06x} to {:#010x}",
+                    v.to_bits()
+                );
+                std::process::exit(1);
             }
         }
-        println!("quant-parity: backend {backend}: digest {}", digest.hex());
-        digests.push(digest.hex());
     }
-    if digests.iter().any(|d| d != &digests[0]) {
-        eprintln!("perfsuite: f32 gather digests diverged across backends: {digests:?}");
-        std::process::exit(1);
-    }
+    println!("quant-parity: f16 decode exact on all 65536 patterns on every backend");
 
     // Quantized error bounds against the f32 reference.
     let mut reference = Matrix::zeros(1, 1);
@@ -691,6 +740,6 @@ fn run_quant_parity() {
     }
     println!(
         "quant parity ok: {} backends agree, quantized errors bounded",
-        digests.len()
+        backends.len()
     );
 }

@@ -241,11 +241,12 @@ impl EmbeddingTable {
     /// Fused gather+pool into a caller-owned matrix (reshaped in place)
     /// over raw CSR `(indices, offsets)` arrays: the same `EmbeddingBag`
     /// operation as [`EmbeddingTable::gather_pool`], pooled directly out of
-    /// the table's flat storage by the `er_tensor` CSR kernels (which
-    /// dispatch down the AVX-512 → AVX2 → scalar ladder, recompiling the
-    /// same Rust code — no intrinsics, no FP reordering). Per output
-    /// element the additions happen in exactly the reference order (lookup
-    /// order, ascending dim), so results are **bit-identical** to
+    /// the table's flat storage by the `er_tensor` CSR kernels (one body
+    /// that dispatches down the AVX-512 → AVX2 → scalar ladder, recompiling
+    /// the same Rust code with no FP reordering; the wide rungs decode f16
+    /// in hardware, exactly). Per output element the additions happen in
+    /// exactly the reference order (lookup order), so results are
+    /// **bit-identical** to
     /// `gather_pool` at every [`ElemKind`]. Takes raw slices instead of a
     /// [`TableLookup`] so callers holding bucketized per-shard arrays (see
     /// `er_partition::bucketize_into`) can gather without materializing a

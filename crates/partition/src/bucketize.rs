@@ -138,8 +138,7 @@ pub fn bucketize_into(
             .get(input + 1)
             .map_or(indices.len(), |&o| o as usize);
         for &id in &indices[start..end] {
-            let s = plan.shard_of_id(id as u64);
-            let base = plan.shard_base(s);
+            let (s, base) = plan.locate(u64::from(id));
             out.indices[s].push(id - base as u32);
         }
     }

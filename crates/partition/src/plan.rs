@@ -142,8 +142,29 @@ impl PartitionPlan {
     ///
     /// Panics if `id >= table_len`.
     pub fn shard_of_id(&self, id: u64) -> usize {
+        self.locate(id).0
+    }
+
+    /// The shard holding the 0-based sorted ID `id` and that shard's base
+    /// (its first sorted ID), found without branches: the shard is the
+    /// count of cuts `<= id` and the base is the last such cut. A binary
+    /// search's branches mispredict on skewed traffic, where most IDs fall
+    /// in the first shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= table_len`.
+    #[inline]
+    pub(crate) fn locate(&self, id: u64) -> (usize, u64) {
         assert!(id < self.table_len, "id {id} out of range");
-        self.cuts.partition_point(|&c| c <= id)
+        let mut shard = 0;
+        let mut base = 0;
+        for &c in &self.cuts {
+            let passed = c <= id;
+            shard += usize::from(passed);
+            base = if passed { c } else { base };
+        }
+        (shard, base)
     }
 
     /// The 0-based base offset of shard `s` (its first sorted ID) — the

@@ -3,27 +3,30 @@
 //! Embedding gathers are memory-bandwidth-bound (paper Fig 9), so halving
 //! or quartering the stored element width multiplies the rows a node can
 //! serve per second. This module holds the storage-side conversions and the
-//! dequantize-and-accumulate gather kernels:
+//! f16 and i8 lane decoders of the one gather body,
+//! `gather_pool_body` in `gather.rs`:
 //!
 //! - **f16**: IEEE-754 half precision, round-to-nearest-even, converted at
 //!   the bit level (no external crate). Per element the quantization error
 //!   is ≤ `2^-11 · |v|` for normal halfs plus `2^-24` once subnormals are
-//!   in range.
+//!   in range. The AVX2 and AVX-512 rungs decode with the hardware
+//!   `vcvtph2ps` instead (see [`crate::simd`]); [`f16_to_f32`] gives the
+//!   same bits on all 65,536 patterns.
 //! - **i8**: per-row symmetric quantization under an f32 scale
 //!   (`scale = max_abs / 127`, `q = round(v / scale)`), dequantized as
 //!   `scale * q`. Per element the error is ≤ `0.5001 · scale` (the `1e-4`
 //!   relative slack absorbs the f32 rounding of `scale * q`).
 //!
 //! Accumulation is always f32, in exactly the reference order (lookup
-//! order, ascending dim), so quantized kernels are bit-identical *across
-//! SIMD backends* (see [`crate::simd`]) even though they are only
-//! bounded-error-close to the f32 reference. The f32 kernels elsewhere in
-//! this crate are untouched and stay bit-identical to their baseline.
+//! order), so quantized kernels are bit-identical *across SIMD backends*
+//! (see [`crate::simd`]) even though they are only bounded-error-close to
+//! the f32 reference.
 //!
-//! The kernel bodies here are blessed by er-lint's `float_reduction` rule
+//! The decoders here are blessed by er-lint's `float_reduction` rule
 //! (see `er-lint.toml` `blessed_kernels`): dequantization loops anywhere
 //! else in serving code are a lint error.
 
+use crate::gather::Decode;
 use crate::Matrix;
 
 /// Converts an f32 to IEEE-754 half precision (round-to-nearest-even).
@@ -74,14 +77,17 @@ pub fn f16_from_f32(x: f32) -> u16 {
 
 /// Converts an IEEE-754 half back to f32. Exact for every finite half
 /// (subnormals included): the exponent re-bias is a multiply by 2^112,
-/// which is exact in f32.
+/// which is exact in f32. NaNs keep their sign and payload and come out
+/// quiet, as from the hardware `vcvtph2ps`, so this matches the
+/// instruction bit for bit on every input.
 #[inline(always)]
 pub fn f16_to_f32(h: u16) -> f32 {
     if (h & 0x7c00) == 0x7c00 {
         // Inf/NaN (never stored by embedding quantization, but preserved).
         let sign = ((h & 0x8000) as u32) << 16;
         let man = ((h & 0x03ff) as u32) << 13;
-        return f32::from_bits(sign | 0x7f80_0000 | man);
+        let quiet = if man != 0 { 0x0040_0000 } else { 0 };
+        return f32::from_bits(sign | 0x7f80_0000 | quiet | man);
     }
     // Place the half's exponent+mantissa in the f32 fields, then fix the
     // bias gap (127 - 15 = 112) with one exact power-of-two multiply; f32
@@ -152,8 +158,8 @@ pub fn dequantize_i8_rows(codes: &[i8], scales: &[f32], dim: usize) -> Vec<f32> 
 /// CSR gather + sum-pool over f16 storage, dequantizing each element and
 /// accumulating in f32 — the half-width sibling of
 /// [`crate::gather_pool_csr`], SIMD-dispatched (see [`crate::simd`]).
-/// Per output element the additions happen in lookup order, ascending dim,
-/// so results are bit-identical across backends.
+/// Per output element the additions happen in lookup order, so results are
+/// bit-identical across backends.
 ///
 /// # Panics
 ///
@@ -166,24 +172,21 @@ pub fn gather_pool_csr_f16(
     offsets: &[u32],
     out: &mut Matrix,
 ) {
-    assert_eq!(
-        out.rows(),
-        offsets.len(),
-        "output must have one row per lookup input"
+    crate::simd::gather_pool_csr_f16_with(
+        crate::SimdBackend::detect(),
+        data,
+        rows,
+        indices,
+        offsets,
+        out,
     );
-    assert_eq!(
-        data.len(),
-        rows as usize * out.cols(),
-        "table storage must be rows x dim"
-    );
-    crate::simd::gather_pool_csr_f16_auto(data, rows, indices, offsets, out);
 }
 
 /// CSR gather + sum-pool over per-row i8 storage, dequantizing as
 /// `scale[row] * q` and accumulating in f32 — the quarter-width sibling of
 /// [`crate::gather_pool_csr`], SIMD-dispatched (see [`crate::simd`]).
-/// Per output element the additions happen in lookup order, ascending dim,
-/// so results are bit-identical across backends.
+/// Per output element the additions happen in lookup order, so results are
+/// bit-identical across backends.
 ///
 /// # Panics
 ///
@@ -198,119 +201,51 @@ pub fn gather_pool_csr_i8(
     offsets: &[u32],
     out: &mut Matrix,
 ) {
-    assert_eq!(
-        out.rows(),
-        offsets.len(),
-        "output must have one row per lookup input"
+    crate::simd::gather_pool_csr_i8_with(
+        crate::SimdBackend::detect(),
+        data,
+        scales,
+        rows,
+        indices,
+        offsets,
+        out,
     );
-    assert_eq!(
-        data.len(),
-        rows as usize * out.cols(),
-        "table storage must be rows x dim"
-    );
-    assert_eq!(scales.len(), rows as usize, "one scale per table row");
-    crate::simd::gather_pool_csr_i8_auto(data, scales, rows, indices, offsets, out);
 }
 
-/// The portable f16 kernel body. [`crate::simd`] recompiles this exact
-/// code with AVX2/AVX-512 enabled, so it must stay free of
-/// architecture-conditional logic.
-#[inline(always)]
-pub(crate) fn gather_pool_csr_f16_body(
-    data: &[u16],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    let d = out.cols();
-    let last = indices.len().saturating_sub(1);
-    let prefetch = std::mem::size_of_val(data) > crate::simd::PREFETCH_MIN_BYTES;
-    for input in 0..offsets.len() {
-        let start = offsets[input] as usize;
-        let end = offsets
-            .get(input + 1)
-            .map_or(indices.len(), |&o| o as usize);
-        let row = out.row_mut(input);
-        if prefetch {
-            // Past-cache table: hide the random-access row miss behind
-            // the current row's work; pure hint, bits unchanged (see
-            // `crate::simd`).
-            for (j, &id) in indices[start..end].iter().enumerate() {
-                assert!(id < rows, "embedding id {id} out of range ({rows})");
-                let ahead =
-                    indices[(start + j + crate::simd::PREFETCH_DISTANCE).min(last)] as usize;
-                crate::simd::prefetch_row(data, ahead * d, d);
-                let base = id as usize * d;
-                let vec = &data[base..base + d];
-                for (o, &h) in row.iter_mut().zip(vec) {
-                    *o += f16_to_f32(h);
-                }
-            }
-        } else {
-            // Cache-resident table: tight loop, kept hint-free.
-            for &id in &indices[start..end] {
-                assert!(id < rows, "embedding id {id} out of range ({rows})");
-                let base = id as usize * d;
-                let vec = &data[base..base + d];
-                for (o, &h) in row.iter_mut().zip(vec) {
-                    *o += f16_to_f32(h);
-                }
-            }
-        }
+/// The portable f16 decoder: [`f16_to_f32`] per lane. The AVX2 and
+/// AVX-512 rungs swap in the hardware conversion (see [`crate::simd`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct F16;
+
+impl Decode for F16 {
+    type Elem = u16;
+    type Row = ();
+    #[inline(always)]
+    fn row(self, _id: usize) {}
+    #[inline(always)]
+    fn lane(self, (): (), h: u16) -> f32 {
+        f16_to_f32(h)
     }
 }
 
-/// The portable i8 kernel body. [`crate::simd`] recompiles this exact
-/// code with AVX2/AVX-512 enabled, so it must stay free of
-/// architecture-conditional logic.
-#[inline(always)]
-pub(crate) fn gather_pool_csr_i8_body(
-    data: &[i8],
-    scales: &[f32],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    let d = out.cols();
-    let last = indices.len().saturating_sub(1);
-    let prefetch = std::mem::size_of_val(data) > crate::simd::PREFETCH_MIN_BYTES;
-    for input in 0..offsets.len() {
-        let start = offsets[input] as usize;
-        let end = offsets
-            .get(input + 1)
-            .map_or(indices.len(), |&o| o as usize);
-        let row = out.row_mut(input);
-        if prefetch {
-            // Past-cache table: hide the random-access row and scale
-            // misses behind the current row's work; pure hint, bits
-            // unchanged (see `crate::simd`).
-            for (j, &id) in indices[start..end].iter().enumerate() {
-                assert!(id < rows, "embedding id {id} out of range ({rows})");
-                let ahead =
-                    indices[(start + j + crate::simd::PREFETCH_DISTANCE).min(last)] as usize;
-                crate::simd::prefetch_row(data, ahead * d, d);
-                crate::simd::prefetch_row(scales, ahead, 1);
-                let base = id as usize * d;
-                let scale = scales[id as usize];
-                let vec = &data[base..base + d];
-                for (o, &q) in row.iter_mut().zip(vec) {
-                    *o += scale * q as f32;
-                }
-            }
-        } else {
-            // Cache-resident table: tight loop, kept hint-free.
-            for &id in &indices[start..end] {
-                assert!(id < rows, "embedding id {id} out of range ({rows})");
-                let base = id as usize * d;
-                let scale = scales[id as usize];
-                let vec = &data[base..base + d];
-                for (o, &q) in row.iter_mut().zip(vec) {
-                    *o += scale * q as f32;
-                }
-            }
-        }
+/// The i8 decoder: `scale * q` under the row's scale, unfused.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct I8<'a>(pub(crate) &'a [f32]);
+
+impl Decode for I8<'_> {
+    type Elem = i8;
+    type Row = f32;
+    #[inline(always)]
+    fn row(self, id: usize) -> f32 {
+        self.0[id]
+    }
+    #[inline(always)]
+    fn lane(self, scale: f32, q: i8) -> f32 {
+        scale * q as f32
+    }
+    #[inline(always)]
+    fn prefetch_row_state(self, id: usize) {
+        crate::simd::prefetch_row(self.0, id, 1);
     }
 }
 
@@ -367,6 +302,16 @@ mod tests {
         // Below half the smallest subnormal flushes to signed zero.
         assert_eq!(f16_from_f32(2.0f32.powi(-26)), 0x0000);
         assert_eq!(f16_from_f32(-2.0f32.powi(-26)), 0x8000);
+    }
+
+    #[test]
+    fn f16_nans_decode_quiet_with_their_payload() {
+        // 0x7c01 is a signalling NaN: sign and payload kept, quiet bit
+        // set, as the hardware `vcvtph2ps` does.
+        assert_eq!(f16_to_f32(0x7c01).to_bits(), 0x7fc0_2000);
+        assert_eq!(f16_to_f32(0xfd55).to_bits(), 0xffea_a000);
+        assert_eq!(f16_to_f32(0x7e00).to_bits(), 0x7fc0_0000);
+        assert_eq!(f16_to_f32(0xfc00), f32::NEG_INFINITY);
     }
 
     #[test]

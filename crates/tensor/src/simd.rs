@@ -1,11 +1,15 @@
 //! The workspace's only `unsafe` module: SIMD-recompiled kernel clones.
 //!
-//! Every function here is an exact clone of a portable kernel body
-//! (`matmul_packed_body`, `gather_pool_csr_body`, and the quantized bodies
-//! in [`crate::quant`]) compiled with `#[target_feature(...)]` for AVX2 or
-//! AVX-512 — the same Rust source on wider registers, no intrinsics, so the
-//! FP op sequence (and therefore the bits) cannot diverge between backends.
-//! The one per-rung choice is the matmul tile width: AVX-512 runs two
+//! Every kernel here is an exact clone of a portable kernel body
+//! (`matmul_packed_body` in `matrix.rs` and the one gather body,
+//! `gather_pool_body` in `gather.rs`) compiled with `#[target_feature(...)]`
+//! for AVX2 or AVX-512 — the same Rust source on wider registers, so the FP
+//! op sequence (and therefore the bits) cannot diverge between backends.
+//! There are no intrinsics except the prefetch hint and the f16 decode:
+//! the AVX2 and AVX-512 gathers decode f16 lanes with the hardware
+//! `vcvtph2ps`, which is exact, and which [`crate::quant::f16_to_f32`]
+//! (the scalar rung's decoder) matches bit for bit on all 65,536 inputs.
+//! The one other per-rung choice is the matmul tile width: AVX-512 runs two
 //! 16-column panels per tile (6x32, 12 of its 32 vector registers), the
 //! other rungs one (6x16), over the same packed layout; the tile width
 //! changes which outputs share a loop, never the op sequence of any one
@@ -30,18 +34,23 @@
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use crate::gather::Decode;
+#[cfg(target_arch = "x86_64")]
+use crate::gather::LANES;
 use crate::{Matrix, PackedMatrix};
 
 /// One rung of the SIMD dispatch ladder.
 ///
 /// `Avx512` means the f/bw/vl trio (every AVX-512 server CPU since
-/// Skylake-SP ships all three); `Avx2` is the 256-bit baseline the
-/// workspace has always dispatched to; `Scalar` is the portable body.
+/// Skylake-SP ships all three); `Avx2` is the 256-bit baseline, which also
+/// requires `f16c` (every AVX2 CPU ships it) for the f16 decode; `Scalar`
+/// is the portable body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdBackend {
     /// The portable kernel body, no `target_feature` recompilation.
     Scalar,
-    /// The body recompiled for 256-bit vectors (`avx2`).
+    /// The body recompiled for 256-bit vectors (`avx2`, plus `f16c` for
+    /// the hardware f16 decode; the rung requires both).
     Avx2,
     /// The body recompiled for 512-bit vectors (`avx512f,avx512bw,avx512vl`).
     Avx512,
@@ -89,7 +98,10 @@ impl SimdBackend {
         match self {
             SimdBackend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            SimdBackend::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("f16c")
+            }
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx512 => {
                 std::arch::is_x86_feature_detected!("avx512f")
@@ -117,7 +129,7 @@ impl std::fmt::Display for SimdBackend {
     }
 }
 
-/// How many lookups ahead the gather bodies prefetch. Random-access
+/// How many lookups ahead the gather body prefetches. Random-access
 /// gathers otherwise serialize on one cache/TLB miss per pooled row; a
 /// handful of rows of lead time is enough to keep several misses in
 /// flight without exceeding the core's fill buffers.
@@ -148,10 +160,10 @@ fn prefetch_read<T>(p: &T) {
 }
 
 /// Prefetches every cache line of `data[base .. base + len]`, skipping
-/// (not faulting on) out-of-bounds positions — gather bodies call this for
-/// a row *ahead* of the one being validated, so the ahead index may still
-/// be bogus. Safe to call from the `#![forbid(unsafe_code)]` kernel
-/// bodies; the intrinsic stays confined to this module.
+/// (not faulting on) out-of-bounds positions — the gather body calls this
+/// for a row *ahead* of the one being validated, so the ahead index may
+/// still be bogus. Safe to call from the safe kernel code; the intrinsic
+/// stays confined to this module.
 #[inline(always)]
 pub(crate) fn prefetch_row<T>(data: &[T], base: usize, len: usize) {
     let step = (64 / std::mem::size_of::<T>()).max(1);
@@ -207,18 +219,6 @@ pub fn matmul_packed_with(backend: SimdBackend, a: &[f32], b: &PackedMatrix, out
     }
 }
 
-/// CSR gather + sum-pool, auto-dispatched. See
-/// [`crate::gather::gather_pool_csr_body`].
-pub(crate) fn gather_pool_csr(
-    data: &[f32],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    gather_pool_csr_with(SimdBackend::detect(), data, rows, indices, offsets, out);
-}
-
 /// CSR gather + sum-pool on a forced backend (parity testing).
 ///
 /// # Panics
@@ -233,28 +233,8 @@ pub fn gather_pool_csr_with(
     offsets: &[u32],
     out: &mut Matrix,
 ) {
-    check_available(backend);
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx512 => unsafe { gather_pool_csr_avx512(data, rows, indices, offsets, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx2 => unsafe { gather_pool_csr_avx2(data, rows, indices, offsets, out) },
-        _ => crate::gather::gather_pool_csr_body(data, rows, indices, offsets, out),
-    }
-}
-
-/// f16 CSR gather + sum-pool, auto-dispatched. See
-/// [`crate::quant::gather_pool_csr_f16_body`].
-pub(crate) fn gather_pool_csr_f16_auto(
-    data: &[u16],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    gather_pool_csr_f16_with(SimdBackend::detect(), data, rows, indices, offsets, out);
+    use crate::gather::F32;
+    gather_on(backend, (F32, F32, F32), data, rows, indices, offsets, out);
 }
 
 /// f16 CSR gather + sum-pool on a forced backend (parity testing).
@@ -271,39 +251,8 @@ pub fn gather_pool_csr_f16_with(
     offsets: &[u32],
     out: &mut Matrix,
 ) {
-    check_available(backend);
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx512 => unsafe {
-            gather_pool_csr_f16_avx512(data, rows, indices, offsets, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx2 => unsafe { gather_pool_csr_f16_avx2(data, rows, indices, offsets, out) },
-        _ => crate::quant::gather_pool_csr_f16_body(data, rows, indices, offsets, out),
-    }
-}
-
-/// i8 CSR gather + sum-pool, auto-dispatched. See
-/// [`crate::quant::gather_pool_csr_i8_body`].
-pub(crate) fn gather_pool_csr_i8_auto(
-    data: &[i8],
-    scales: &[f32],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    gather_pool_csr_i8_with(
-        SimdBackend::detect(),
-        data,
-        scales,
-        rows,
-        indices,
-        offsets,
-        out,
-    );
+    let decoders = (crate::quant::F16, F16Avx2(()), F16Avx512(()));
+    gather_on(backend, decoders, data, rows, indices, offsets, out);
 }
 
 /// i8 CSR gather + sum-pool on a forced backend (parity testing).
@@ -321,25 +270,119 @@ pub fn gather_pool_csr_i8_with(
     offsets: &[u32],
     out: &mut Matrix,
 ) {
+    assert_eq!(scales.len(), rows as usize, "one scale per table row");
+    let dec = crate::quant::I8(scales);
+    gather_on(backend, (dec, dec, dec), data, rows, indices, offsets, out);
+}
+
+/// Runs the one gather body on `backend` with that rung's decoder from
+/// `decoders` (scalar, AVX2, AVX-512), after the checks every gather
+/// shares.
+fn gather_on<E, S, A2, A5>(
+    backend: SimdBackend,
+    decoders: (S, A2, A5),
+    data: &[E],
+    rows: u32,
+    indices: &[u32],
+    offsets: &[u32],
+    out: &mut Matrix,
+) where
+    S: Decode<Elem = E>,
+    A2: Decode<Elem = E>,
+    A5: Decode<Elem = E>,
+{
     check_available(backend);
+    assert_eq!(
+        out.rows(),
+        offsets.len(),
+        "output must have one row per lookup input"
+    );
+    assert_eq!(
+        data.len(),
+        rows as usize * out.cols(),
+        "table storage must be rows x dim"
+    );
+    let (scalar, avx2, avx512) = decoders;
     match backend {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx512 => unsafe {
-            gather_pool_csr_i8_avx512(data, scales, rows, indices, offsets, out)
-        },
+        SimdBackend::Avx512 => unsafe { gather_avx512(avx512, data, rows, indices, offsets, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability of the target features was just verified.
-        SimdBackend::Avx2 => unsafe {
-            gather_pool_csr_i8_avx2(data, scales, rows, indices, offsets, out)
-        },
-        _ => crate::quant::gather_pool_csr_i8_body(data, scales, rows, indices, offsets, out),
+        SimdBackend::Avx2 => unsafe { gather_avx2(avx2, data, rows, indices, offsets, out) },
+        _ => {
+            let _ = (avx2, avx512); // unused off x86-64
+            crate::gather::gather_pool_body(scalar, data, rows, indices, offsets, out);
+        }
+    }
+}
+
+/// f16 lanes decoded by the hardware `vcvtph2ps` on 256-bit registers
+/// (two 8-lane conversions per chunk).
+///
+/// Invariant: values exist only in this module, and [`gather_on`] hands
+/// them only to [`gather_avx2`], after `check_available` found the AVX2
+/// rung (`avx2` plus `f16c`).
+#[derive(Debug, Clone, Copy)]
+struct F16Avx2(());
+
+impl Decode for F16Avx2 {
+    type Elem = u16;
+    type Row = ();
+    #[inline(always)]
+    fn row(self, _id: usize) {}
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn lanes(self, (): (), src: &[u16; LANES]) -> [f32; LANES] {
+        // SAFETY: by the type's invariant `f16c` is present; the two
+        // 16-byte loads read exactly the 32 bytes of `src`.
+        unsafe {
+            use std::arch::x86_64::{__m128i, __m256, _mm256_cvtph_ps, _mm_loadu_si128};
+            let p = src.as_ptr().cast::<__m128i>();
+            let lo = _mm256_cvtph_ps(_mm_loadu_si128(p));
+            let hi = _mm256_cvtph_ps(_mm_loadu_si128(p.add(1)));
+            std::mem::transmute::<[__m256; 2], [f32; LANES]>([lo, hi])
+        }
+    }
+    #[inline(always)]
+    fn lane(self, (): (), h: u16) -> f32 {
+        crate::quant::f16_to_f32(h)
+    }
+}
+
+/// f16 lanes decoded by the hardware `vcvtph2ps` on 512-bit registers.
+///
+/// Invariant: values exist only in this module, and [`gather_on`] hands
+/// them only to [`gather_avx512`], after `check_available` found the
+/// AVX-512 rung.
+#[derive(Debug, Clone, Copy)]
+struct F16Avx512(());
+
+impl Decode for F16Avx512 {
+    type Elem = u16;
+    type Row = ();
+    #[inline(always)]
+    fn row(self, _id: usize) {}
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn lanes(self, (): (), src: &[u16; LANES]) -> [f32; LANES] {
+        // SAFETY: by the type's invariant `avx512f` is present; the
+        // 32-byte load reads exactly the 32 bytes of `src`.
+        unsafe {
+            use std::arch::x86_64::{__m256i, __m512, _mm256_loadu_si256, _mm512_cvtph_ps};
+            let h = _mm256_loadu_si256(src.as_ptr().cast::<__m256i>());
+            std::mem::transmute::<__m512, [f32; LANES]>(_mm512_cvtph_ps(h))
+        }
+    }
+    #[inline(always)]
+    fn lane(self, (): (), h: u16) -> f32 {
+        crate::quant::f16_to_f32(h)
     }
 }
 
 /// The packed matmul body recompiled with 256-bit vectors, 6x16 tiles.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,f16c")]
 unsafe fn matmul_packed_avx2(a: &[f32], b: &PackedMatrix, out: &mut [f32]) {
     crate::matrix::matmul_packed_body::<1>(a, b, out);
 }
@@ -351,82 +394,38 @@ unsafe fn matmul_packed_avx512(a: &[f32], b: &PackedMatrix, out: &mut [f32]) {
     crate::matrix::matmul_packed_body::<2>(a, b, out);
 }
 
-/// The f32 gather+pool body recompiled with 256-bit vectors.
+/// The gather body recompiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` and `f16c`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_pool_csr_avx2(
-    data: &[f32],
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn gather_avx2<D: Decode>(
+    dec: D,
+    data: &[D::Elem],
     rows: u32,
     indices: &[u32],
     offsets: &[u32],
     out: &mut Matrix,
 ) {
-    crate::gather::gather_pool_csr_body(data, rows, indices, offsets, out);
+    crate::gather::gather_pool_body(dec, data, rows, indices, offsets, out);
 }
 
-/// The f32 gather+pool body recompiled with 512-bit vectors.
+/// The gather body recompiled with 512-bit vectors.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512bw` and `avx512vl`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-unsafe fn gather_pool_csr_avx512(
-    data: &[f32],
+unsafe fn gather_avx512<D: Decode>(
+    dec: D,
+    data: &[D::Elem],
     rows: u32,
     indices: &[u32],
     offsets: &[u32],
     out: &mut Matrix,
 ) {
-    crate::gather::gather_pool_csr_body(data, rows, indices, offsets, out);
-}
-
-/// The f16 gather+pool body recompiled with 256-bit vectors.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_pool_csr_f16_avx2(
-    data: &[u16],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    crate::quant::gather_pool_csr_f16_body(data, rows, indices, offsets, out);
-}
-
-/// The f16 gather+pool body recompiled with 512-bit vectors.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-unsafe fn gather_pool_csr_f16_avx512(
-    data: &[u16],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    crate::quant::gather_pool_csr_f16_body(data, rows, indices, offsets, out);
-}
-
-/// The i8 gather+pool body recompiled with 256-bit vectors.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_pool_csr_i8_avx2(
-    data: &[i8],
-    scales: &[f32],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    crate::quant::gather_pool_csr_i8_body(data, scales, rows, indices, offsets, out);
-}
-
-/// The i8 gather+pool body recompiled with 512-bit vectors.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-unsafe fn gather_pool_csr_i8_avx512(
-    data: &[i8],
-    scales: &[f32],
-    rows: u32,
-    indices: &[u32],
-    offsets: &[u32],
-    out: &mut Matrix,
-) {
-    crate::quant::gather_pool_csr_i8_body(data, scales, rows, indices, offsets, out);
+    crate::gather::gather_pool_body(dec, data, rows, indices, offsets, out);
 }

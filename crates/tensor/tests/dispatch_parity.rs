@@ -5,6 +5,7 @@
 //! the same order. Backends this CPU lacks are *skipped with an explicit
 //! log line*, never silently passed.
 
+use er_tensor::quant::f16_to_f32;
 use er_tensor::simd::{
     gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, matmul_packed_with,
     SimdBackend,
@@ -34,11 +35,27 @@ fn val(i: u64) -> f32 {
     ((h % 2001) as f32 - 1000.0) / 10_000.0
 }
 
-fn table(rows: u32, dim: usize) -> Vec<f32> {
-    (0..rows as u64 * dim as u64).map(val).collect()
+/// Rows whose every element is `-0.0`: pooled into a zeroed output they
+/// must leave `+0.0`, which catches an accumulator seeded from the first
+/// row instead of from `out`.
+fn negative_zero_row(r: u32) -> bool {
+    r % 7 == 3
 }
 
-/// A CSR lookup with varied run lengths (incl. an empty bag) over `rows`.
+fn table(rows: u32, dim: usize) -> Vec<f32> {
+    (0..rows as u64 * dim as u64)
+        .map(|i| {
+            if negative_zero_row((i / dim as u64) as u32) {
+                -0.0
+            } else {
+                val(i)
+            }
+        })
+        .collect()
+}
+
+/// A CSR lookup over `rows`: varied run lengths with empty inputs among
+/// them, then one input that pools only `-0.0` rows.
 fn lookup(rows: u32) -> (Vec<u32>, Vec<u32>) {
     let mut indices = Vec::new();
     let mut offsets = Vec::new();
@@ -50,59 +67,141 @@ fn lookup(rows: u32) -> (Vec<u32>, Vec<u32>) {
             next = next.wrapping_mul(2654435761).wrapping_add(1);
         }
     }
+    offsets.push(indices.len() as u32);
+    indices.extend([3, 10, 3]);
+    assert!(indices.iter().rev().take(3).all(|&r| negative_zero_row(r)));
     (indices, offsets)
+}
+
+/// Widths covering every chunk/tail split of the 16-lane gather body,
+/// and more chunks than it pools at once.
+const DIMS: [usize; 12] = [1, 3, 8, 15, 16, 17, 31, 32, 33, 48, 64, 80];
+
+/// `(rows, dim)` shapes to gather: a small table at every width in
+/// [`DIMS`], plus one table past the 4 MiB prefetch threshold.
+fn shapes() -> Vec<(u32, usize)> {
+    let mut shapes: Vec<(u32, usize)> = DIMS.iter().map(|&d| (97, d)).collect();
+    shapes.push((70_000, 33));
+    shapes
+}
+
+/// The output a gather starts from: zeros, or stale non-zero values.
+fn start(rows: usize, dim: usize, stale: bool) -> Matrix {
+    if stale {
+        let data = (0..rows * dim).map(|i| val(5000 + i as u64)).collect();
+        Matrix::from_vec(rows, dim, data).unwrap()
+    } else {
+        Matrix::zeros(rows, dim)
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs `gather` on every available rung, from a zeroed and from a stale
+/// output, and checks each result bit for bit against the naive
+/// per-element `+=` over the `decoded` table and against the scalar rung.
+fn check_gather(
+    what: &str,
+    decoded: &[f32],
+    dim: usize,
+    gather: impl Fn(SimdBackend, &[u32], &[u32], &mut Matrix),
+) {
+    let rows = (decoded.len() / dim) as u32;
+    let (indices, offsets) = lookup(rows);
+    for stale in [false, true] {
+        let mut oracle = start(offsets.len(), dim, stale);
+        for input in 0..offsets.len() {
+            let end = offsets
+                .get(input + 1)
+                .map_or(indices.len(), |&o| o as usize);
+            for &id in &indices[offsets[input] as usize..end] {
+                let src = &decoded[id as usize * dim..(id as usize + 1) * dim];
+                for (o, &v) in oracle.row_mut(input).iter_mut().zip(src) {
+                    *o += v;
+                }
+            }
+        }
+        let mut scalar: Option<Vec<u32>> = None;
+        for b in backends() {
+            let mut out = start(offsets.len(), dim, stale);
+            gather(b, &indices, &offsets, &mut out);
+            let got = bits(&out);
+            let ctx = format!("{what} gather {rows}x{dim} stale={stale} backend {b}");
+            assert_eq!(got, bits(&oracle), "{ctx} vs naive oracle");
+            match &scalar {
+                None => scalar = Some(got),
+                Some(r) => assert_eq!(&got, r, "{ctx} vs scalar"),
+            }
+        }
+    }
 }
 
 #[test]
 fn f32_gather_is_bit_identical_across_backends() {
-    for dim in [1usize, 7, 16, 64] {
-        let rows = 97u32;
+    for (rows, dim) in shapes() {
         let data = table(rows, dim);
-        let (indices, offsets) = lookup(rows);
-        let mut reference: Option<Matrix> = None;
-        for b in backends() {
-            let mut out = Matrix::zeros(offsets.len(), dim);
-            gather_pool_csr_with(b, &data, rows, &indices, &offsets, &mut out);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "f32 gather dim {dim} backend {b}"),
-            }
-        }
+        check_gather("f32", &data, dim, |b, indices, offsets, out| {
+            gather_pool_csr_with(b, &data, rows, indices, offsets, out);
+        });
     }
 }
 
 #[test]
 fn f16_gather_is_bit_identical_across_backends() {
-    for dim in [3usize, 8, 64] {
-        let rows = 97u32;
+    for (rows, dim) in shapes() {
         let stored = quantize_f16(&table(rows, dim));
-        let (indices, offsets) = lookup(rows);
-        let mut reference: Option<Matrix> = None;
-        for b in backends() {
-            let mut out = Matrix::zeros(offsets.len(), dim);
-            gather_pool_csr_f16_with(b, &stored, rows, &indices, &offsets, &mut out);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "f16 gather dim {dim} backend {b}"),
-            }
-        }
+        let decoded: Vec<f32> = stored.iter().map(|&h| f16_to_f32(h)).collect();
+        check_gather("f16", &decoded, dim, |b, indices, offsets, out| {
+            gather_pool_csr_f16_with(b, &stored, rows, indices, offsets, out);
+        });
     }
 }
 
 #[test]
 fn i8_gather_is_bit_identical_across_backends() {
-    for dim in [3usize, 8, 64] {
-        let rows = 97u32;
-        let (codes, scales) = quantize_i8_rows(&table(rows, dim), dim);
-        let (indices, offsets) = lookup(rows);
-        let mut reference: Option<Matrix> = None;
-        for b in backends() {
-            let mut out = Matrix::zeros(offsets.len(), dim);
-            gather_pool_csr_i8_with(b, &codes, &scales, rows, &indices, &offsets, &mut out);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "i8 gather dim {dim} backend {b}"),
+    for (rows, dim) in shapes() {
+        let (codes, mut scales) = quantize_i8_rows(&table(rows, dim), dim);
+        // A -0.0 scale turns the all-zero codes of a -0.0 row into -0.0
+        // lanes, which `quantize_i8_rows` alone never produces.
+        for (r, s) in scales.iter_mut().enumerate() {
+            if negative_zero_row(r as u32) {
+                *s = -0.0;
             }
+        }
+        let decoded: Vec<f32> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| scales[i / dim] * q as f32)
+            .collect();
+        check_gather("i8", &decoded, dim, |b, indices, offsets, out| {
+            gather_pool_csr_i8_with(b, &codes, &scales, rows, indices, offsets, out);
+        });
+    }
+}
+
+#[test]
+fn f16_decode_is_exact_on_every_bit_pattern_and_backend() {
+    // Every u16 once, 16 to a row, so each rung decodes all of them in its
+    // 16-lane chunk path; one lookup per row into its own output row,
+    // which starts at -0.0 so the add returns the decoded lane unchanged
+    // (signed zeros included; a signalling NaN comes back quiet, which is
+    // what `f16_to_f32` must then return as well).
+    let dim = 16;
+    let stored: Vec<u16> = (0..=u16::MAX).collect();
+    let rows = (stored.len() / dim) as u32;
+    let indices: Vec<u32> = (0..rows).collect();
+    let want: Vec<u32> = stored.iter().map(|&h| f16_to_f32(h).to_bits()).collect();
+    for b in backends() {
+        let mut out = Matrix::filled(rows as usize, dim, -0.0);
+        gather_pool_csr_f16_with(b, &stored, rows, &indices, &indices, &mut out);
+        let got = bits(&out);
+        for (h, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g, w,
+                "f16 {h:#06x} decodes to {g:#010x}, want {w:#010x} on {b}"
+            );
         }
     }
 }

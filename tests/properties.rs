@@ -11,6 +11,7 @@ use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator, TableLookup};
 use er_partition::{bucketize, partition_exact, PartitionPlan};
 use er_sim::{SimRng, SimTime};
 use er_tensor::Matrix;
+use er_units::ElemKind;
 
 /// Generates a valid (indices, offsets) lookup over a table of `rows`.
 fn lookup_strategy(rows: u32) -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
@@ -302,18 +303,27 @@ proptest! {
     }
 
     /// The fused gather+pool kernel is bit-identical to the scalar
-    /// reference for any lookup shape and embedding width.
+    /// reference for any lookup shape, element kind and embedding width —
+    /// widths cover every chunk/tail split of the 16-lane kernel body and
+    /// more chunks than it pools at once — whatever its output held before.
     #[test]
     fn fused_gather_matches_reference_exactly(
         (indices, offsets) in lookup_strategy(64),
-        dim in 1u32..33,
+        dim_ix in 0usize..12,
+        kind_ix in 0usize..3,
         seed in 0u64..1000,
+        stale_rows in 1usize..8,
     ) {
-        let table = EmbeddingTable::with_seed(64, dim, seed);
+        let dim = [1u32, 3, 8, 15, 16, 17, 31, 32, 33, 48, 64, 80][dim_ix];
+        let kind = [ElemKind::F32, ElemKind::F16, ElemKind::I8][kind_ix];
+        let table = EmbeddingTable::with_seed(64, dim, seed).quantized(kind);
         let lookup = TableLookup::new(indices, offsets).expect("strategy emits valid lookups");
-        let mut out = Matrix::zeros(1, 1);
+        let mut out = Matrix::filled(stale_rows, 3, 7.0);
         table.gather_pool_into(lookup.indices(), lookup.offsets(), &mut out);
-        prop_assert_eq!(table.gather_pool(&lookup), out);
+        let want = table.gather_pool(&lookup);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(want.shape(), out.shape());
+        prop_assert_eq!(bits(&want), bits(&out));
     }
 
     /// For any partition and seed, one long-lived workspace reused across
