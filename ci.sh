@@ -54,7 +54,6 @@ run_stage "er-lint fixtures" cargo test -q -p er-lint --test rule_fixtures
 run_stage "hot-alloc sync" cargo test -q -p er-lint --test hot_alloc_sync
 run_stage "build (tier-1)" cargo build --release
 run_stage "test (tier-1)" cargo test -q
-run_stage "test race-check" cargo test -q -p elasticrec --features race-check
 # The warm-workspace forward pass must stay allocation-free (its own test
 # binary: the counting global allocator is process-wide).
 run_stage "test zero-alloc" cargo test -q -p elasticrec --features alloc-count --test zero_alloc
@@ -63,16 +62,13 @@ run_stage "test zero-alloc" cargo test -q -p elasticrec --features alloc-count -
 # scale are noise — the full run is `cargo run --release -p er-bench --bin
 # perfsuite`.
 run_stage "perfsuite smoke" ./target/release/perfsuite --smoke
-# The parallel simulation core's contract: the sharded windowed engine is
-# bit-identical at 1/2/4/8 worker threads on a Figure 19-class scenario.
-run_stage "par-sim parity" ./target/release/perfsuite --par-parity
 # The quantized data plane's contract: every available SIMD backend
 # produces bit-identical f32 gathers, and f16/i8 gathers stay inside their
 # analytic error bounds (unavailable backends are logged as skipped).
 run_stage "quant parity" ./target/release/perfsuite --quant-parity
 # The control plane's contract: er-mc exhaustively explores the documented
 # CI bound (2 deployments x 3 replicas x 6 traffic steps) over the *same*
-# pure handlers the engines run, hard-failing on any counterexample. The
+# pure handlers the engine runs, hard-failing on any counterexample. The
 # machine-readable report lands at target/er-mc.json (er-lint-style schema).
 run_stage "er-mc" ./target/release/er-mc --format json --out target/er-mc.json
 

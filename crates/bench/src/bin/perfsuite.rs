@@ -1,7 +1,7 @@
 //! Performance baseline suite: times the serving fast path end to end and
 //! writes `BENCH_perf.json` so every PR leaves a perf trajectory behind.
 //!
-//! Three timed sections, each with a deterministic work definition so runs
+//! Four timed sections, each with a deterministic work definition so runs
 //! are comparable across commits on the same machine:
 //!
 //! * `event_queue` — raw schedule/pop throughput of [`er_sim::EventQueue`]
@@ -11,48 +11,43 @@
 //!   (the functional serving path: remap → bucketize → gather → MLP);
 //! * `fig19_sim` — the Figure 19 dynamic-traffic closed loop (arrivals,
 //!   fan-out, HPA) at full duration, the wall-clock-dominant workload of
-//!   the whole reproduction.
+//!   the whole reproduction;
+//! * `par_seq` — the same closed loop on a second seed, pinning a second
+//!   simulation digest.
 //!
 //! Every section also folds its *simulation-visible* results into a
 //! determinism digest, so a perf refactor that changes outputs is caught
 //! here as well as in the test suite.
 //!
-//! A fourth group times the *parallel* simulation core: `par_seq` runs the
-//! sequential engine on a shared scenario, and `par_sim_t{1,2,4,8}` run
-//! the sharded windowed engine ([`elasticrec::ParSimulation`]) at 8 shards
-//! on 1/2/4/8 worker threads. The four parallel digests must be identical
-//! — the suite exits nonzero if any thread count changes a single bit.
-//!
-//! A fifth group covers the quantized data plane: `quant_{f32,f16,i8}_d64`
+//! A further group covers the quantized data plane: `quant_{f32,f16,i8}_d64`
 //! time the fused CSR gather over a dim-64 table in each storage kind
 //! (same index stream, so the wall-clock ratio is the bandwidth win of
 //! narrow storage; full mode enforces i8 >= 1.8x of f32).
 //!
 //! Usage:
 //!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--fleet]
-//!             [--par-parity] [--quant-parity] [--mc]
-//!             [--no-enforce-speedup]
+//!             [--quant-parity] [--mc] [--no-enforce-speedup]
 //!
 //! `--smoke` runs a tiny configuration (CI-sized), writes to
 //! `target/BENCH_perf_smoke.json` by default, and validates the emitted
 //! JSON schema. `--baseline` points at a previous `BENCH_perf.json`; its
 //! `wall_secs` per section are embedded, speedups computed, and any
 //! section slower than 0.95x of its baseline fails the run (opt out with
-//! `--no-enforce-speedup`). `--par-parity` runs only the parallel-engine
-//! digest-equality check (the CI stage); `--quant-parity` runs only the
+//! `--no-enforce-speedup`). `--quant-parity` runs only the
 //! quantized-data-plane checks: f32, f16 and i8 gather digests
 //! bit-identical across every available SIMD backend, every rung's f16
 //! decode exact on all 65,536 bit patterns, and quantized gathers within
 //! their analytic error bounds. `--mc` runs only the bounded er-mc control-plane
 //! check at smoke scale (both route policies), timed like a perf section,
 //! exiting nonzero on any counterexample. `--fleet` adds the 1000-node
-//! synthetic fleet scenario as a timed section.
+//! synthetic fleet scenario as a timed section, `fleet_par`. It and
+//! `par_seq` keep their old names so committed baselines still match.
 
 use std::time::Instant;
 
 use elasticrec::{
-    plan, Calibration, ParSimConfig, ParSimulation, Platform, ShardedDlrm, Simulation,
-    SimulationConfig, SimulationOutcome, Strategy,
+    plan, Calibration, Platform, ShardedDlrm, Simulation, SimulationConfig, SimulationOutcome,
+    Strategy,
 };
 use er_bench::perf::{self, Digest, PerfReport, Section};
 use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator};
@@ -119,17 +114,12 @@ const SMOKE: Scale = Scale {
     quant_pooling: 8,
 };
 
-/// Thread counts the parallel engine is timed (and parity-checked) at.
-const PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Shard count for the parallel sections.
-const PAR_SHARDS: usize = 8;
 /// Minimum acceptable speedup vs the attached baseline per section.
 const SPEEDUP_FLOOR: f64 = 0.95;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let par_parity = args.iter().any(|a| a == "--par-parity");
     let quant_parity = args.iter().any(|a| a == "--quant-parity");
     let mc = args.iter().any(|a| a == "--mc");
     let fleet = args.iter().any(|a| a == "--fleet");
@@ -142,22 +132,6 @@ fn main() {
         }
     });
     let baseline_path = flag_value(&args, "--baseline");
-
-    if par_parity {
-        // The CI stage: parallel digest equality at smoke scale, nothing
-        // written, nonzero exit on the first diverging thread count.
-        let sections = bench_par(&SMOKE);
-        let mut table = PerfReport::new("par-parity");
-        for s in sections {
-            table.push(s);
-        }
-        println!("{}", table.summary_table());
-        println!(
-            "par-sim parity ok: {} thread counts agree",
-            PAR_THREADS.len()
-        );
-        return;
-    }
 
     if quant_parity {
         // The CI stage: f32 gather digests must agree across every SIMD
@@ -188,15 +162,13 @@ fn main() {
 
     report.push(bench_event_queue(scale));
     report.push(bench_forward(scale));
-    report.push(bench_fig19(scale));
-    for s in bench_par(scale) {
-        report.push(s);
-    }
+    report.push(bench_sim("fig19_sim", &fig19_config(scale, 1234)));
+    report.push(bench_sim("par_seq", &fig19_config(scale, 4321)));
     for s in bench_quant(scale, !smoke) {
         report.push(s);
     }
     if fleet {
-        report.push(bench_fleet());
+        report.push(bench_sim("fleet_par", &fleet_config()));
     }
 
     if let Some(path) = &baseline_path {
@@ -323,29 +295,45 @@ fn bench_forward(scale: &Scale) -> Section {
     Section::new("forward", wall, scale.forward_iters, digest)
 }
 
-/// The Figure 19 dynamic-traffic closed loop under the Elastic strategy.
-/// Work units are completed queries; the digest folds the full metrics
-/// time series and final replica counts — the bit-identical contract of
-/// the scheduler/workspace rewrite.
+/// Times one [`Simulation::run`] of `cfg` on the Elastic RM1 plan. Work
+/// units are completed queries; the digest folds the whole outcome, so
+/// any event-ordering change anywhere in the run moves it.
 #[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_fig19(scale: &Scale) -> Section {
+fn bench_sim(name: &str, cfg: &SimulationConfig) -> Section {
     let calib = Calibration::cpu_only();
-    let cfg_model = configs::rm1();
-    let p = plan(&cfg_model, Platform::CpuOnly, Strategy::Elastic, &calib);
-    let schedule = TrafficSchedule::figure19(scale.sim_base_qps, scale.sim_duration / 8.0);
-    let cfg = SimulationConfig::new(schedule, scale.sim_duration, 1234);
+    let p = plan(
+        &configs::rm1(),
+        Platform::CpuOnly,
+        Strategy::Elastic,
+        &calib,
+    );
 
     // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
     let t0 = Instant::now();
-    let out = Simulation::run(&p, &calib, &cfg);
+    let out = Simulation::run(&p, &calib, cfg);
     let wall = t0.elapsed().as_secs_f64();
+    Section::new(name, wall, out.completed_queries, digest_outcome(&out))
+}
 
-    Section::new(
-        "fig19_sim",
-        wall,
-        out.completed_queries,
-        digest_outcome(&out),
-    )
+/// The Figure 19 dynamic-traffic closed loop at the suite's scale.
+/// `fig19_sim` and `par_seq` run it on two seeds, so a change that happens
+/// to leave one digest intact still has a second one to move.
+fn fig19_config(scale: &Scale, seed: u64) -> SimulationConfig {
+    let schedule = TrafficSchedule::figure19(scale.sim_base_qps, scale.sim_duration / 8.0);
+    SimulationConfig::new(schedule, scale.sim_duration, seed)
+}
+
+/// The 1000-node synthetic fleet: a heavy Figure 19-class scenario with a
+/// hard 1000-node budget, a deep replica ceiling and a node failure.
+/// Exercises the engine under sustained HPA churn and large pod sets
+/// rather than at toy cluster sizes.
+fn fleet_config() -> SimulationConfig {
+    let schedule = TrafficSchedule::figure19(400.0, 30.0);
+    let mut cfg = SimulationConfig::new(schedule, 240.0, 77);
+    cfg.max_nodes = Some(1000);
+    cfg.max_replicas = 2048;
+    cfg.fail_node_at = Some(90.0);
+    cfg
 }
 
 /// Folds a simulation outcome bit-for-bit: counters, latency percentiles,
@@ -375,86 +363,6 @@ fn digest_outcome(out: &SimulationOutcome) -> Digest {
         }
     }
     digest
-}
-
-/// The parallel-engine section group: the sequential engine (`par_seq`)
-/// and the sharded windowed engine at [`PAR_SHARDS`] shards across
-/// [`PAR_THREADS`] worker counts, all on one shared Figure 19-class
-/// scenario. Exits nonzero if any thread count produces a different
-/// digest — thread-count invariance is this engine's core contract, so a
-/// violation is a correctness failure, not a perf data point.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_par(scale: &Scale) -> Vec<Section> {
-    let calib = Calibration::cpu_only();
-    let cfg_model = configs::rm1();
-    let p = plan(&cfg_model, Platform::CpuOnly, Strategy::Elastic, &calib);
-    let schedule = TrafficSchedule::figure19(scale.sim_base_qps, scale.sim_duration / 8.0);
-    let cfg = SimulationConfig::new(schedule, scale.sim_duration, 4321);
-
-    let mut sections = Vec::new();
-
-    // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
-    let t0 = Instant::now();
-    let seq = Simulation::run(&p, &calib, &cfg);
-    let wall = t0.elapsed().as_secs_f64();
-    sections.push(Section::new(
-        "par_seq",
-        wall,
-        seq.completed_queries,
-        digest_outcome(&seq),
-    ));
-
-    let mut digests: Vec<String> = Vec::new();
-    for threads in PAR_THREADS {
-        let par = ParSimConfig::new(PAR_SHARDS, threads);
-        // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
-        let t0 = Instant::now();
-        let out = ParSimulation::run(&p, &calib, &cfg, &par);
-        let wall = t0.elapsed().as_secs_f64();
-        let digest = digest_outcome(&out);
-        digests.push(digest.hex());
-        sections.push(Section::new(
-            &format!("par_sim_t{threads}"),
-            wall,
-            out.completed_queries,
-            digest,
-        ));
-    }
-    if digests.iter().any(|d| d != &digests[0]) {
-        eprintln!(
-            "perfsuite: par_sim digests diverged across thread counts {PAR_THREADS:?}: {digests:?}"
-        );
-        std::process::exit(1);
-    }
-    sections
-}
-
-/// The 1000-node synthetic fleet: a heavy Figure 19-class scenario with a
-/// hard 1000-node budget and a deep replica ceiling, run on the parallel
-/// engine at full width. Exercises the sharded core under sustained
-/// HPA churn and large pod sets rather than at toy cluster sizes.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_fleet() -> Section {
-    let calib = Calibration::cpu_only();
-    let cfg_model = configs::rm1();
-    let p = plan(&cfg_model, Platform::CpuOnly, Strategy::Elastic, &calib);
-    let schedule = TrafficSchedule::figure19(400.0, 30.0);
-    let mut cfg = SimulationConfig::new(schedule, 240.0, 77);
-    cfg.max_nodes = Some(1000);
-    cfg.max_replicas = 2048;
-    cfg.fail_node_at = Some(90.0);
-
-    let par = ParSimConfig::new(PAR_SHARDS, PAR_THREADS[PAR_THREADS.len() - 1]);
-    // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
-    let t0 = Instant::now();
-    let out = ParSimulation::run(&p, &calib, &cfg, &par);
-    let wall = t0.elapsed().as_secs_f64();
-    Section::new(
-        "fleet_par",
-        wall,
-        out.completed_queries,
-        digest_outcome(&out),
-    )
 }
 
 /// The `--mc` CI stage: bounded explicit-state check of the er-mc

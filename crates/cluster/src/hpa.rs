@@ -241,7 +241,7 @@ impl HpaPolicy {
 /// floored at need/0.85 so capacity never drops below what the traffic
 /// requires.
 ///
-/// Pure like [`HpaPolicy::step`]: both simulation engines and the `er-mc`
+/// Pure like [`HpaPolicy::step`]: the simulation engine and the `er-mc`
 /// control-plane model call this exact function.
 pub fn bound_frontend_desired(
     desired: usize,
@@ -265,7 +265,7 @@ pub fn bound_frontend_desired(
 /// after a traffic step leaves fewer replicas than the new load needs).
 /// The guard clamps a scale-down so post-apply capacity still covers the
 /// load offered at apply time; scale-ups and no-ops pass through
-/// untouched. When decision and apply are atomic (the simulation engines),
+/// untouched. When decision and apply are atomic (the simulation engine),
 /// the clamp is an exact no-op, because the decision already covers the
 /// same observation.
 pub fn clamp_scale_to_load(

@@ -24,7 +24,7 @@ use crate::{Calibration, Platform, ServingPlan, ShardService, SteadyState};
 /// Fraction of a replica's theoretical saturation throughput used as its
 /// autoscaling threshold — the "knee" where tail latency starts climbing
 /// in the paper's stress tests (Section IV-D).
-pub(crate) const KNEE_FRACTION: f64 = 0.80;
+const KNEE_FRACTION: f64 = 0.80;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -143,16 +143,16 @@ enum Event {
     HpaTick,
 }
 
-pub(crate) struct QueryState {
-    pub(crate) arrive: f64,
+struct QueryState {
+    arrive: f64,
     /// Embedding-shard RPCs whose pod assignment is still pending.
-    pub(crate) pending_sparse: usize,
-    pub(crate) bottom_start: f64,
-    pub(crate) bottom_end: f64,
+    pending_sparse: usize,
+    bottom_start: f64,
+    bottom_end: f64,
     /// Running max of per-shard response-landing times; once the last
     /// `SparseArrive` resolves, this is the fan-in instant.
-    pub(crate) sparse_done: f64,
-    pub(crate) dense_pod: u64,
+    sparse_done: f64,
+    dense_pod: u64,
 }
 
 /// Generational slab of in-flight queries, replacing a `HashMap<u64, _>`.
@@ -163,13 +163,13 @@ pub(crate) struct QueryState {
 /// same defensive behaviour the map's `get(&qid) == None` gave, without
 /// hashing on every event.
 #[derive(Default)]
-pub(crate) struct QuerySlab {
+struct QuerySlab {
     slots: Vec<(u32, Option<QueryState>)>,
     free: Vec<u32>,
 }
 
 impl QuerySlab {
-    pub(crate) fn insert(&mut self, state: QueryState) -> u64 {
+    fn insert(&mut self, state: QueryState) -> u64 {
         match self.free.pop() {
             Some(slot) => {
                 let (gen, q) = &mut self.slots[slot as usize];
@@ -185,7 +185,7 @@ impl QuerySlab {
         }
     }
 
-    pub(crate) fn get_mut(&mut self, qid: u64) -> Option<&mut QueryState> {
+    fn get_mut(&mut self, qid: u64) -> Option<&mut QueryState> {
         let (gen, q) = self.slots.get_mut(qid as u32 as usize)?;
         if u64::from(*gen) != qid >> 32 {
             return None;
@@ -193,7 +193,7 @@ impl QuerySlab {
         q.as_mut()
     }
 
-    pub(crate) fn remove(&mut self, qid: u64) -> Option<QueryState> {
+    fn remove(&mut self, qid: u64) -> Option<QueryState> {
         let (gen, q) = self.slots.get_mut(qid as u32 as usize)?;
         if u64::from(*gen) != qid >> 32 {
             return None;
@@ -227,12 +227,12 @@ pub struct StageBreakdown {
 }
 
 /// Per-deployment runtime state.
-pub(crate) struct DeployState {
+struct DeployState {
     /// Dense cluster handle, resolved once at startup.
-    pub(crate) id: DeployId,
-    pub(crate) qps_window: QpsWindow,
-    pub(crate) interval_latency: Histogram,
-    pub(crate) hpa: HpaController,
+    id: DeployId,
+    qps_window: QpsWindow,
+    interval_latency: Histogram,
+    hpa: HpaController,
 }
 
 /// The simulation entry point.
@@ -874,12 +874,75 @@ mod tests {
         assert!(late_p95 < 400.0, "late p95 {late_p95} ms");
     }
 
+    /// FNV-1a fold over every observable in the outcome, bit-exact: any
+    /// reordering of any event anywhere in the run changes this value.
+    fn digest(out: &SimulationOutcome) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x100_0000_01b3);
+        fold(out.total_queries);
+        fold(out.completed_queries);
+        fold(out.sla_violation_intervals as u64);
+        fold(out.metric_intervals as u64);
+        fold(out.final_nodes_used as u64);
+        fold(out.peak_memory_gib.to_bits());
+        fold(out.latency.count());
+        fold(out.latency.mean().to_bits());
+        for p in [0.5, 0.95, 0.99] {
+            fold(out.latency.percentile(p).to_bits());
+        }
+        for series in [
+            &out.achieved_qps,
+            &out.target_qps,
+            &out.memory_gib,
+            &out.p95_ms,
+            &out.total_replicas,
+        ] {
+            for pt in series.points() {
+                fold(pt.time.to_bits());
+                fold(pt.value.to_bits());
+            }
+        }
+        for hist in [
+            &out.stages.frontend_wait,
+            &out.stages.frontend_service,
+            &out.stages.sparse_phase,
+            &out.stages.top_wait,
+            &out.stages.top_service,
+            &out.stages.client_rtt,
+        ] {
+            fold(hist.count());
+            if hist.count() > 0 {
+                fold(hist.mean().to_bits());
+            }
+        }
+        h
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let a = run(Strategy::Elastic, 30.0, 8.0);
         let b = run(Strategy::Elastic, 30.0, 8.0);
-        assert_eq!(a.total_queries, b.total_queries);
-        assert_eq!(a.completed_queries, b.completed_queries);
-        assert_eq!(a.latency.percentile(0.5), b.latency.percentile(0.5));
+        assert_eq!(digest(&a), digest(&b));
+
+        // HPA reconfigurations under a traffic step plus a node failure:
+        // the whole outcome still repeats bit for bit.
+        let calib = Calibration::cpu_only();
+        let p = plan(&small_model(), Platform::CpuOnly, Strategy::Elastic, &calib);
+        let schedule = TrafficSchedule::steps(&[(0.0, 20.0), (10.0, 90.0)]).unwrap();
+        let mut cfg = SimulationConfig::new(schedule, 30.0, 7);
+        cfg.fail_node_at = Some(13.0);
+        let a = Simulation::run(&p, &calib, &cfg);
+        let b = Simulation::run(&p, &calib, &cfg);
+        assert_eq!(digest(&a), digest(&b));
+        let replicas: Vec<f64> = a
+            .total_replicas
+            .points()
+            .iter()
+            .map(|pt| pt.value)
+            .collect();
+        assert!(
+            replicas.windows(2).any(|w| w[0] != w[1]),
+            "the scenario never rescaled: {replicas:?}"
+        );
     }
 }

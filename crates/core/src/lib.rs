@@ -38,10 +38,7 @@
 
 mod calib;
 mod engine;
-mod par_engine;
 mod planning;
-#[cfg(feature = "race-check")]
-pub mod race;
 mod sharded;
 mod shards;
 mod sizing;
@@ -50,12 +47,9 @@ mod workspace;
 
 pub use calib::Calibration;
 pub use engine::{Simulation, SimulationConfig, SimulationOutcome, StageBreakdown};
-pub use par_engine::{ParSimConfig, ParSimulation};
 pub use planning::{
     plan, plan_elastic_fixed_shards, plan_elastic_with_plans, Platform, ServingPlan, Strategy,
 };
-#[cfg(feature = "race-check")]
-pub use race::{VectorClock, WindowRaceChecker, WindowRaceEvent};
 pub use sharded::ShardedDlrm;
 pub use shards::{ShardRole, ShardService, ShardSpec};
 pub use sizing::{SteadyState, STEADY_UTILIZATION};

@@ -1,7 +1,7 @@
 //! The actor shape: pure `on_msg` handlers over value states, plus
 //! adapters wrapping the *real* control-plane handlers (the same
 //! `HpaPolicy::step`, `er_rpc::pure` transitions, and `place_pod` the
-//! simulation engines execute) so the model checker explores production
+//! simulation engine executes) so the model checker explores production
 //! code, not a re-model.
 
 use std::fmt;
@@ -66,7 +66,7 @@ pub struct HpaTick {
 }
 
 /// The HPA as an actor: wraps the pure [`HpaPolicy::step`] the simulation
-/// engines call.
+/// engine calls.
 #[derive(Debug, Clone)]
 pub struct HpaActor {
     /// The policy under check.

@@ -210,7 +210,7 @@ pub struct CpState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpAction {
     /// Time advances one tick: startups complete, then every deployment's
-    /// HPA evaluates the current traffic (the engines' periodic HpaTick).
+    /// HPA evaluates the current traffic (the engine's periodic HpaTick).
     Tick,
     /// The offered load moves to the next scripted step.
     TrafficStep,
@@ -356,7 +356,7 @@ impl ControlPlane {
             // The fix for the stale-decision race this checker found: the
             // load may have stepped up between decision and delivery, so
             // the apply path re-validates against the load offered *now* —
-            // the same `clamp_scale_to_load` both engines route through.
+            // the same `clamp_scale_to_load` the engine routes through.
             target = clamp_scale_to_load(
                 target as usize,
                 current as usize,
@@ -473,7 +473,7 @@ impl Model for ControlPlane {
             deploys,
         };
         // Every deployment starts with one warm replica, like the
-        // engines' warmed-up initial deployments.
+        // engine's warmed-up initial deployments.
         for d in 0..self.cfg.deployments() {
             let node = self
                 .place_one(&mut state, d)

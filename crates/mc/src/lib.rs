@@ -12,7 +12,7 @@
 //! * an [`actor`] shape (`fn on_msg(&State, Msg) -> (State, Vec<Out>)`)
 //!   with adapters wrapping the *production* pure handlers —
 //!   `HpaPolicy::step`, `er_rpc::pure`, and `er_cluster::place_pod` — so
-//!   the simulation engines and the checker drive the exact same code;
+//!   the simulation engine and the checker drive the exact same code;
 //! * a composed [`control`] model exploring HPA decisions, scale
 //!   deliveries, routing, completions, traffic steps, and pod startup
 //!   against the property catalog ([`control::properties`]): no

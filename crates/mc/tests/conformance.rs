@@ -7,8 +7,8 @@
 //! 1. **Engine → handler lockstep.** Random scenario traces driven through
 //!    the stateful [`HpaController`] / [`LeastOutstanding`] /
 //!    [`PowerOfTwoChoices`] and through the pure actors at the same time
-//!    must produce identical decisions and identical states — the engines
-//!    really do route through the code the checker checks.
+//!    must produce identical decisions and identical states — the engine
+//!    really does route through the code the checker checks.
 //! 2. **Model walks → invariants.** Random walks over the
 //!    [`ControlPlane`] model must only visit states the `Always`
 //!    properties accept, and only end in terminals the

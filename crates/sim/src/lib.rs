@@ -32,10 +32,8 @@
 
 mod queue;
 mod rng;
-mod shard;
 mod time;
 
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use shard::{LpCtx, LpId, LpLogic, ShardedSim, WindowConfig, WindowObserver, WindowStats};
 pub use time::SimTime;

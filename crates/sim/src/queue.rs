@@ -215,11 +215,6 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Timestamp of the next pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at())
-    }
-
     /// Number of events waiting to fire.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -381,7 +376,6 @@ mod tests {
     fn peek_does_not_advance_clock() {
         let mut q = EventQueue::new();
         q.schedule_in(2.0, ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -392,7 +386,6 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.pop().is_none());
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -92,38 +92,23 @@ impl SimRng {
         -(1.0 - u).ln() / rate
     }
 
-    /// Splits off an independent generator derived from this one's stream,
-    /// so parallel components get decorrelated but reproducible randomness.
-    ///
-    /// Note that `split` *consumes* a draw from the parent, so the child
-    /// depends on the parent's current position. Sharded simulations should
-    /// use [`SimRng::substream`] instead, which is position-independent.
-    pub fn split(&mut self) -> SimRng {
-        SimRng::seed_from(self.next_u64())
-    }
-
     /// Jump-ahead substream `stream`: an independent generator derived
     /// purely from `(base seed, stream)` by SplitMix64 key mixing.
     ///
-    /// Unlike [`SimRng::split`], this draws nothing from the parent, so:
+    /// This draws nothing from the parent, so:
     ///
     /// - substream `i` is identical no matter how many draws the parent
     ///   has made, and
     /// - substream `i` is identical no matter how many *other* substreams
-    ///   exist — shard 3's draw sequence is the same whether the
-    ///   simulation runs with 4 shards or 64.
+    ///   exist.
     ///
-    /// Those two properties are what make per-shard randomness in the
-    /// parallel simulator invariant under the shard count. Two rounds of
-    /// the SplitMix64 bijection decorrelate adjacent stream indices.
+    /// A caller can therefore hand each component (a table, a scenario)
+    /// its own fixed stream index and add or reorder components without
+    /// perturbing the others. Two rounds of the SplitMix64 bijection
+    /// decorrelate adjacent stream indices.
     pub fn substream(&self, stream: u64) -> SimRng {
         let key = splitmix64(self.base_seed ^ splitmix64(stream));
         SimRng::seed_from(splitmix64(key))
-    }
-
-    /// The seed this generator (and its substream family) was built from.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
     }
 }
 
@@ -186,17 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn split_streams_are_reproducible_and_distinct() {
-        let mut parent1 = SimRng::seed_from(9);
-        let mut parent2 = SimRng::seed_from(9);
-        let mut c1 = parent1.split();
-        let mut c2 = parent2.split();
-        assert_eq!(c1.next_u64(), c2.next_u64());
-        // Child and parent streams diverge.
-        assert_ne!(parent1.next_u64(), c1.next_u64());
-    }
-
-    #[test]
     fn substream_is_independent_of_parent_position() {
         // Drawing from the parent must not shift any substream: the
         // substream is a pure function of (base seed, stream index).
@@ -216,14 +190,15 @@ mod tests {
 
     #[test]
     fn substream_is_invariant_under_shard_count() {
-        // Building 2 substreams vs 64 substreams must hand shard k the
-        // exact same draw sequence — shard count never perturbs a shard.
+        // Building 2 substreams vs 64 substreams must hand stream k the
+        // exact same draw sequence: the number of streams never perturbs
+        // one of them.
         let root = SimRng::seed_from(0xE1A5);
         let few: Vec<SimRng> = (0..2).map(|s| root.substream(s)).collect();
         let many: Vec<SimRng> = (0..64).map(|s| root.substream(s)).collect();
         for (k, (mut a, mut b)) in few.into_iter().zip(many).enumerate() {
             for _ in 0..128 {
-                assert_eq!(a.next_u64(), b.next_u64(), "shard {k} diverged");
+                assert_eq!(a.next_u64(), b.next_u64(), "stream {k} diverged");
             }
         }
     }
@@ -255,7 +230,6 @@ mod tests {
             .filter(|_| parent.next_u64() == sub.next_u64())
             .count();
         assert!(same < 4);
-        assert_eq!(root.base_seed(), 5);
     }
 
     #[test]
