@@ -67,9 +67,10 @@ run_stage "perfsuite smoke" ./target/release/perfsuite --smoke
 # analytic error bounds (unavailable backends are logged as skipped).
 run_stage "quant parity" ./target/release/perfsuite --quant-parity
 # The control plane's contract: er-mc exhaustively explores the documented
-# CI bound (2 deployments x 3 replicas x 6 traffic steps) over the *same*
-# pure handlers the engine runs, hard-failing on any counterexample. The
-# machine-readable report lands at target/er-mc.json (er-lint-style schema).
+# CI bound (2 deployments x 3 replicas x 6 traffic steps) over the same pure
+# HPA and placement handlers the engine runs, plus er_rpc::pure's counter
+# routing model, hard-failing on any counterexample. The machine-readable
+# report lands at target/er-mc.json (er-lint-style schema).
 run_stage "er-mc" ./target/release/er-mc --format json --out target/er-mc.json
 
 echo

@@ -24,8 +24,6 @@ pub enum ScheduleError {
         /// The node-count cap that was hit.
         max_nodes: usize,
     },
-    /// A deployment name was not found.
-    UnknownDeployment(String),
     /// A deployment with this name already exists.
     DuplicateDeployment(String),
 }
@@ -43,9 +41,6 @@ impl fmt::Display for ScheduleError {
                 f,
                 "no room for deployment '{deployment}' within {max_nodes} nodes"
             ),
-            ScheduleError::UnknownDeployment(name) => {
-                write!(f, "unknown deployment '{name}'")
-            }
             ScheduleError::DuplicateDeployment(name) => {
                 write!(f, "deployment '{name}' already exists")
             }
@@ -98,11 +93,10 @@ struct DeploymentState {
     pods: Vec<Pod>,
 }
 
-/// Dense handle to a deployment, resolved once via [`Cluster::deploy_id`]
-/// and valid for the cluster's lifetime (deployments are never reindexed,
-/// deletion leaves a tombstone). Handle-based accessors are plain `Vec`
-/// indexing — the per-event string lookups the simulation engine used to
-/// pay are gone.
+/// Dense handle to a deployment, returned by [`Cluster::create_deployment`]
+/// and valid for the cluster's lifetime (deployments are never reindexed
+/// or removed; scaling to zero drains one). Handle-based accessors are
+/// plain `Vec` indexing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeployId(usize);
 
@@ -122,7 +116,8 @@ pub struct DeployId(usize);
 ///
 /// let mut c = Cluster::new(HardwareProfile::cpu_only_node(), Some(4));
 /// let spec = PodSpec::new("w", ResourceRequest::cpu(32_000, 64 << 30), 1.0);
-/// c.create_deployment("workers", spec, 3, SimTime::ZERO)?;
+/// let workers = c.create_deployment("workers", spec, 3, SimTime::ZERO)?;
+/// assert_eq!(c.replicas_of(workers), 3);
 /// assert_eq!(c.nodes_used(), 2); // two 32-core pods per 64-core node
 /// # Ok::<(), er_cluster::ScheduleError>(())
 /// ```
@@ -130,11 +125,11 @@ pub struct DeployId(usize);
 pub struct Cluster {
     pools: Vec<NodePool>,
     nodes: Vec<Node>,
-    /// Deployment storage, indexed by [`DeployId`]. Deleted deployments
-    /// leave a drained tombstone so existing handles stay valid.
+    /// Deployment storage, indexed by [`DeployId`].
     deployments: Vec<DeploymentState>,
-    /// Live deployments by name, values indexing `deployments`. Sorted
-    /// iteration order keeps name-driven operations deterministic.
+    /// Deployments by name, values indexing `deployments`: rejects
+    /// duplicate names, and its sorted order fixes `fail_node`'s loss
+    /// order.
     by_name: BTreeMap<String, usize>,
     next_pod_id: u64,
 }
@@ -175,18 +170,21 @@ impl Cluster {
         &self.pools
     }
 
-    /// Creates a deployment with `replicas` initial pods.
+    /// Creates a deployment with `replicas` initial pods and returns its
+    /// handle.
     ///
     /// # Errors
     ///
-    /// Returns an error if the name is taken or the pods cannot be placed.
+    /// Returns an error if the name is taken or the pods cannot be placed;
+    /// in the latter case the deployment exists with the pods placed
+    /// before the failure.
     pub fn create_deployment(
         &mut self,
         name: impl Into<String>,
         spec: PodSpec,
         replicas: usize,
         now: SimTime,
-    ) -> Result<(), ScheduleError> {
+    ) -> Result<DeployId, ScheduleError> {
         let name = name.into();
         if self.by_name.contains_key(&name) {
             return Err(ScheduleError::DuplicateDeployment(name));
@@ -198,13 +196,14 @@ impl Cluster {
             pods: Vec::new(),
         });
         self.by_name.insert(name, idx);
-        self.scale_deployment(DeployId(idx), replicas, now)
+        self.scale_deployment(DeployId(idx), replicas, now)?;
+        Ok(DeployId(idx))
     }
 
     /// Creates a deployment whose *initial* pods are ready immediately —
     /// a warmed-up service, as at the start of a measurement run. Pods
-    /// added by later `scale_to` calls pay the spec's startup delay as
-    /// usual.
+    /// added by later [`Cluster::scale_deployment`] calls pay the spec's
+    /// startup delay as usual.
     ///
     /// # Errors
     ///
@@ -215,20 +214,12 @@ impl Cluster {
         spec: PodSpec,
         replicas: usize,
         now: SimTime,
-    ) -> Result<(), ScheduleError> {
-        let name = name.into();
-        self.create_deployment(name.clone(), spec, replicas, now)?;
-        let idx = self.by_name[&name];
-        for pod in &mut self.deployments[idx].pods {
+    ) -> Result<DeployId, ScheduleError> {
+        let id = self.create_deployment(name, spec, replicas, now)?;
+        for pod in &mut self.deployments[id.0].pods {
             pod.set_ready_at(now);
         }
-        Ok(())
-    }
-
-    /// Resolves a deployment name to its dense handle. Do this once, then
-    /// use the `*_of` accessors on the hot path.
-    pub fn deploy_id(&self, name: &str) -> Option<DeployId> {
-        self.by_name.get(name).copied().map(DeployId)
+        Ok(id)
     }
 
     /// The name a handle was created under.
@@ -258,18 +249,9 @@ impl Cluster {
         self.deployments[id.0].pods.len()
     }
 
-    /// Memory requested by one deployment's pods, by handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this cluster.
-    pub fn deployment_memory_of(&self, id: DeployId) -> u64 {
-        let d = &self.deployments[id.0];
-        d.spec.resources().memory_bytes * d.pods.len() as u64
-    }
-
-    /// Scales a deployment to exactly `replicas` pods, by handle. Same
-    /// semantics as [`Cluster::scale_to`].
+    /// Scales a deployment to exactly `replicas` pods. New pods become
+    /// ready `startup_secs` after `now`; removed pods free their resources
+    /// immediately (newest-first, Kubernetes' default victim order).
     ///
     /// # Errors
     ///
@@ -296,26 +278,6 @@ impl Cluster {
             }
         }
         Ok(())
-    }
-
-    /// Scales a deployment to exactly `replicas` pods. New pods become
-    /// ready `startup_secs` after `now`; removed pods free their resources
-    /// immediately (newest-first, Kubernetes' default victim order).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the deployment is unknown or a new pod cannot be
-    /// placed; pods placed before the failure remain.
-    pub fn scale_to(
-        &mut self,
-        name: &str,
-        replicas: usize,
-        now: SimTime,
-    ) -> Result<(), ScheduleError> {
-        let id = self
-            .deploy_id(name)
-            .ok_or_else(|| ScheduleError::UnknownDeployment(name.to_owned()))?;
-        self.scale_deployment(id, replicas, now)
     }
 
     fn add_pod(&mut self, idx: usize, now: SimTime) -> Result<(), ScheduleError> {
@@ -403,61 +365,13 @@ impl Cluster {
         node.pods -= 1;
     }
 
-    /// Deletes a deployment and frees all its pods.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the deployment is unknown.
-    pub fn delete_deployment(&mut self, name: &str) -> Result<(), ScheduleError> {
-        let idx = *self
-            .by_name
-            .get(name)
-            .ok_or_else(|| ScheduleError::UnknownDeployment(name.to_owned()))?;
-        while !self.deployments[idx].pods.is_empty() {
-            self.remove_pod(idx);
-        }
-        // Leave a drained tombstone in the slab so handles stay valid; only
-        // the name mapping goes away (and can be reused).
-        self.by_name.remove(name);
-        Ok(())
-    }
-
-    /// Desired (scheduled) replica count of a deployment, 0 if unknown.
-    pub fn replicas(&self, name: &str) -> usize {
-        self.deploy_id(name).map_or(0, |id| self.replicas_of(id))
-    }
-
-    /// Replicas past their startup delay at `now`.
-    pub fn ready_replicas(&self, name: &str, now: SimTime) -> usize {
-        self.deploy_id(name).map_or(0, |id| {
-            self.pods_of(id).iter().filter(|p| p.is_ready(now)).count()
-        })
-    }
-
-    /// The pods of a deployment (empty if unknown).
-    pub fn pods(&self, name: &str) -> &[Pod] {
-        self.deploy_id(name).map_or(&[], |id| self.pods_of(id))
-    }
-
-    /// Deployment names in creation-independent (sorted) order.
-    pub fn deployment_names(&self) -> Vec<&str> {
-        self.by_name.keys().map(String::as_str).collect()
-    }
-
     /// Total memory requested by all pods of all deployments — the paper's
-    /// "memory allocation size" metric. Tombstones hold no pods and
-    /// contribute nothing.
+    /// "memory allocation size" metric.
     pub fn memory_allocated_bytes(&self) -> u64 {
         self.deployments
             .iter()
             .map(|d| d.spec.resources().memory_bytes * d.pods.len() as u64)
             .sum()
-    }
-
-    /// Memory requested by one deployment's pods.
-    pub fn deployment_memory_bytes(&self, name: &str) -> u64 {
-        self.deploy_id(name)
-            .map_or(0, |id| self.deployment_memory_of(id))
     }
 
     /// Number of provisioned nodes currently hosting at least one pod —
@@ -539,10 +453,11 @@ mod tests {
     fn pods_pack_first_fit() {
         let mut c = cluster(None);
         // 64-core nodes; 24-core pods -> 2 per node.
-        c.create_deployment("d", spec(24_000, 1 << 30), 5, SimTime::ZERO)
+        let d = c
+            .create_deployment("d", spec(24_000, 1 << 30), 5, SimTime::ZERO)
             .unwrap();
         assert_eq!(c.nodes_used(), 3);
-        assert_eq!(c.replicas("d"), 5);
+        assert_eq!(c.replicas_of(d), 5);
     }
 
     #[test]
@@ -554,24 +469,31 @@ mod tests {
         assert_eq!(c.nodes_used(), 3);
     }
 
+    fn ready(c: &Cluster, id: DeployId, now: f64) -> usize {
+        let now = SimTime::from_secs(now);
+        c.pods_of(id).iter().filter(|p| p.is_ready(now)).count()
+    }
+
     #[test]
     fn startup_delay_gates_readiness() {
         let mut c = cluster(None);
-        c.create_deployment("d", spec(1000, 1 << 30), 2, SimTime::from_secs(10.0))
+        let d = c
+            .create_deployment("d", spec(1000, 1 << 30), 2, SimTime::from_secs(10.0))
             .unwrap();
-        assert_eq!(c.ready_replicas("d", SimTime::from_secs(10.0)), 0);
-        assert_eq!(c.ready_replicas("d", SimTime::from_secs(11.9)), 0);
-        assert_eq!(c.ready_replicas("d", SimTime::from_secs(12.0)), 2);
+        assert_eq!(ready(&c, d, 10.0), 0);
+        assert_eq!(ready(&c, d, 11.9), 0);
+        assert_eq!(ready(&c, d, 12.0), 2);
     }
 
     #[test]
     fn scale_down_frees_resources() {
         let mut c = cluster(None);
-        c.create_deployment("d", spec(32_000, 1 << 30), 4, SimTime::ZERO)
+        let d = c
+            .create_deployment("d", spec(32_000, 1 << 30), 4, SimTime::ZERO)
             .unwrap();
         assert_eq!(c.nodes_used(), 2);
-        c.scale_to("d", 1, SimTime::ZERO).unwrap();
-        assert_eq!(c.replicas("d"), 1);
+        c.scale_deployment(d, 1, SimTime::ZERO).unwrap();
+        assert_eq!(c.replicas_of(d), 1);
         assert_eq!(c.nodes_used(), 1);
         // Freed capacity is reused by a second deployment.
         c.create_deployment("e", spec(32_000, 1 << 30), 3, SimTime::ZERO)
@@ -590,7 +512,8 @@ mod tests {
             ScheduleError::ClusterFull { max_nodes: 1, .. }
         ));
         // The first pod stayed.
-        assert_eq!(c.replicas("d"), 1);
+        assert_eq!(c.nodes_used(), 1);
+        assert_eq!(c.memory_allocated_bytes(), 1 << 30);
     }
 
     #[test]
@@ -621,39 +544,28 @@ mod tests {
     #[test]
     fn memory_accounting_tracks_pods() {
         let mut c = cluster(None);
-        c.create_deployment("a", spec(1000, 10 << 30), 2, SimTime::ZERO)
+        let a = c
+            .create_deployment("a", spec(1000, 10 << 30), 2, SimTime::ZERO)
             .unwrap();
         c.create_deployment("b", spec(1000, 5 << 30), 1, SimTime::ZERO)
             .unwrap();
         assert_eq!(c.memory_allocated_bytes(), (20 << 30) + (5 << 30));
-        assert_eq!(c.deployment_memory_bytes("a"), 20 << 30);
-        c.scale_to("a", 0, SimTime::ZERO).unwrap();
+        c.scale_deployment(a, 0, SimTime::ZERO).unwrap();
         assert_eq!(c.memory_allocated_bytes(), 5 << 30);
     }
 
     #[test]
-    fn delete_deployment_frees_everything() {
-        let mut c = cluster(None);
-        c.create_deployment("d", spec(32_000, 1 << 30), 2, SimTime::ZERO)
-            .unwrap();
-        c.delete_deployment("d").unwrap();
-        assert_eq!(c.replicas("d"), 0);
-        assert_eq!(c.nodes_used(), 0);
-        assert!(c.delete_deployment("d").is_err());
-    }
-
-    #[test]
     fn duplicate_and_unknown_names_error() {
+        // Names are resolved only at creation, so a duplicate is the one
+        // name error left.
         let mut c = cluster(None);
-        c.create_deployment("d", spec(1000, 1), 1, SimTime::ZERO)
+        let d = c
+            .create_deployment("d", spec(1000, 1), 1, SimTime::ZERO)
             .unwrap();
+        assert_eq!(c.deployment_name(d), "d");
         assert!(matches!(
             c.create_deployment("d", spec(1000, 1), 1, SimTime::ZERO),
             Err(ScheduleError::DuplicateDeployment(_))
-        ));
-        assert!(matches!(
-            c.scale_to("nope", 1, SimTime::ZERO),
-            Err(ScheduleError::UnknownDeployment(_))
         ));
     }
 
@@ -691,13 +603,15 @@ mod tests {
             .create_deployment("big", spec(40_000, 1 << 30), 2, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, ScheduleError::ClusterFull { .. }));
-        assert_eq!(c.replicas("big"), 1);
+        assert_eq!(c.nodes_used_in_pool(0), 1);
+        assert_eq!(c.nodes_used_in_pool(1), 0);
         // Smaller pods spill over into the second pool (one per 32-core
         // node), until that pool's cap also fills.
-        c.create_deployment("small", spec(30_000, 1 << 30), 2, SimTime::ZERO)
+        let small = c
+            .create_deployment("small", spec(30_000, 1 << 30), 2, SimTime::ZERO)
             .unwrap();
         assert_eq!(c.nodes_used_in_pool(1), 2);
-        assert!(c.scale_to("small", 3, SimTime::ZERO).is_err());
+        assert!(c.scale_deployment(small, 3, SimTime::ZERO).is_err());
     }
 
     #[test]
@@ -713,13 +627,14 @@ mod tests {
     fn warm_deployments_skip_initial_startup_only() {
         let mut c = cluster(None);
         let now = SimTime::from_secs(100.0);
-        c.create_deployment_warm("d", spec(1000, 1 << 30), 2, now)
+        let d = c
+            .create_deployment_warm("d", spec(1000, 1 << 30), 2, now)
             .unwrap();
-        assert_eq!(c.ready_replicas("d", now), 2);
+        assert_eq!(ready(&c, d, 100.0), 2);
         // Pods added later pay the 2 s startup.
-        c.scale_to("d", 3, now).unwrap();
-        assert_eq!(c.ready_replicas("d", now), 2);
-        assert_eq!(c.ready_replicas("d", SimTime::from_secs(102.0)), 3);
+        c.scale_deployment(d, 3, now).unwrap();
+        assert_eq!(ready(&c, d, 100.0), 2);
+        assert_eq!(ready(&c, d, 102.0), 3);
     }
 
     #[test]
@@ -730,9 +645,10 @@ mod tests {
             .unwrap();
         assert_eq!(c.nodes_used(), 2);
         // Small pods would all fit on node 0; spread puts one per node.
-        c.create_deployment("svc", spec(4_000, 1 << 30), 2, SimTime::ZERO)
+        let svc = c
+            .create_deployment("svc", spec(4_000, 1 << 30), 2, SimTime::ZERO)
             .unwrap();
-        let nodes: Vec<usize> = c.pods("svc").iter().map(|p| p.node()).collect();
+        let nodes: Vec<usize> = c.pods_of(svc).iter().map(|p| p.node()).collect();
         assert_ne!(nodes[0], nodes[1], "replicas must not share a node");
     }
 
@@ -740,27 +656,27 @@ mod tests {
     fn failed_node_loses_pods_and_stops_scheduling() {
         let mut c = cluster(None);
         // Two 24-core pods per 64-core node -> pods split across nodes.
-        c.create_deployment("d", spec(24_000, 1 << 30), 4, SimTime::ZERO)
+        let d = c
+            .create_deployment("d", spec(24_000, 1 << 30), 4, SimTime::ZERO)
             .unwrap();
         assert_eq!(c.nodes_used(), 2);
         let losses = c.fail_node(0);
-        assert_eq!(losses.len(), 1);
-        assert_eq!(c.deployment_name(losses[0].0), "d");
-        assert_eq!(losses[0].1, 2);
-        assert_eq!(c.replicas("d"), 2);
+        assert_eq!(losses, vec![(d, 2)]);
+        assert_eq!(c.replicas_of(d), 2);
         assert_eq!(c.failed_nodes(), 1);
         // Re-scaling provisions around the failed node.
-        c.scale_to("d", 4, SimTime::from_secs(1.0)).unwrap();
-        assert_eq!(c.replicas("d"), 4);
-        assert!(c.pods("d").iter().all(|p| p.node() != 0));
+        c.scale_deployment(d, 4, SimTime::from_secs(1.0)).unwrap();
+        assert_eq!(c.replicas_of(d), 4);
+        assert!(c.pods_of(d).iter().all(|p| p.node() != 0));
     }
 
     #[test]
     fn failing_an_empty_node_is_harmless() {
         let mut c = cluster(None);
-        c.create_deployment("d", spec(1000, 1), 1, SimTime::ZERO)
+        let d = c
+            .create_deployment("d", spec(1000, 1), 1, SimTime::ZERO)
             .unwrap();
-        c.scale_to("d", 0, SimTime::ZERO).unwrap();
+        c.scale_deployment(d, 0, SimTime::ZERO).unwrap();
         let losses = c.fail_node(0);
         assert!(losses.is_empty());
     }
@@ -778,51 +694,14 @@ mod tests {
     }
 
     #[test]
-    fn handle_api_matches_name_api() {
-        let mut c = cluster(None);
-        c.create_deployment("a", spec(1000, 4 << 30), 3, SimTime::ZERO)
-            .unwrap();
-        c.create_deployment("b", spec(1000, 2 << 30), 1, SimTime::ZERO)
-            .unwrap();
-        let a = c.deploy_id("a").unwrap();
-        let b = c.deploy_id("b").unwrap();
-        assert_ne!(a, b);
-        assert!(c.deploy_id("nope").is_none());
-        assert_eq!(c.deployment_name(a), "a");
-        assert_eq!(c.replicas_of(a), c.replicas("a"));
-        assert_eq!(c.pods_of(b).len(), c.pods("b").len());
-        assert_eq!(c.deployment_memory_of(a), c.deployment_memory_bytes("a"));
-        c.scale_deployment(a, 5, SimTime::ZERO).unwrap();
-        assert_eq!(c.replicas("a"), 5);
-    }
-
-    #[test]
-    fn handles_survive_deletion_and_recreation() {
-        let mut c = cluster(None);
-        c.create_deployment("d", spec(1000, 1 << 30), 2, SimTime::ZERO)
-            .unwrap();
-        let old = c.deploy_id("d").unwrap();
-        c.delete_deployment("d").unwrap();
-        // The tombstone keeps the old handle valid (drained, not dangling).
-        assert_eq!(c.replicas_of(old), 0);
-        assert_eq!(c.deployment_memory_of(old), 0);
-        // The name is reusable and maps to a fresh handle.
-        c.create_deployment("d", spec(1000, 1 << 30), 1, SimTime::ZERO)
-            .unwrap();
-        let new = c.deploy_id("d").unwrap();
-        assert_ne!(old, new);
-        assert_eq!(c.replicas_of(new), 1);
-        assert_eq!(c.memory_allocated_bytes(), 1 << 30);
-    }
-
-    #[test]
     fn scale_to_same_count_is_noop() {
         let mut c = cluster(None);
-        c.create_deployment("d", spec(1000, 1), 3, SimTime::ZERO)
+        let d = c
+            .create_deployment("d", spec(1000, 1), 3, SimTime::ZERO)
             .unwrap();
-        let pods_before: Vec<u64> = c.pods("d").iter().map(Pod::id).collect();
-        c.scale_to("d", 3, SimTime::ZERO).unwrap();
-        let pods_after: Vec<u64> = c.pods("d").iter().map(Pod::id).collect();
+        let pods_before: Vec<u64> = c.pods_of(d).iter().map(Pod::id).collect();
+        c.scale_deployment(d, 3, SimTime::ZERO).unwrap();
+        let pods_after: Vec<u64> = c.pods_of(d).iter().map(Pod::id).collect();
         assert_eq!(pods_before, pods_after);
     }
 }

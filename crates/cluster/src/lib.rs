@@ -30,10 +30,11 @@
 //!     ResourceRequest::cpu(8_000, 2 << 30),
 //!     5.0, // startup seconds
 //! );
-//! cluster.create_deployment("dense", spec, 2, SimTime::ZERO).unwrap();
-//! assert_eq!(cluster.replicas("dense"), 2);
-//! assert_eq!(cluster.ready_replicas("dense", SimTime::ZERO), 0); // still starting
-//! assert_eq!(cluster.ready_replicas("dense", SimTime::from_secs(5.0)), 2);
+//! let dense = cluster.create_deployment("dense", spec, 2, SimTime::ZERO).unwrap();
+//! assert_eq!(cluster.replicas_of(dense), 2);
+//! let ready = |t| cluster.pods_of(dense).iter().filter(|p| p.is_ready(t)).count();
+//! assert_eq!(ready(SimTime::ZERO), 0); // still starting
+//! assert_eq!(ready(SimTime::from_secs(5.0)), 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -306,7 +306,7 @@ impl<'a> Engine<'a> {
             let n = SteadyState::replicas_for(shard.qps_max(), initial_rate).min(cfg.max_replicas);
             // The run starts with a warmed-up service; startup delays apply
             // to pods the autoscaler adds later.
-            cluster
+            let id = cluster
                 .create_deployment_warm(&shard.name, shard.pod.clone(), n, SimTime::ZERO)
                 // lint::allow(no_panic): startup provisioning; failing loudly before serving begins is correct
                 .unwrap_or_else(|e| panic!("initial deployment failed: {e}"));
@@ -320,8 +320,7 @@ impl<'a> Engine<'a> {
                 ScalingTarget::LatencyP95(Secs::of(cfg.sla.hpa_threshold_secs()))
             };
             deploys.push(DeployState {
-                // lint::allow(no_panic): the deployment was created two statements above under this exact name
-                id: cluster.deploy_id(&shard.name).expect("just created"),
+                id,
                 qps_window: QpsWindow::with_capacity(cfg.hpa_interval_secs.max(1.0), 1024),
                 interval_latency: Histogram::new(),
                 hpa: HpaController::new(HpaPolicy::new(1, cfg.max_replicas, target)),
@@ -872,6 +871,52 @@ mod tests {
             .map(|pt| pt.value)
             .fold(0.0, f64::max);
         assert!(late_p95 < 400.0, "late p95 {late_p95} ms");
+    }
+
+    #[test]
+    fn assign_pod_picks_the_pod_that_can_start_soonest() {
+        let calib = Calibration::cpu_only();
+        let p = plan(&small_model(), Platform::CpuOnly, Strategy::Elastic, &calib);
+        let cfg = SimulationConfig::new(TrafficSchedule::constant(1.0), 10.0, 1);
+        let mut e = Engine::new(&p, &calib, &cfg);
+        let fe = e.frontend;
+        let id = e.deploys[fe].id;
+        // Pod a is warm; b starts at t = 0 and c at t = 100, so at t = 100
+        // a and b are ready while c is still starting.
+        e.cluster.scale_deployment(id, 1, SimTime::ZERO).unwrap();
+        e.cluster.scale_deployment(id, 2, SimTime::ZERO).unwrap();
+        e.cluster
+            .scale_deployment(id, 3, SimTime::from_secs(100.0))
+            .unwrap();
+        let pods = e.cluster.pods_of(id);
+        let (a, b, c) = (pods[0].id(), pods[1].id(), pods[2].id());
+        let ready_c = pods[2].ready_at().as_secs();
+        let now = 100.0;
+        assert!(pods[1].ready_at().as_secs() <= now && ready_c > now);
+        let gap = ready_c - now;
+        let pick = |e: &mut Engine<'_>, frees: [f64; 3]| {
+            for (pod, t) in [a, b, c].into_iter().zip(frees) {
+                e.occupy(pod, t, 0.0);
+            }
+            e.assign_pod(fe, now)
+        };
+
+        // Idle and ready: a wins at `now`, and b, idle too, loses the tie.
+        assert_eq!(pick(&mut e, [0.0; 3]), (a, now));
+        // An idle, ready pod wins over a busy one earlier in order.
+        assert_eq!(pick(&mut e, [now + 1.0, 0.0, 0.0]), (b, now));
+        // Idle but starting, c is not picked before its `ready_at` while a
+        // ready pod can start sooner.
+        let soon = now + 0.5 * gap;
+        assert_eq!(pick(&mut e, [now + 0.75 * gap, soon, 0.0]), (b, soon));
+        // Every ready pod is busy past `ready_at`: c starts when ready.
+        assert_eq!(
+            pick(&mut e, [ready_c + 1.0, ready_c + 2.0, 0.0]),
+            (c, ready_c)
+        );
+        // Ties go to the earliest pod in deployment order, starting or not.
+        assert_eq!(pick(&mut e, [ready_c, ready_c, 0.0]), (a, ready_c));
+        assert_eq!(pick(&mut e, [ready_c + 1.0, ready_c, 0.0]), (b, ready_c));
     }
 
     /// FNV-1a fold over every observable in the outcome, bit-exact: any

@@ -73,7 +73,6 @@ impl Default for Config {
                 "crates/cluster/src/hpa.rs",
                 "crates/cluster/src/schedule.rs",
                 "crates/rpc/src/pure.rs",
-                "crates/mc/src/actor.rs",
                 "crates/mc/src/checker.rs",
                 "crates/mc/src/control.rs",
                 "crates/mc/src/report.rs",

@@ -1,9 +1,13 @@
 //! The composed control-plane model: HPA × balancer × scheduler × pod
 //! startup, explored over message interleavings.
 //!
-//! Every transition calls the *production* pure handlers — `HpaPolicy::step`
-//! for scaling decisions, `er_rpc::pure` for balancer counters, and
-//! `er_cluster::place_pod` for pod placement — over a quantized state:
+//! Scaling decisions and pod placement call the *production* pure
+//! handlers the simulation engine runs — `HpaPolicy::step` and
+//! `er_cluster::place_pod`. Routing calls `er_rpc::pure`, an
+//! outstanding-counter balancer model: the engine itself routes each RPC
+//! to the pod that can start it soonest and keeps no counters, so the
+//! counters here (and property P3 over them) check the balancer shape,
+//! not engine code. All of it runs over a quantized state:
 //! time advances in 30-second ticks (so the 60 s scale-down stabilization
 //! window is exactly 2 ticks) and traffic is scripted in replica-units of
 //! the HPA target (1 unit = 100 QPS = one replica's capacity).
@@ -71,8 +75,9 @@ pub enum Mutation {
     /// The HPA evaluates against a fresh state every tick — the
     /// scale-down stabilization window is forgotten. Caught by P2.
     ForgetStabilization,
-    /// Scale events do not reconcile balancer counters (the pre-fix churn
-    /// bug: `Balancer::on_scale` missing). Caught by P3.
+    /// Scale events do not reconcile balancer counters with the live
+    /// replica set (`er_rpc::pure::sync_outstanding` skipped), so a
+    /// recycled replica slot inherits a dead pod's charge. Caught by P3.
     SkipScaleSync,
     /// Scale-downs remove one replica more than decided. Caught by P1.
     OverDrain,
@@ -402,7 +407,8 @@ impl ControlPlane {
         }
         let dep = &mut state.deploys[d];
         if self.cfg.mutation != Mutation::SkipScaleSync {
-            // The on_scale fix: reconcile counters with the live set.
+            // Reconcile counters with the live set: dead replicas' charges
+            // go, fresh replicas start at zero.
             let n = dep.replicas();
             er_rpc::pure::sync_outstanding(&mut dep.outstanding, n);
         }

@@ -9,16 +9,20 @@
 //! * a small [`checker`] doing bounded BFS/DFS over message interleavings
 //!   with FNV fingerprint dedup, safety invariants, terminal-liveness
 //!   checks, and minimal replayable counterexample traces;
-//! * an [`actor`] shape (`fn on_msg(&State, Msg) -> (State, Vec<Out>)`)
-//!   with adapters wrapping the *production* pure handlers —
-//!   `HpaPolicy::step`, `er_rpc::pure`, and `er_cluster::place_pod` — so
-//!   the simulation engine and the checker drive the exact same code;
 //! * a composed [`control`] model exploring HPA decisions, scale
 //!   deliveries, routing, completions, traffic steps, and pod startup
 //!   against the property catalog ([`control::properties`]): no
 //!   scale-down below serving capacity, no thrash inside the
 //!   stabilization window, balancer counters exact across replica churn,
 //!   convergence to the target replica count, and no node overcommit.
+//!
+//! The model calls the production pure handlers directly: the HPA and
+//! the scheduler are the same `HpaPolicy::step` and
+//! `er_cluster::place_pod` the simulation engine runs. Routing is
+//! different: the engine sends each RPC to the pod that can start it
+//! soonest and keeps no counters, while the model routes over
+//! outstanding-request counters (`er_rpc::pure`), the balancer shape
+//! property P3 checks.
 //!
 //! Seeded [`control::Mutation`]s deliberately break one handler at a time
 //! to prove the checker catches real bugs with minimized traces; the
@@ -27,12 +31,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations, unreachable_pub)]
 
-pub mod actor;
 pub mod checker;
 pub mod control;
 pub mod report;
 
-pub use actor::{Actor, BalancerActor, HpaActor, LbMsg, SchedulerActor};
 pub use checker::{
     check, fingerprint, replay, Bounds, CheckReport, Model, Property, PropertyKind, Strategy, Trace,
 };

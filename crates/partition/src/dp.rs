@@ -5,40 +5,52 @@
 //! shard and reads the `(s−1)`-shard optimum from the memo table. The
 //! final plan is the global minimum over all shard counts up to `S_max`.
 //!
-//! Two entry points share the same DP core:
+//! Three entry points share the same DP core:
 //!
 //! * [`partition_exact`] considers every rank as a cut — `O(S·N²)` cost
 //!   evaluations, for tests and small tables;
 //! * [`partition_bucketed`] restricts cuts to a log-spaced candidate set,
 //!   making the paper's 20M-entry tables tractable (the paper reports 18 s
 //!   for its own implementation; coarsening is the standard way to get
-//!   there and costs little optimality because the CDF is smooth).
+//!   there and costs little optimality because the CDF is smooth);
+//! * [`partition_bucketed_k`] reads the fixed-`k` row of the same memo
+//!   table instead of the minimum over rows.
 
 use crate::PartitionPlan;
+
+/// Which memo row becomes the plan: the cheapest over `1..=n` shards, or
+/// the one with exactly `n` shards.
+enum Shards {
+    AtMost(usize),
+    Exactly(usize),
+}
 
 /// DP over an arbitrary sorted list of candidate shard ends.
 ///
 /// `ends` must be strictly increasing 1-based ranks finishing at the table
-/// length. `cost(k, j)` prices a shard covering ranks `(k, j]`.
+/// length. `cost(k, j)` prices a shard covering ranks `(k, j]`. Shard
+/// counts above the number of candidates are clamped to it.
 fn partition_over_candidates(
     ends: &[u64],
-    s_max: usize,
+    shards: Shards,
     cost: &impl Fn(u64, u64) -> f64,
 ) -> PartitionPlan {
     let b = ends.len();
     // lint::allow(no_panic): callers pass >=1 candidate (documented contract)
     let table_len = *ends.last().expect("candidate list is non-empty");
-    let s_max = s_max.min(b);
+    let rows = match shards {
+        Shards::AtMost(s) | Shards::Exactly(s) => s.min(b),
+    };
 
     // mem[s-1][e]: best cost covering ranks (0, ends[e]] with s shards.
     // parent[s-1][e]: index of the previous shard's end, for reconstruction.
-    let mut mem = vec![vec![f64::INFINITY; b]; s_max];
-    let mut parent = vec![vec![usize::MAX; b]; s_max];
+    let mut mem = vec![vec![f64::INFINITY; b]; rows];
+    let mut parent = vec![vec![usize::MAX; b]; rows];
 
     for e in 0..b {
         mem[0][e] = cost(0, ends[e]);
     }
-    for s in 1..s_max {
+    for s in 1..rows {
         for e in s..b {
             let mut best = f64::INFINITY;
             let mut best_p = usize::MAX;
@@ -58,14 +70,19 @@ fn partition_over_candidates(
         }
     }
 
-    // Global optimum over shard counts.
     let last = b - 1;
-    let (best_s, _) = (0..s_max)
-        .map(|s| (s, mem[s][last]))
-        // lint::allow(no_panic): costs are finite-or-INFINITY, never NaN
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are not NaN"))
-        // lint::allow(no_panic): s_max >= 1 is a documented caller contract
-        .expect("s_max >= 1");
+    let best_s = match shards {
+        Shards::Exactly(_) => rows - 1,
+        // Global optimum over shard counts; ties keep the fewest shards.
+        Shards::AtMost(_) => (0..rows)
+            .min_by(|&x, &y| {
+                let (cx, cy) = (mem[x][last], mem[y][last]);
+                // lint::allow(no_panic): costs are finite-or-INFINITY, never NaN
+                cx.partial_cmp(&cy).expect("costs are not NaN")
+            })
+            // lint::allow(no_panic): s_max >= 1 is a documented caller contract
+            .expect("s_max >= 1"),
+    };
 
     // Reconstruct cut points.
     let mut cuts = Vec::with_capacity(best_s + 1);
@@ -82,6 +99,25 @@ fn partition_over_candidates(
     cuts.reverse();
     // lint::allow(no_panic): DP cuts are strictly increasing and end at len
     PartitionPlan::new(cuts, table_len).expect("DP produces valid cuts")
+}
+
+/// The candidate shard ends for a table: every rank when the table has at
+/// most `num_candidates` entries, otherwise `num_candidates` log-spaced
+/// ranks plus the table end, sorted and deduplicated.
+fn candidate_ends(table_len: u64, num_candidates: usize) -> Vec<u64> {
+    if table_len <= num_candidates as u64 {
+        return (1..=table_len).collect();
+    }
+    let mut ends: Vec<u64> = (0..num_candidates)
+        .map(|i| {
+            let frac = (i + 1) as f64 / num_candidates as f64;
+            ((table_len as f64).powf(frac)).round() as u64
+        })
+        .collect();
+    ends.push(table_len);
+    ends.sort_unstable();
+    ends.dedup();
+    ends
 }
 
 /// Finds the optimal plan considering **every** rank as a potential cut.
@@ -108,7 +144,7 @@ pub fn partition_exact(
     assert!(table_len > 0, "cannot partition an empty table");
     assert!(s_max > 0, "need at least one shard");
     let ends: Vec<u64> = (1..=table_len).collect();
-    partition_over_candidates(&ends, s_max, &cost)
+    partition_over_candidates(&ends, Shards::AtMost(s_max), &cost)
 }
 
 /// Finds a near-optimal plan with cuts restricted to roughly
@@ -139,20 +175,8 @@ pub fn partition_bucketed(
     assert!(table_len > 0, "cannot partition an empty table");
     assert!(s_max > 0, "need at least one shard");
     assert!(num_candidates >= 2, "need at least two candidate cuts");
-
-    if table_len <= num_candidates as u64 {
-        return partition_exact(table_len, s_max, cost);
-    }
-    let mut ends: Vec<u64> = (0..num_candidates)
-        .map(|i| {
-            let frac = (i + 1) as f64 / num_candidates as f64;
-            ((table_len as f64).powf(frac)).round() as u64
-        })
-        .collect();
-    ends.push(table_len);
-    ends.sort_unstable();
-    ends.dedup();
-    partition_over_candidates(&ends, s_max, &cost)
+    let ends = candidate_ends(table_len, num_candidates);
+    partition_over_candidates(&ends, Shards::AtMost(s_max), &cost)
 }
 
 /// Like [`partition_bucketed`], but forces **exactly** `num_shards` shards
@@ -183,76 +207,8 @@ pub fn partition_bucketed_k(
         "shard count {num_shards} out of range for table of {table_len}"
     );
     assert!(num_candidates >= 2, "need at least two candidate cuts");
-    // Wrap the cost so that any plan with fewer shards is never optimal:
-    // run the normal DP but with a large constant credit per shard, which
-    // makes more shards strictly cheaper up to the cap. Simpler and more
-    // robust: run the DP core with s fixed by post-selecting the s-shard
-    // row. We reuse the bucketed candidate generation.
-    let mut ends: Vec<u64> = if table_len <= num_candidates as u64 {
-        (1..=table_len).collect()
-    } else {
-        let mut e: Vec<u64> = (0..num_candidates)
-            .map(|i| {
-                let frac = (i + 1) as f64 / num_candidates as f64;
-                ((table_len as f64).powf(frac)).round() as u64
-            })
-            .collect();
-        e.push(table_len);
-        e
-    };
-    ends.sort_unstable();
-    ends.dedup();
-    partition_candidates_fixed_k(&ends, num_shards, &cost)
-}
-
-/// DP over candidates selecting exactly `k` shards.
-fn partition_candidates_fixed_k(
-    ends: &[u64],
-    k: usize,
-    cost: &impl Fn(u64, u64) -> f64,
-) -> PartitionPlan {
-    let b = ends.len();
-    // lint::allow(no_panic): callers pass >=1 candidate (documented contract)
-    let table_len = *ends.last().expect("non-empty");
-    let k = k.min(b);
-    let mut mem = vec![vec![f64::INFINITY; b]; k];
-    let mut parent = vec![vec![usize::MAX; b]; k];
-    for e in 0..b {
-        mem[0][e] = cost(0, ends[e]);
-    }
-    for s in 1..k {
-        for e in s..b {
-            let mut best = f64::INFINITY;
-            let mut best_p = usize::MAX;
-            for p in (s - 1)..e {
-                let prev = mem[s - 1][p];
-                if prev >= best {
-                    continue;
-                }
-                let c = prev + cost(ends[p], ends[e]);
-                if c < best {
-                    best = c;
-                    best_p = p;
-                }
-            }
-            mem[s][e] = best;
-            parent[s][e] = best_p;
-        }
-    }
-    let mut cuts = Vec::with_capacity(k);
-    let mut e = b - 1;
-    let mut s = k - 1;
-    loop {
-        cuts.push(ends[e]);
-        if s == 0 {
-            break;
-        }
-        e = parent[s][e];
-        s -= 1;
-    }
-    cuts.reverse();
-    // lint::allow(no_panic): DP cuts are strictly increasing and end at len
-    PartitionPlan::new(cuts, table_len).expect("DP produces valid cuts")
+    let ends = candidate_ends(table_len, num_candidates);
+    partition_over_candidates(&ends, Shards::Exactly(num_shards), &cost)
 }
 
 #[cfg(test)]
@@ -375,6 +331,23 @@ mod tests {
         let free = partition_exact(5, 3, fig10_cost);
         let fixed = partition_bucketed_k(5, 3, 100, fig10_cost);
         assert_eq!(free.cuts(), fixed.cuts());
+
+        // On log-spaced candidates the free plan is the cheapest of the
+        // fixed-k plans over every k up to s_max.
+        let n = 1_000_000u64;
+        let cost = |k: u64, j: u64| (j - k) as f64 * (1.0 + 1e4 / (k as f64 + 10.0)) + 1e5;
+        let total =
+            |plan: &PartitionPlan| -> f64 { plan.shards().iter().map(|&(k, j)| cost(k, j)).sum() };
+        let free = partition_bucketed(n, 8, 64, cost);
+        let mut cheapest = partition_bucketed_k(n, 1, 64, cost);
+        for k in 2..=8 {
+            let plan = partition_bucketed_k(n, k, 64, cost);
+            if total(&plan) < total(&cheapest) {
+                cheapest = plan;
+            }
+        }
+        assert_eq!(free.cuts(), cheapest.cuts());
+        assert!((2..8).contains(&free.num_shards()), "optimum at an edge");
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! properties of that stack: the *latency* an RPC hop adds (the paper
 //! measures ~31 ms extra end-to-end latency on the CPU cluster and ~60 ms on
 //! GKE) and the *spreading* of requests over shard replicas. This crate
-//! models both: a [`NetworkProfile`] turns message sizes into transfer
-//! latencies, [`messages`] sizes the DLRM request/response payloads, and
-//! [`RoundRobin`] / [`LeastOutstanding`] balancers pick replicas.
+//! models the latency: a [`NetworkProfile`] turns message sizes into
+//! transfer latencies and [`messages`] sizes the DLRM request/response
+//! payloads. The simulation engine spreads requests itself (each RPC goes
+//! to the pod that can start it soonest, and no counters are kept);
+//! [`pure`] holds the outstanding-counter routing model the `er-mc`
+//! control-plane checker explores.
 //!
 //! # Examples
 //!
@@ -23,10 +26,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations, unreachable_pub)]
 
-mod balancer;
 pub mod messages;
 mod network;
 pub mod pure;
 
-pub use balancer::{BalanceError, Balancer, LeastOutstanding, PowerOfTwoChoices, RoundRobin};
 pub use network::NetworkProfile;

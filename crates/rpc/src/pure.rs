@@ -1,25 +1,16 @@
 //! Pure balancer transition cores.
 //!
-//! Each function here is the single source of truth for one balancer
-//! decision: the stateful [`crate::Balancer`] implementations delegate to
-//! these, and the `er-mc` control-plane model replays the same functions
-//! over enumerated states — so the model cannot drift from the
-//! implementation. All functions are deterministic over their inputs (no
-//! clocks, no RNG, no ambient state); [`crate::PowerOfTwoChoices`] passes
-//! its two samples *in*, which is exactly what lets the model checker
-//! branch over them nondeterministically.
-
-/// One round-robin step over `n` replicas: returns `(next_cursor, choice)`.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-#[must_use]
-pub fn round_robin_step(next: usize, n: usize) -> (usize, usize) {
-    assert!(n > 0, "cannot balance over zero replicas");
-    let choice = next % n;
-    ((next + 1) % n, choice)
-}
+//! These functions are the routing model the `er-mc` control-plane
+//! checker explores: per-replica outstanding-request counters,
+//! least-outstanding and power-of-two-choices picks, completions, and the
+//! reconciliation a scale event needs. The checker's property P3
+//! (`balancer_counters_accurate`) holds the counters equal to the true
+//! in-flight counts across replica churn. The simulation engine does not
+//! call them: it routes each RPC to the pod that can start it soonest and
+//! keeps no counters. All functions are deterministic over their inputs
+//! (no clocks, no RNG, no ambient state); [`pick_between`] takes its two
+//! samples *in*, which is exactly what lets the model checker branch over
+//! them nondeterministically.
 
 /// Reconciles outstanding counters with a replica set of size `n`: dead
 /// replicas' counters are discarded (their in-flight requests died with the
@@ -82,18 +73,6 @@ pub fn complete(outstanding: &mut [u32], replica: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_step_cycles() {
-        let mut next = 0;
-        let mut picks = Vec::new();
-        for _ in 0..5 {
-            let (n2, c) = round_robin_step(next, 3);
-            next = n2;
-            picks.push(c);
-        }
-        assert_eq!(picks, vec![0, 1, 2, 0, 1]);
-    }
 
     #[test]
     fn sync_truncates_then_zero_fills() {
