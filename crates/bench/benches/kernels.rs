@@ -1,15 +1,12 @@
-//! Microbenchmarks of the computational kernels underlying the
-//! reproduction: MLP forward passes, embedding gather+pool, bucketization,
-//! the DP partitioner, Zipf sampling — and the fast-kernel comparisons
-//! (naive vs packed matmul, scalar vs fused gather+pool).
+//! Wall-clock microbenchmarks of the fast kernels against their naive
+//! oracles: naive vs packed matmul, reference vs fused gather+pool, and
+//! the quantized f16 gather at the RM1 serving shape. Prints a speedup
+//! table via [`er_bench::report`].
 //!
 //! These are not paper figures; they document the substrate's raw
-//! performance and catch algorithmic regressions (e.g. the DP going
-//! quadratic in the wrong variable).
-//!
-//! With the `bench-harness` feature the file is a criterion bench; without
-//! it (the default, so the tier-1 gate never needs the criterion dep tree)
-//! it is a plain wall-clock main printing a speedup summary table.
+//! performance and catch kernel regressions. The end-to-end and per-layer
+//! timings (MLP forward, bucketize, DP partition) live in `perfsuite` and
+//! `perfbench`.
 
 use er_model::{configs, Dlrm, QueryGenerator};
 use er_sim::SimRng;
@@ -38,134 +35,6 @@ fn scrambled(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_vec(rows, cols, data).expect("sized to rows*cols")
 }
 
-#[cfg(feature = "bench-harness")]
-mod harness {
-    use super::*;
-    use criterion::{criterion_group, BatchSize, Criterion};
-    use std::hint::black_box;
-
-    use er_distribution::{LocalityTarget, ZipfDistribution};
-    use er_partition::{bucketize, partition_bucketed, PartitionPlan};
-    use er_tensor::{Activation, Mlp};
-
-    fn bench_mlp_forward(c: &mut Criterion) {
-        let mlp = Mlp::with_seed(13, &[256, 128, 32], Activation::Relu, 1);
-        let input = Matrix::filled(32, 13, 0.5);
-        c.bench_function("mlp_forward_rm1_bottom_batch32", |b| {
-            b.iter(|| black_box(mlp.forward(black_box(&input))))
-        });
-    }
-
-    fn bench_matmul_kernels(c: &mut Criterion) {
-        let a = scrambled(256, 512, 1);
-        let b_m = scrambled(512, 256, 2);
-        c.bench_function("matmul_256x512x256_naive", |b| {
-            b.iter(|| black_box(a.matmul(black_box(&b_m)).expect("conforming")))
-        });
-        let packed = b_m.packed();
-        let mut out = Matrix::zeros(1, 1);
-        c.bench_function("matmul_256x512x256_packed", |b| {
-            b.iter(|| {
-                a.matmul_packed_into(black_box(&packed), &mut out)
-                    .expect("conforming");
-                black_box(out.get(0, 0))
-            })
-        });
-        let x = scrambled(32, 2560, 5);
-        let w = scrambled(2560, 512, 6).packed();
-        c.bench_function("matmul_32x2560x512_packed_rm3_bottom", |b| {
-            b.iter(|| {
-                x.matmul_packed_into(black_box(&w), &mut out)
-                    .expect("conforming");
-                black_box(out.get(0, 0))
-            })
-        });
-    }
-
-    fn bench_gather_pool(c: &mut Criterion) {
-        let cfg = configs::rm1().scaled_tables(100_000).with_num_tables(1);
-        let model = Dlrm::with_seed(&cfg, 2);
-        let query = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(3));
-        c.bench_function("gather_pool_batch32_pooling128", |b| {
-            b.iter(|| black_box(model.tables()[0].gather_pool(black_box(&query.lookups[0]))))
-        });
-        let lookup = &query.lookups[0];
-        let mut out = Matrix::zeros(1, 1);
-        c.bench_function("gather_pool_fused_batch32_pooling128", |b| {
-            b.iter(|| {
-                model.tables()[0].gather_pool_into(
-                    black_box(lookup.indices()),
-                    black_box(lookup.offsets()),
-                    &mut out,
-                );
-                black_box(out.get(0, 0))
-            })
-        });
-    }
-
-    fn bench_bucketize(c: &mut Criterion) {
-        let cfg = configs::rm1().scaled_tables(1_000_000).with_num_tables(1);
-        let query = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(4));
-        let plan =
-            PartitionPlan::new(vec![10_000, 120_000, 400_000, 1_000_000], 1_000_000).unwrap();
-        let lookup = &query.lookups[0];
-        c.bench_function("bucketize_4096_gathers_4_shards", |b| {
-            b.iter(|| {
-                black_box(bucketize(
-                    black_box(lookup.indices()),
-                    black_box(lookup.offsets()),
-                    black_box(&plan),
-                ))
-            })
-        });
-    }
-
-    fn bench_dp_partition(c: &mut Criterion) {
-        // The paper's 20M-entry table, bucketed DP — must stay well under
-        // the paper's 18-second reference implementation.
-        c.bench_function("dp_partition_20m_rows_48_candidates", |b| {
-            b.iter(|| {
-                black_box(partition_bucketed(20_000_000, 4, 48, |k, j| {
-                    let size = (j - k) as f64;
-                    size * (1.0 + 1e5 / (k as f64 + 10.0)) + 1e6
-                }))
-            })
-        });
-    }
-
-    fn bench_zipf_sampling(c: &mut Criterion) {
-        let dist = LocalityTarget::new(0.90).solve(20_000_000);
-        let mut rng = SimRng::seed_from(5);
-        c.bench_function("zipf_quantile_analytic_20m", |b| {
-            b.iter(|| black_box(dist.quantile(black_box(rng.uniform()))))
-        });
-        let table = ZipfDistribution::new(1_000_000, 1.0).tabulate();
-        c.bench_function("zipf_quantile_tabulated_1m", |b| {
-            b.iter_batched(
-                || rng.uniform(),
-                |u| black_box(table.quantile(black_box(u))),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-
-    criterion_group!(
-        benches,
-        bench_mlp_forward,
-        bench_matmul_kernels,
-        bench_gather_pool,
-        bench_bucketize,
-        bench_dp_partition,
-        bench_zipf_sampling
-    );
-}
-
-#[cfg(feature = "bench-harness")]
-criterion::criterion_main!(harness::benches);
-
-/// Wall-clock fallback: times the oracle-vs-fast-kernel pairs directly and
-/// prints a speedup table via [`er_bench::report`].
-#[cfg(not(feature = "bench-harness"))]
 fn main() {
     use er_bench::report;
     use std::hint::black_box;
@@ -279,6 +148,4 @@ fn main() {
             ],
         );
     }
-
-    println!("\n(re-run with --features er-bench/bench-harness for criterion statistics)");
 }

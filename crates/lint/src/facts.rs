@@ -1,4 +1,4 @@
-//! Phase 3, step 1: per-file structural fact extraction.
+//! Per-file structural fact extraction.
 //!
 //! The whole-workspace passes ([`crate::graph`]) operate on *facts*, not
 //! token streams: every function a file defines (with its call sites and
@@ -6,14 +6,11 @@
 //! (including `pub use` re-exports and globs), every `lint::allow` marker,
 //! and the file's per-file rule diagnostics computed *before* marker
 //! suppression (so the unused-marker pass can tell which markers earned
-//! their keep). Facts are pure functions of `(path, source, config)`,
-//! which is what makes the incremental cache ([`crate::cache`]) sound: a
-//! file whose content hash matches simply replays its serialized facts
-//! without re-lexing.
+//! their keep).
 
 use crate::config::Config;
 use crate::lexer::TokenKind;
-use crate::rules::{check_file_presuppress, Diagnostic, FileContext};
+use crate::rules::{ambient_read, rules_pass, Diagnostic, FileContext};
 
 /// What kind of site a [`Site`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,9 +122,8 @@ pub struct FileFacts {
 }
 
 impl FileFacts {
-    /// Reconstructs the marker-suppression check from the raw marker list
-    /// (a marker covers its own line and the next), so cached facts can be
-    /// replayed without re-lexing the file.
+    /// The marker-suppression check over the raw marker list (a marker
+    /// covers its own line and the next).
     pub fn suppressed(&self, line: u32, rule: &str) -> bool {
         self.markers
             .iter()
@@ -165,7 +161,7 @@ fn is_pub_fn(ctx: &FileContext<'_>, fn_ci: usize) -> bool {
 pub fn extract_facts(ctx: &FileContext<'_>, cfg: &Config) -> FileFacts {
     let mut facts = FileFacts {
         path: ctx.path.clone(),
-        diags: check_file_presuppress(ctx, cfg),
+        diags: rules_pass(ctx, cfg),
         markers: ctx
             .raw_markers()
             .iter()
@@ -293,7 +289,8 @@ fn scan_body_token(ctx: &FileContext<'_>, ci: usize, cur: &mut FnFact) {
         });
     };
 
-    // Panic sites.
+    // Panic sites: the `no_panic` shapes. The graph pass reports the
+    // ones reachable from a public serving fn.
     if (t == "unwrap" || t == "expect") && prev_is_dot && next_is(TokenKind::Punct('(')) {
         site(SiteKind::Panic, format!("`.{t}()`"), "no_panic");
     } else if (t == "panic" || t == "todo" || t == "unimplemented")
@@ -328,31 +325,8 @@ fn scan_body_token(ctx: &FileContext<'_>, ci: usize, cur: &mut FnFact) {
     }
 
     // Impure sites (ambient inputs), for the transitive handler pass.
-    if (t == "Instant" || t == "SystemTime")
-        && ci + 2 < n
-        && ctx.kind(ci + 1) == TokenKind::PathSep
-        && ctx.is_ident(ci + 2, "now")
-    {
-        site(SiteKind::Impure, format!("`{t}::now()`"), "impure_handler");
-    } else if t == "thread_rng"
-        || t == "from_entropy"
-        || (t == "random"
-            && ci >= 2
-            && ctx.kind(ci - 1) == TokenKind::PathSep
-            && ctx.is_ident(ci - 2, "rand"))
-    {
-        site(SiteKind::Impure, format!("`{t}`"), "impure_handler");
-    } else if t == "env"
-        && ci + 2 < n
-        && ctx.kind(ci + 1) == TokenKind::PathSep
-        && ctx.kind(ci + 2) == TokenKind::Ident
-        && crate::rules::ENV_CALLS.contains(&ctx.text(ci + 2))
-    {
-        site(
-            SiteKind::Impure,
-            format!("`env::{}`", ctx.text(ci + 2)),
-            "impure_handler",
-        );
+    if let Some(a) = ambient_read(ctx, ci) {
+        site(SiteKind::Impure, format!("`{a}`"), "impure_handler");
     }
 
     // A call: `name(..)` or `.name(..)`, but not `name!(..)` macros and

@@ -1,13 +1,12 @@
-//! Phase 3: whole-workspace call-graph passes.
+//! Whole-workspace call-graph passes.
 //!
-//! Phase 2 linked calls by name within a crate; this phase builds one
-//! inter-crate graph from the resolved imports ([`crate::resolve`]) and
-//! runs four passes over it:
+//! The resolved imports of every file ([`crate::resolve`]) link calls
+//! into one inter-crate graph, and four passes run over it:
 //!
 //! * **`no_panic`** — a panic site is reported when it is *reachable
-//!   through calls* from a `pub fn` in a serving-scope file, now across
-//!   crate boundaries (`rpc → cluster → tensor`). The diagnostic carries
-//!   the shortest call chain, crate-qualified where it crosses crates
+//!   through calls* from a `pub fn` in a serving-scope file, across crate
+//!   boundaries (`rpc → cluster → tensor`). The diagnostic carries the
+//!   shortest call chain, crate-qualified where it crosses crates
 //!   (`serve -> er_cluster::choose -> er_tensor::probe`).
 //! * **`hot_alloc`** — the warm serving fast path (the entry list in
 //!   `er-lint.toml`, kept in sync with the dynamic `alloc-count` test)
@@ -20,28 +19,18 @@
 //! * **`unused_allow`** — a `lint::allow(rule)` marker that no longer
 //!   suppresses any diagnostic or site rots silently after refactors;
 //!   report it (and unknown rule names) so markers stay honest.
-//!
-//! [`check_workspace`] lexes and extracts in-process;
-//! [`check_workspace_facts`] is the cache-friendly entry point the binary
-//! uses (facts replay from `target/er-lint-cache` when file hashes match).
 
 use std::collections::VecDeque;
 
 use crate::config::Config;
-use crate::facts::{extract_facts, FileFacts, SiteKind};
+use crate::facts::{FileFacts, SiteKind};
 use crate::resolve::{crate_display, Workspace};
-use crate::rules::{is_test_or_tool_path, Diagnostic, FileContext, RULES};
+use crate::rules::{is_test_or_tool_path, Diagnostic, RULES};
 
-/// Lints the workspace as one unit: every per-file rule plus the four
+/// Lints the workspace as one unit: every file's per-file rules (from its
+/// [`FileFacts`], see [`crate::facts::extract_facts`]) plus the four
 /// call-graph passes, in one deterministically sorted stream.
-pub fn check_workspace(files: &[FileContext<'_>], cfg: &Config) -> Vec<Diagnostic> {
-    let facts: Vec<FileFacts> = files.iter().map(|ctx| extract_facts(ctx, cfg)).collect();
-    check_workspace_facts(&facts, cfg)
-}
-
-/// The fact-level entry point: identical output to [`check_workspace`],
-/// but consumable from cached [`FileFacts`] without re-lexing.
-pub fn check_workspace_facts(facts: &[FileFacts], cfg: &Config) -> Vec<Diagnostic> {
+pub fn check_workspace(facts: &[FileFacts], cfg: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for f in facts {
         out.extend(
@@ -194,8 +183,8 @@ fn match_entry(ws: &Workspace<'_>, entry: &str) -> Vec<usize> {
 
 /// Config-drift check for the binary: `hot_alloc_entries` entries that
 /// match no function in the scanned workspace. Kept out of
-/// [`check_workspace_facts`] so fixture-sized workspaces don't trip over
-/// the real entry list.
+/// [`check_workspace`] so fixture-sized workspaces don't trip over the
+/// real entry list.
 pub fn hot_entry_drift(facts: &[FileFacts], cfg: &Config) -> Vec<Diagnostic> {
     let ws = Workspace::build(facts);
     let mut out = Vec::new();
@@ -326,11 +315,16 @@ fn unused_allow_pass(facts: &[FileFacts], out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facts::extract_facts;
+    use crate::rules::FileContext;
 
     fn workspace(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let ctxs: Vec<FileContext<'_>> =
-            files.iter().map(|&(p, s)| FileContext::new(p, s)).collect();
-        check_workspace(&ctxs, &Config::default())
+        let cfg = Config::default();
+        let facts: Vec<FileFacts> = files
+            .iter()
+            .map(|&(p, s)| extract_facts(&FileContext::new(p, s), &cfg))
+            .collect();
+        check_workspace(&facts, &cfg)
     }
 
     #[test]

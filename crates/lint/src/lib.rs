@@ -23,42 +23,43 @@
 //! `// lint::allow(rule): reason` marker. The repo is offline, so the
 //! lexer is hand-rolled ([`lexer`]) — no `syn`, no dependencies at all.
 //!
-//! Phase 3 widens the lens to the whole workspace: `use`/`pub use`/glob
-//! re-exports across all crates resolve into one symbol table
-//! ([`resolve`]), and three dataflow rules run over the resulting
-//! inter-crate call graph ([`graph`]) — `hot_alloc` (the warm serving
+//! The analysis is one pass over the whole workspace. [`check_file`]
+//! runs the per-file token rules over one lexed file. The fact extractor
+//! ([`facts`]) records those diagnostics before marker suppression, plus
+//! every function, call, panic / allocation / ambient-input site and `use`
+//! declaration. [`check_workspace`] resolves the facts of every file into
+//! one inter-crate call graph ([`resolve`]) and runs the graph rules over
+//! it ([`graph`]): cross-crate `no_panic`, `hot_alloc` (the warm serving
 //! fast path reaches no allocation site; entries configured via
 //! `hot_alloc_entries`, cross-checked against the dynamic `alloc-count`
-//! test), cross-crate `no_panic`, and transitive `impure_handler` —
-//! plus an `unused_allow` audit for markers that no longer suppress
-//! anything. Violation counts ratchet against `er-lint-baseline.json`
-//! ([`baseline`]): counts may only decrease, CI fails on any increase.
-//! An incremental file-hash cache ([`cache`]) keeps the whole-workspace
-//! pass fast enough for every ci.sh run.
-//!
-//! The analysis runs in two layers. Layer 1 ([`check_file`]) is the
-//! per-file token scan; layer 2 ([`check_workspace`]) additionally
-//! extracts per-file facts ([`facts`]), resolves them into the workspace
-//! graph, and reports graph rules with the full call chain from the
-//! entry point to the offending site — crate-qualified where the chain
-//! crosses crates.
+//! test), transitive `impure_handler`, and an `unused_allow` audit for
+//! markers that no longer suppress anything. Graph diagnostics carry the
+//! full call chain from the entry point to the offending site —
+//! crate-qualified where the chain crosses crates.
 //!
 //! # Examples
 //!
 //! ```
-//! use er_lint::{check_file, Config, FileContext};
+//! use er_lint::facts::extract_facts;
+//! use er_lint::{check_file, check_workspace, Config, FileContext};
 //!
+//! let cfg = Config::default();
 //! let src = "fn now_ms() -> u128 { Instant::now().elapsed().as_millis() }";
 //! let ctx = FileContext::new("crates/sim/src/time.rs", src);
-//! let diags = check_file(&ctx, &Config::default());
+//! let diags = check_file(&ctx, &cfg);
 //! assert_eq!(diags[0].rule, "wall_clock");
+//!
+//! // `no_panic` follows calls, so it needs the workspace pass.
+//! let src = "pub fn serve(x: Option<u32>) -> u32 { x.unwrap() }";
+//! let facts = [extract_facts(&FileContext::new("crates/rpc/src/lib.rs", src), &cfg)];
+//! let diags = check_workspace(&facts, &cfg);
+//! assert_eq!(diags[0].rule, "no_panic");
+//! assert_eq!(diags[0].chain, ["serve"]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations, unreachable_pub, missing_docs)]
 
-pub mod baseline;
-pub mod cache;
 pub mod config;
 pub mod facts;
 pub mod graph;
@@ -69,5 +70,5 @@ pub mod walk;
 
 pub use config::Config;
 pub use facts::FileFacts;
-pub use graph::{check_workspace, check_workspace_facts, hot_entry_drift};
+pub use graph::{check_workspace, hot_entry_drift};
 pub use rules::{check_file, render_json, Diagnostic, FileContext, RULES};

@@ -1,26 +1,12 @@
 //! The `er-lint` binary: lint the workspace, print diagnostics, exit
-//! nonzero on any violation (or, with a baseline, on any ratchet
-//! regression).
+//! nonzero on any violation.
 //!
 //! ```text
-//! er-lint [--format json|text] [--only PREFIX]...
-//!         [--baseline FILE] [--write-baseline FILE] [--no-cache] [ROOT]
+//! er-lint [--format json|text] [ROOT]
 //! ```
 //!
-//! `ROOT` defaults to the current directory. The whole workspace is always
-//! scanned (the call graph needs every file); `--only` filters which
-//! diagnostics are *reported* by path prefix — useful for focused gates
-//! like the CI self-check over `crates/lint` and `crates/units`.
-//!
-//! `--baseline FILE` switches the exit code to ratchet semantics: the run
-//! passes as long as no rule's violation count exceeds the committed
-//! baseline, fails (with the suggested tightened JSON) on any increase,
-//! and reminds on any decrease. `--write-baseline FILE` writes the current
-//! counts in canonical form. Counts are taken over the *full* diagnostic
-//! stream, before `--only` filtering.
-//!
-//! Facts are cached per file-content hash in `ROOT/target/er-lint-cache`
-//! (config-hash keyed; `--no-cache` bypasses both read and write).
+//! `ROOT` defaults to the current directory. The whole workspace is
+//! scanned in one pass (the call graph needs every file).
 //!
 //! Reads `ROOT/er-lint.toml` when present (see [`er_lint::Config`]). Text
 //! output prints `path:line:col: [rule] message` per violation; JSON output
@@ -33,30 +19,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use er_lint::cache::{fnv1a, Cache};
 use er_lint::facts::extract_facts;
-use er_lint::{
-    baseline, check_workspace_facts, hot_entry_drift, render_json, walk, Config, FileContext,
-    FileFacts, RULES,
-};
+use er_lint::{check_workspace, hot_entry_drift, render_json, walk, Config, FileContext, RULES};
 
 struct Args {
     root: PathBuf,
     json: bool,
-    only: Vec<String>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    no_cache: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         json: false,
-        only: Vec::new(),
-        baseline: None,
-        write_baseline: None,
-        no_cache: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -66,19 +40,6 @@ fn parse_args() -> Result<Args, String> {
                 Some("text") => args.json = false,
                 other => return Err(format!("--format takes `json` or `text`, got {other:?}")),
             },
-            "--only" => match it.next() {
-                Some(prefix) => args.only.push(prefix),
-                None => return Err("--only needs a path prefix".into()),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => args.baseline = Some(PathBuf::from(p)),
-                None => return Err("--baseline needs a file path".into()),
-            },
-            "--write-baseline" => match it.next() {
-                Some(p) => args.write_baseline = Some(PathBuf::from(p)),
-                None => return Err("--write-baseline needs a file path".into()),
-            },
-            "--no-cache" => args.no_cache = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             root => args.root = PathBuf::from(root),
         }
@@ -102,68 +63,18 @@ fn run() -> Result<ExitCode, String> {
     let files = walk::rust_files(&args.root, &cfg)
         .map_err(|e| format!("walking {}: {e}", args.root.display()))?;
 
-    // Read every source first: the call graph wants the whole workspace
-    // at once.
-    let mut sources: Vec<(String, String)> = Vec::new();
+    let mut facts = Vec::with_capacity(files.len());
     for path in &files {
         // Non-UTF-8 or unreadable: nothing for a Rust lexer to do.
         if let Ok(src) = std::fs::read_to_string(path) {
-            sources.push((walk::relative(&args.root, path), src));
+            let ctx = FileContext::new(walk::relative(&args.root, path), &src);
+            facts.push(extract_facts(&ctx, &cfg));
         }
     }
 
-    // Facts: replayed from the cache for unchanged files, extracted
-    // fresh otherwise. The config hash keys the whole cache.
-    let config_hash = fnv1a(format!("{cfg:?}").as_bytes());
-    let target_dir = args.root.join("target");
-    let cache_path = target_dir.join("er-lint-cache");
-    let cache = if args.no_cache {
-        Cache::default()
-    } else {
-        match std::fs::read_to_string(&cache_path) {
-            Ok(text) => Cache::load(&text, config_hash),
-            Err(_) => Cache::default(),
-        }
-    };
-    let mut cache_hits = 0usize;
-    let hashed: Vec<(u64, &String, &String)> = sources
-        .iter()
-        .map(|(rel, src)| (fnv1a(src.as_bytes()), rel, src))
-        .collect();
-    let facts: Vec<FileFacts> = hashed
-        .iter()
-        .map(|(hash, rel, src)| match cache.get(rel, *hash) {
-            Some(f) => {
-                cache_hits += 1;
-                f.clone()
-            }
-            None => extract_facts(&FileContext::new((*rel).clone(), src), &cfg),
-        })
-        .collect();
-    if !args.no_cache {
-        let entries: Vec<(u64, &FileFacts)> = hashed
-            .iter()
-            .zip(&facts)
-            .map(|((hash, _, _), f)| (*hash, f))
-            .collect();
-        // Best effort: a read-only target dir just means no cache.
-        let _ = std::fs::create_dir_all(&target_dir);
-        let _ = std::fs::write(&cache_path, Cache::render(&entries, config_hash));
-    }
-
-    let mut diags = check_workspace_facts(&facts, &cfg);
+    let mut diags = check_workspace(&facts, &cfg);
     diags.extend(hot_entry_drift(&facts, &cfg));
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
-
-    // Ratchet counts cover everything, before reporting filters.
-    let counts = baseline::count_by_rule(&diags);
-    if !args.only.is_empty() {
-        diags.retain(|d| {
-            args.only
-                .iter()
-                .any(|p| Config::in_paths(&d.path, std::slice::from_ref(p)))
-        });
-    }
 
     if args.json {
         println!("{}", render_json(&diags));
@@ -179,54 +90,7 @@ fn run() -> Result<ExitCode, String> {
         summary.push_str(&format!(" {rule}={count}"));
     }
     eprintln!("er-lint: per-rule:{summary}");
-    eprintln!(
-        "er-lint: {} files scanned ({cache_hits} from cache)",
-        facts.len()
-    );
-
-    if let Some(path) = &args.write_baseline {
-        std::fs::write(path, baseline::render(&counts))
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        eprintln!("er-lint: baseline written to {}", path.display());
-    }
-
-    if let Some(path) = &args.baseline {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let base = baseline::parse(&text)?;
-        return Ok(match baseline::compare(&counts, &base) {
-            baseline::Verdict::Clean => {
-                eprintln!("er-lint: ratchet OK — counts match {}", path.display());
-                ExitCode::SUCCESS
-            }
-            baseline::Verdict::Tighten(improved) => {
-                eprintln!("er-lint: ratchet OK — counts dropped below the baseline:");
-                for line in improved {
-                    eprintln!("er-lint:   {line}");
-                }
-                eprintln!(
-                    "er-lint: tighten {} to lock the improvement in:\n{}",
-                    path.display(),
-                    baseline::render(&counts)
-                );
-                ExitCode::SUCCESS
-            }
-            baseline::Verdict::Regressed(regressed) => {
-                eprintln!(
-                    "er-lint: ratchet FAIL — counts increased over {}:",
-                    path.display()
-                );
-                for line in regressed {
-                    eprintln!("er-lint:   {line}");
-                }
-                eprintln!(
-                    "er-lint: fix the new violations (the baseline only ratchets down); current counts for reference:\n{}",
-                    baseline::render(&counts)
-                );
-                ExitCode::FAILURE
-            }
-        });
-    }
+    eprintln!("er-lint: {} files scanned", facts.len());
 
     if diags.is_empty() {
         eprintln!("er-lint: OK — 0 violations");

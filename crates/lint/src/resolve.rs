@@ -1,4 +1,4 @@
-//! Phase 3, step 2: whole-workspace symbol resolution.
+//! Whole-workspace symbol resolution.
 //!
 //! Turns the per-file [`crate::facts`] into one inter-crate call graph.
 //! Modules are derived from file paths (`crates/tensor/src/gather.rs` is
@@ -17,7 +17,7 @@
 //!   globs up to a fixed depth.
 //! * A bare call `f(..)` prefers functions defined in the *same file*
 //!   (local definitions shadow imports), then `use`-imported ones, then
-//!   falls back to every same-named function in the crate — the phase-2
+//!   falls back to every same-named function in the crate — an
 //!   over-approximation, kept so untyped code keeps its edges.
 //! * A method call `.f(..)` links by name within the crate only; cross
 //!   crates the `hot_alloc` entry list names the kernels individually
@@ -27,7 +27,7 @@
 //!   modelling — it errs on the side of reporting).
 //!
 //! Unresolvable roots (`std`, vendored stubs) fall back to intra-crate
-//! by-name linking, exactly phase 2's behaviour.
+//! by-name linking.
 
 use std::collections::BTreeMap;
 
@@ -698,7 +698,7 @@ mod tests {
             ("crates/rpc/src/util.rs", "pub(crate) fn helper() {}\n"),
             ("crates/metrics/src/util.rs", "pub fn helper() {}\n"),
         ]);
-        // Same crate links, other crates do not (phase-2 behaviour).
+        // Same crate links, other crates do not (the by-name fallback).
         assert_eq!(
             edges_of(&flat, "crates/rpc/src/entry.rs", "route"),
             vec!["rpc::helper"]

@@ -16,8 +16,7 @@ use crate::config::Config;
 use crate::lexer::{tokenize, Token, TokenKind};
 
 /// Every rule the engine can emit, in stable summary order. This is also
-/// the vocabulary `lint::allow(..)` markers and the ratchet baseline are
-/// validated against.
+/// the vocabulary `lint::allow(..)` markers are validated against.
 pub const RULES: [&str; 10] = [
     "wall_clock",
     "ambient_rng",
@@ -336,36 +335,20 @@ pub fn is_test_or_tool_path(path: &str) -> bool {
         .any(|seg| p.contains(seg))
 }
 
-/// Runs every applicable per-file rule over one file, `no_panic` as a
-/// plain token scan. The workspace entry point
-/// [`crate::graph::check_workspace`] runs the same rules but replaces the
-/// token scan with call-graph reachability from public serving functions.
+/// Runs every applicable per-file rule over one file and drops the
+/// matches an allow marker blesses. The call-graph rules (`no_panic`,
+/// `hot_alloc`, transitive `impure_handler`, `unused_allow`) need the
+/// whole workspace; [`crate::graph::check_workspace`] runs them.
 pub fn check_file(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
-    check_file_inner(ctx, cfg, true)
-}
-
-/// The per-file rule pass. With `token_no_panic` false the token-level
-/// `no_panic` scan is skipped (the caller supplies the call-graph version
-/// instead).
-pub(crate) fn check_file_inner(
-    ctx: &FileContext<'_>,
-    cfg: &Config,
-    token_no_panic: bool,
-) -> Vec<Diagnostic> {
-    let mut out = rules_pass(ctx, cfg, token_no_panic);
+    let mut out = rules_pass(ctx, cfg);
     out.retain(|d| !ctx.suppressed(d.line, d.rule));
     out
 }
 
-/// Per-file rules *before* marker suppression and without the token-level
-/// `no_panic` scan — what the workspace fact extractor records, so the
-/// unused-marker audit can see which markers actually suppress something.
-pub(crate) fn check_file_presuppress(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
-    rules_pass(ctx, cfg, false)
-}
-
-/// The shared rule dispatcher (no suppression applied).
-fn rules_pass(ctx: &FileContext<'_>, cfg: &Config, token_no_panic: bool) -> Vec<Diagnostic> {
+/// The per-file rule dispatcher *before* marker suppression — what the
+/// fact extractor records, so the unused-marker audit can see which
+/// markers actually suppress something.
+pub(crate) fn rules_pass(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let det = Config::in_paths(&ctx.path, &cfg.deterministic);
     let serving = Config::in_paths(&ctx.path, &cfg.serving);
@@ -380,13 +363,8 @@ fn rules_pass(ctx: &FileContext<'_>, cfg: &Config, token_no_panic: bool) -> Vec<
         env_io(ctx, &mut out);
         hashmap_iter(ctx, &mut out);
     }
-    if serving && !tool {
-        if token_no_panic {
-            no_panic(ctx, &mut out);
-        }
-        if !blessed {
-            float_reduction(ctx, &mut out);
-        }
+    if serving && !blessed && !tool {
+        float_reduction(ctx, &mut out);
     }
     if Config::in_paths(&ctx.path, &cfg.units) && !blessed && !tool {
         unit_mixing(ctx, &mut out);
@@ -415,22 +393,75 @@ fn push(
     });
 }
 
+/// Process-environment accessors that count as an ambient read.
+const ENV_CALLS: [&str; 7] = [
+    "var", "var_os", "vars", "vars_os", "args", "args_os", "temp_dir",
+];
+
+/// An ambient input: a read whose result is not a function of the
+/// program's explicit inputs. `Display` spells it as written
+/// (`Instant::now()`, `thread_rng`, `env::var`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ambient<'a> {
+    /// `Instant::now` / `SystemTime::now`, carrying the type name.
+    Clock(&'a str),
+    /// `thread_rng` / `from_entropy` / `rand::random`, carrying the name.
+    Rng(&'a str),
+    /// `env::var` and friends ([`ENV_CALLS`]), carrying the accessor.
+    Env(&'a str),
+}
+
+impl std::fmt::Display for Ambient<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Ambient::Clock(ty) => write!(f, "{ty}::now()"),
+            Ambient::Rng(name) => f.write_str(name),
+            Ambient::Env(call) => write!(f, "env::{call}"),
+        }
+    }
+}
+
+/// The one matcher for every ambient-read shape, anchored at code index
+/// `ci`: the `Instant`/`SystemTime`, the RNG name, or the `env` token.
+/// Callers choose their own scope (test-token skipping, enclosing fn) and
+/// message.
+pub(crate) fn ambient_read<'a>(ctx: &'a FileContext<'_>, ci: usize) -> Option<Ambient<'a>> {
+    if ctx.kind(ci) != TokenKind::Ident {
+        return None;
+    }
+    let n = ctx.code.len();
+    // The segment after `ci::`, for the `Type::now` and `env::var` shapes.
+    let next_seg = (ci + 2 < n
+        && ctx.kind(ci + 1) == TokenKind::PathSep
+        && ctx.kind(ci + 2) == TokenKind::Ident)
+        .then(|| ctx.text(ci + 2));
+    let t = ctx.text(ci);
+    match t {
+        "Instant" | "SystemTime" if next_seg == Some("now") => Some(Ambient::Clock(t)),
+        "thread_rng" | "from_entropy" => Some(Ambient::Rng(t)),
+        "random"
+            if ci >= 2
+                && ctx.kind(ci - 1) == TokenKind::PathSep
+                && ctx.is_ident(ci - 2, "rand") =>
+        {
+            Some(Ambient::Rng(t))
+        }
+        "env" => next_seg.filter(|m| ENV_CALLS.contains(m)).map(Ambient::Env),
+        _ => None,
+    }
+}
+
 /// `wall_clock`: `Instant::now` / `SystemTime::now` in deterministic
 /// paths. Simulated components must take time from `er_sim::SimTime`.
 fn wall_clock(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for ci in 0..ctx.code.len().saturating_sub(2) {
-        let head = ctx.text(ci);
-        if ctx.kind(ci) == TokenKind::Ident
-            && (head == "Instant" || head == "SystemTime")
-            && ctx.kind(ci + 1) == TokenKind::PathSep
-            && ctx.is_ident(ci + 2, "now")
-        {
+    for ci in 0..ctx.code.len() {
+        if let Some(a @ Ambient::Clock(_)) = ambient_read(ctx, ci) {
             push(
                 out,
                 ctx,
                 ci,
                 "wall_clock",
-                format!("`{head}::now()` reads the wall clock; deterministic paths must take time from `er_sim::SimTime`"),
+                format!("`{a}` reads the wall clock; deterministic paths must take time from `er_sim::SimTime`"),
             );
         }
     }
@@ -439,54 +470,34 @@ fn wall_clock(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
 /// `ambient_rng`: ambient (unseeded) randomness in deterministic paths.
 fn ambient_rng(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     for ci in 0..ctx.code.len() {
-        if ctx.is_test_token(ci) || ctx.kind(ci) != TokenKind::Ident {
+        if ctx.is_test_token(ci) {
             continue;
         }
-        let t = ctx.text(ci);
-        let hit = t == "thread_rng"
-            || t == "from_entropy"
-            || (t == "random"
-                && ci >= 2
-                && ctx.kind(ci - 1) == TokenKind::PathSep
-                && ctx.is_ident(ci - 2, "rand"));
-        if hit {
+        if let Some(a @ Ambient::Rng(_)) = ambient_read(ctx, ci) {
             push(
                 out,
                 ctx,
                 ci,
                 "ambient_rng",
-                format!("`{t}` draws entropy from the environment; deterministic paths must use a seeded `er_sim::SimRng`"),
+                format!("`{a}` draws entropy from the environment; deterministic paths must use a seeded `er_sim::SimRng`"),
             );
         }
     }
 }
 
-/// Process-environment accessors shared by `env_io` and `impure_handler`.
-pub(crate) const ENV_CALLS: [&str; 7] = [
-    "var", "var_os", "vars", "vars_os", "args", "args_os", "temp_dir",
-];
-
 /// `env_io`: process-environment reads in deterministic paths.
 fn env_io(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    const CALLS: [&str; 7] = ENV_CALLS;
-    for ci in 0..ctx.code.len().saturating_sub(2) {
+    for ci in 0..ctx.code.len() {
         if ctx.is_test_token(ci) {
             continue;
         }
-        if ctx.is_ident(ci, "env")
-            && ctx.kind(ci + 1) == TokenKind::PathSep
-            && ctx.kind(ci + 2) == TokenKind::Ident
-            && CALLS.contains(&ctx.text(ci + 2))
-        {
+        if let Some(a @ Ambient::Env(_)) = ambient_read(ctx, ci) {
             push(
                 out,
                 ctx,
                 ci,
                 "env_io",
-                format!(
-                    "`env::{}` makes behaviour depend on the process environment; thread configuration through explicit parameters",
-                    ctx.text(ci + 2)
-                ),
+                format!("`{a}` makes behaviour depend on the process environment; thread configuration through explicit parameters"),
             );
         }
     }
@@ -588,46 +599,6 @@ fn hashmap_iter(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                 ci,
                 "hashmap_iter",
                 format!("`for .. in {name}` iterates a HashMap/HashSet in nondeterministic order; use BTreeMap/BTreeSet or walk sorted keys"),
-            );
-        }
-    }
-}
-
-/// `no_panic`: `unwrap`/`expect`/`panic!` in non-test serving-path code.
-/// Hot-path errors must be typed (`Result`) or documented invariants with
-/// an allow marker stating the reason.
-fn no_panic(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for ci in 0..ctx.code.len() {
-        if ctx.is_test_token(ci) || ctx.kind(ci) != TokenKind::Ident {
-            continue;
-        }
-        let t = ctx.text(ci);
-        // `.unwrap()` / `.expect(..)`: require the dot so `unwrap_or`,
-        // `my_unwrap`, and definitions don't match.
-        if (t == "unwrap" || t == "expect")
-            && ci >= 1
-            && ctx.kind(ci - 1) == TokenKind::Punct('.')
-            && ci + 1 < ctx.code.len()
-            && ctx.kind(ci + 1) == TokenKind::Punct('(')
-        {
-            push(
-                out,
-                ctx,
-                ci,
-                "no_panic",
-                format!("`.{t}()` can panic in the serving hot path; return a typed error, or add `// lint::allow(no_panic): <invariant>`"),
-            );
-        }
-        if (t == "panic" || t == "todo" || t == "unimplemented")
-            && ci + 1 < ctx.code.len()
-            && ctx.kind(ci + 1) == TokenKind::Punct('!')
-        {
-            push(
-                out,
-                ctx,
-                ci,
-                "no_panic",
-                format!("`{t}!` aborts the serving hot path; return a typed error, or add `// lint::allow(no_panic): <invariant>`"),
             );
         }
     }
@@ -1025,63 +996,19 @@ fn impure_handler(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
             );
             continue;
         }
-        if ctx.kind(ci) != TokenKind::Ident {
+        // Shapes 1-3: an ambient read inside a fn body.
+        let Some(a) = ambient_read(ctx, ci) else {
             continue;
-        }
+        };
         let Some(fn_name) = enclosing(ci) else {
             continue;
         };
-        let t = ctx.text(ci);
-        // 1. Wall clock.
-        if (t == "Instant" || t == "SystemTime")
-            && ci + 2 < n
-            && ctx.kind(ci + 1) == TokenKind::PathSep
-            && ctx.is_ident(ci + 2, "now")
-        {
-            push(
-                out,
-                ctx,
-                ci,
-                "impure_handler",
-                format!("`{t}::now()` inside handler fn `{fn_name}` reads the wall clock; pure on_msg-shaped handlers must take time from the message"),
-            );
-            continue;
-        }
-        // 2. Ambient RNG.
-        let rng_hit = t == "thread_rng"
-            || t == "from_entropy"
-            || (t == "random"
-                && ci >= 2
-                && ctx.kind(ci - 1) == TokenKind::PathSep
-                && ctx.is_ident(ci - 2, "rand"));
-        if rng_hit {
-            push(
-                out,
-                ctx,
-                ci,
-                "impure_handler",
-                format!("`{t}` inside handler fn `{fn_name}` draws ambient entropy; pure on_msg-shaped handlers must have nondeterminism enumerated or seeded by the caller"),
-            );
-            continue;
-        }
-        // 3. Environment reads.
-        if t == "env"
-            && ci + 2 < n
-            && ctx.kind(ci + 1) == TokenKind::PathSep
-            && ctx.kind(ci + 2) == TokenKind::Ident
-            && ENV_CALLS.contains(&ctx.text(ci + 2))
-        {
-            push(
-                out,
-                ctx,
-                ci,
-                "impure_handler",
-                format!(
-                    "`env::{}` inside handler fn `{fn_name}` reads the process environment; pure on_msg-shaped handlers must take configuration as parameters",
-                    ctx.text(ci + 2)
-                ),
-            );
-        }
+        let msg = match a {
+            Ambient::Clock(_) => format!("`{a}` inside handler fn `{fn_name}` reads the wall clock; pure on_msg-shaped handlers must take time from the message"),
+            Ambient::Rng(_) => format!("`{a}` inside handler fn `{fn_name}` draws ambient entropy; pure on_msg-shaped handlers must have nondeterminism enumerated or seeded by the caller"),
+            Ambient::Env(_) => format!("`{a}` inside handler fn `{fn_name}` reads the process environment; pure on_msg-shaped handlers must take configuration as parameters"),
+        };
+        push(out, ctx, ci, "impure_handler", msg);
     }
 }
 
@@ -1092,6 +1019,14 @@ mod tests {
     fn check(path: &str, src: &str) -> Vec<Diagnostic> {
         let ctx = FileContext::new(path, src);
         check_file(&ctx, &Config::default())
+    }
+
+    /// The same source linted as a one-file workspace, so the call-graph
+    /// rules (`no_panic` among them) run too.
+    fn check_ws(path: &str, src: &str) -> Vec<Diagnostic> {
+        let cfg = Config::default();
+        let facts = crate::facts::extract_facts(&FileContext::new(path, src), &cfg);
+        crate::graph::check_workspace(&[facts], &cfg)
     }
 
     #[test]
@@ -1139,7 +1074,7 @@ pub fn f(x: Option<u32>) -> u32 {
     a
 }
 ";
-        let d = check("crates/rpc/src/balancer.rs", src);
+        let d = check_ws("crates/rpc/src/balancer.rs", src);
         let rules: Vec<_> = d.iter().map(|x| (x.rule, x.line)).collect();
         assert_eq!(
             rules,
@@ -1155,22 +1090,22 @@ pub fn ok() -> u32 { 1 }
 #[cfg(test)]
 mod tests {
     #[test]
-    fn t() {
+    pub fn t() {
         let x: Option<u32> = None;
         x.unwrap();
         panic!(\"fine in tests\");
     }
 }
 ";
-        assert!(check("crates/core/src/sharded.rs", src).is_empty());
+        assert!(check_ws("crates/core/src/sharded.rs", src).is_empty());
     }
 
     #[test]
     fn no_panic_skips_test_bench_example_and_bin_files() {
-        let src = "fn main() { None::<u32>.unwrap(); }";
-        assert!(check("crates/core/src/bin/elasticrec.rs", src).is_empty());
-        assert!(check("crates/core/tests/it.rs", src).is_empty());
-        assert!(check("crates/model/benches/b.rs", src).is_empty());
+        let src = "pub fn main() { None::<u32>.unwrap(); }";
+        assert!(check_ws("crates/core/src/bin/elasticrec.rs", src).is_empty());
+        assert!(check_ws("crates/core/tests/it.rs", src).is_empty());
+        assert!(check_ws("crates/model/benches/b.rs", src).is_empty());
     }
 
     #[test]
@@ -1211,7 +1146,7 @@ impl S {
     #[test]
     fn strings_and_raw_strings_never_match_rules() {
         let src = r##"pub fn f() -> &'static str { r#"Instant::now() .unwrap() panic!"# }"##;
-        assert!(check("crates/core/src/engine.rs", src).is_empty());
+        assert!(check_ws("crates/core/src/engine.rs", src).is_empty());
     }
 
     #[test]
@@ -1336,11 +1271,11 @@ mod tests {
     fn cfg_test_fn_item_is_exempt_not_the_rest_of_the_file() {
         let src = "\
 #[cfg(test)]
-fn helper(x: Option<u32>) -> u32 { x.unwrap() }
+pub fn helper(x: Option<u32>) -> u32 { x.unwrap() }
 
 pub fn hot(x: Option<u32>) -> u32 { x.unwrap() }
 ";
-        let d = check("crates/core/src/planning.rs", src);
+        let d = check_ws("crates/core/src/planning.rs", src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 4);
     }

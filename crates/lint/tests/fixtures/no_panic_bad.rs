@@ -17,7 +17,7 @@ pub fn fine(xs: &[u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn panics_are_fine_in_tests() {
+    pub fn panics_are_fine_in_tests() {
         let xs: Vec<u32> = vec![];
         assert!(xs.first().is_none());
         let _ = std::panic::catch_unwind(|| xs.first().unwrap());

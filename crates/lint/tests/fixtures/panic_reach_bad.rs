@@ -1,5 +1,5 @@
 //! Fixture: a panic two private hops away from a public serving entry
-//! point. The token-level scan sees three unremarkable functions; only the
+//! point. File by file the three functions look harmless; only the
 //! call-graph pass connects `serve` to the `.unwrap()` in `inner` and
 //! reports the chain.
 

@@ -3,25 +3,30 @@
 //! rule in question — positive fixtures must produce the expected
 //! diagnostics, allowlisted fixtures must come back clean.
 
+use er_lint::facts::extract_facts;
 use er_lint::{check_file, check_workspace, render_json, Config, Diagnostic, FileContext};
 
+/// The per-file token rules alone.
 fn check(path_class: &str, src: &str) -> Vec<Diagnostic> {
     let ctx = FileContext::new(path_class, src);
     check_file(&ctx, &Config::default())
 }
 
-/// The phase-2 path: the same source checked as the whole workspace, so
-/// the call-graph `no_panic` replaces the token scan.
+/// The same source checked as a one-file workspace, so the call-graph
+/// rules (`no_panic` among them) run too.
 fn check_graph(path_class: &str, src: &str) -> Vec<Diagnostic> {
-    let ctx = FileContext::new(path_class, src);
-    check_workspace(std::slice::from_ref(&ctx), &Config::default())
+    check_graph_files(&[(path_class, src)])
 }
 
-/// The phase-3 path: several files checked as one mini-workspace, so
-/// `use` chains resolve across crate boundaries.
+/// Several files checked as one mini-workspace, so `use` chains resolve
+/// across crate boundaries.
 fn check_graph_files(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let ctxs: Vec<FileContext<'_>> = files.iter().map(|&(p, s)| FileContext::new(p, s)).collect();
-    check_workspace(&ctxs, &Config::default())
+    let cfg = Config::default();
+    let facts: Vec<_> = files
+        .iter()
+        .map(|&(p, s)| extract_facts(&FileContext::new(p, s), &cfg))
+        .collect();
+    check_workspace(&facts, &cfg)
 }
 
 fn rules_and_lines(diags: &[Diagnostic]) -> Vec<(&'static str, u32)> {
@@ -77,7 +82,7 @@ fn hashmap_iter_fixture_flags_iteration_not_lookup() {
 #[test]
 fn no_panic_fixture_flags_library_code_not_tests() {
     let src = include_str!("fixtures/no_panic_bad.rs");
-    let diags = check("crates/rpc/src/no_panic_bad.rs", src);
+    let diags = check_graph("crates/rpc/src/no_panic_bad.rs", src);
     assert_eq!(
         rules_and_lines(&diags),
         vec![("no_panic", 4), ("no_panic", 5), ("no_panic", 7)],
@@ -130,7 +135,7 @@ fn fixtures_are_clean_when_classed_as_test_files() {
     // The same sources under tests/ or benches/ raise nothing for
     // hot-path rules (wall_clock still applies only via scoped paths).
     let src = include_str!("fixtures/no_panic_bad.rs");
-    assert!(check("crates/rpc/tests/no_panic_bad.rs", src).is_empty());
+    assert!(check_graph("crates/rpc/tests/no_panic_bad.rs", src).is_empty());
     let src = include_str!("fixtures/float_reduction_bad.rs");
     assert!(check("crates/model/benches/float_reduction_bad.rs", src).is_empty());
 }
@@ -243,10 +248,6 @@ fn panic_reach_fixture_reports_the_cross_function_chain() {
         "{}",
         diags[0].message
     );
-    // The token-level scan sees the same site but knows no chain.
-    let token = check("crates/rpc/src/panic_reach_bad.rs", src);
-    assert_eq!(rules_and_lines(&token), vec![("no_panic", 15)]);
-    assert!(token[0].chain.is_empty());
 }
 
 #[test]
@@ -389,7 +390,7 @@ fn every_bad_fixture_is_wired_to_expectations() {
     let expected: &[(&str, &str, bool, usize, Companions)] = &[
         ("wall_clock_bad.rs", "crates/sim/src/f.rs", false, 2, &[]),
         ("hashmap_iter_bad.rs", "crates/sim/src/f.rs", false, 3, &[]),
-        ("no_panic_bad.rs", "crates/rpc/src/f.rs", false, 3, &[]),
+        ("no_panic_bad.rs", "crates/rpc/src/f.rs", true, 3, &[]),
         (
             "float_reduction_bad.rs",
             "crates/model/src/f.rs",
