@@ -49,6 +49,10 @@ run_stage "er-lint fixtures" cargo test -q -p er-lint --test rule_fixtures
 # er-lint.toml's hot_alloc_entries must still name a real function.
 run_stage "hot-alloc sync" cargo test -q -p er-lint --test hot_alloc_sync
 run_stage "build (tier-1)" cargo build --release
+# perfbench/ is its own workspace, so tier-1 never builds it. Building it
+# against its committed lockfile fails on a public API change perfbench
+# calls and on a dependency change that would rewrite perfbench/Cargo.lock.
+run_stage "build perfbench (locked)" cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 run_stage "test (tier-1)" cargo test -q
 # The warm-workspace forward pass must stay allocation-free (its own test
 # binary: the counting global allocator is process-wide).
@@ -63,10 +67,11 @@ run_stage "perfsuite smoke" ./target/release/perfsuite --smoke
 # analytic error bounds (unavailable backends are logged as skipped).
 run_stage "quant parity" ./target/release/perfsuite --quant-parity
 # The control plane's contract: er-mc exhaustively explores the documented
-# CI bound (2 deployments x 3 replicas x 6 traffic steps) over the same pure
-# HPA and placement handlers the engine runs, plus er_rpc::pure's counter
-# routing model, hard-failing on any counterexample. The machine-readable
-# report lands at target/er-mc.json (er-lint-style schema).
+# CI bound (2 deployments x 3 replicas x 6 traffic steps) breadth-first over
+# the same pure HPA and placement handlers the engine runs, plus
+# er_rpc::pure's least-outstanding counter routing model, hard-failing on
+# any counterexample. The machine-readable report lands at
+# target/er-mc.json (er-lint-style schema).
 run_stage "er-mc" ./target/release/er-mc --format json --out target/er-mc.json
 
 echo

@@ -26,7 +26,7 @@
 //!
 //! Usage:
 //!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--fleet]
-//!             [--quant-parity] [--mc] [--no-enforce-speedup]
+//!             [--quant-parity] [--no-enforce-speedup]
 //!
 //! `--smoke` runs a tiny configuration (CI-sized), writes to
 //! `target/BENCH_perf_smoke.json` by default, and validates the emitted
@@ -37,9 +37,7 @@
 //! quantized-data-plane checks: f32, f16 and i8 gather digests
 //! bit-identical across every available SIMD backend, every rung's f16
 //! decode exact on all 65,536 bit patterns, and quantized gathers within
-//! their analytic error bounds. `--mc` runs only the bounded er-mc control-plane
-//! check at smoke scale (both route policies), timed like a perf section,
-//! exiting nonzero on any counterexample. `--fleet` adds the 1000-node
+//! their analytic error bounds. `--fleet` adds the 1000-node
 //! synthetic fleet scenario as a timed section, `fleet_par`. It and
 //! `par_seq` keep their old names so committed baselines still match.
 
@@ -121,7 +119,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let quant_parity = args.iter().any(|a| a == "--quant-parity");
-    let mc = args.iter().any(|a| a == "--mc");
     let fleet = args.iter().any(|a| a == "--fleet");
     let enforce_speedup = !args.iter().any(|a| a == "--no-enforce-speedup");
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| {
@@ -139,20 +136,6 @@ fn main() {
         // their analytic error bounds. Nothing written; nonzero exit on
         // the first violation.
         run_quant_parity();
-        return;
-    }
-
-    if mc {
-        // The CI stage: bounded explicit-state check of the control plane
-        // at smoke scale, both route policies, timed like perf sections.
-        // Nonzero exit on any counterexample or truncated exploration.
-        let sections = bench_mc();
-        let mut table = PerfReport::new("mc");
-        for s in sections {
-            table.push(s);
-        }
-        println!("{}", table.summary_table());
-        println!("er-mc smoke bound clean: every property holds at both route policies");
         return;
     }
 
@@ -363,58 +346,6 @@ fn digest_outcome(out: &SimulationOutcome) -> Digest {
         }
     }
     digest
-}
-
-/// The `--mc` CI stage: bounded explicit-state check of the er-mc
-/// control-plane model at smoke scale, once with the deterministic
-/// least-outstanding route policy and once with enumerated
-/// power-of-two-choices sample pairs. Work units are distinct (deduped)
-/// states; the digest folds the state/depth/terminal counts and every
-/// property verdict, so a handler change that shifts the explored space
-/// shows up as a digest change even while all properties still hold.
-/// Exits nonzero on any counterexample or if a bound truncated the run.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_mc() -> Vec<Section> {
-    use er_mc::{check, control, Bounds, ControlPlane, CpConfig};
-
-    let mut sections = Vec::new();
-    for (name, p2c) in [("mc_smoke", false), ("mc_smoke_p2c", true)] {
-        let model = ControlPlane::new(CpConfig {
-            p2c,
-            ..CpConfig::smoke()
-        });
-        let props = control::properties();
-        // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
-        let t0 = Instant::now();
-        let report = check(&model, &props, er_mc::Strategy::Bfs, Bounds::default());
-        let wall = t0.elapsed().as_secs_f64();
-
-        let mut digest = Digest::new();
-        digest.fold_u64(report.states as u64);
-        digest.fold_u64(report.max_depth as u64);
-        digest.fold_u64(report.terminals as u64);
-        for p in &report.properties {
-            digest.fold_u64(u64::from(p.counterexample.is_none()));
-        }
-        if report.truncated {
-            eprintln!("perfsuite: er-mc exploration truncated at the {name} bound");
-            std::process::exit(1);
-        }
-        for p in &report.properties {
-            if let Some(trace) = &p.counterexample {
-                eprintln!(
-                    "perfsuite: er-mc property {} violated at the {name} bound:\n{}",
-                    p.name,
-                    trace.render()
-                );
-            }
-        }
-        if !report.ok() {
-            std::process::exit(1);
-        }
-        sections.push(Section::new(name, wall, report.states as u64, digest));
-    }
-    sections
 }
 
 /// Deterministic CSR lookup over `rows`: `inputs` bags of `pooling`

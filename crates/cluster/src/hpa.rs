@@ -32,101 +32,47 @@ pub struct Observation {
     pub p95_latency: Option<Secs>,
 }
 
-/// Error from the fallible HPA entry points ([`HpaPolicy::try_new`],
-/// [`HpaController::try_evaluate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HpaError {
-    /// `min_replicas`/`max_replicas` do not satisfy `1 <= min <= max`.
-    InvalidBounds {
-        /// The rejected floor.
-        min_replicas: usize,
-        /// The rejected ceiling.
-        max_replicas: usize,
-    },
-    /// The deployment under evaluation has zero replicas — an HPA never
-    /// manages a deployment scaled to nothing.
-    NoReplicas,
-}
+/// Kubernetes' default tolerance: deviations of the metric/target ratio
+/// from 1 by at most this much are ignored, so jitter does not flap
+/// replicas.
+const TOLERANCE: f64 = 0.10;
 
-impl std::fmt::Display for HpaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HpaError::InvalidBounds {
-                min_replicas,
-                max_replicas,
-            } => write!(f, "need 1 <= min ({min_replicas}) <= max ({max_replicas})"),
-            HpaError::NoReplicas => f.write_str("HPA requires at least one replica"),
-        }
-    }
-}
+/// Kubernetes' default scale-down stabilization window
+/// (`stabilizationWindowSeconds`): after a scale-down, wait this long
+/// before shrinking again.
+pub const SCALE_DOWN_STABILIZATION: Secs = Secs::of(60.0);
 
-impl std::error::Error for HpaError {}
+/// Kubernetes' default scale-up policy: per evaluation, grow to at most
+/// `max(SCALE_UP_FACTOR x current, current + SCALE_UP_PODS)` (a 100%
+/// increase or 4 pods, whichever is higher).
+const SCALE_UP_FACTOR: f64 = 2.0;
 
-/// Autoscaling policy for one deployment.
+/// See [`SCALE_UP_FACTOR`].
+const SCALE_UP_PODS: usize = 4;
+
+/// Autoscaling policy for one deployment. The replica floor is 1
+/// (Kubernetes `minReplicas`); tolerance, stabilization and the scale-up
+/// rate limit are Kubernetes' defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HpaPolicy {
-    /// Floor on replicas (Kubernetes `minReplicas`).
-    pub min_replicas: usize,
     /// Ceiling on replicas (Kubernetes `maxReplicas`).
     pub max_replicas: usize,
     /// The metric/target pair.
     pub target: ScalingTarget,
-    /// Ignore deviations smaller than this fraction of the target
-    /// (Kubernetes' default tolerance is 0.1).
-    pub tolerance: f64,
-    /// Wait this long after the last scale-down before shrinking again
-    /// (Kubernetes' `stabilizationWindowSeconds`).
-    pub scale_down_stabilization: Secs,
-    /// Per-evaluation scale-up bound: grow to at most
-    /// `max(factor x current, current + pods)` — Kubernetes' default
-    /// scale-up policy (100% increase or 4 pods, whichever is higher).
-    pub max_scale_up_factor: f64,
-    /// See [`HpaPolicy::max_scale_up_factor`].
-    pub max_scale_up_pods: usize,
 }
 
 impl HpaPolicy {
-    /// A policy with Kubernetes-like defaults: tolerance 10%, 60 s
-    /// scale-down stabilization.
+    /// A policy scaling between 1 and `max_replicas` replicas on `target`.
     ///
     /// # Panics
     ///
-    /// Panics if `min_replicas` is 0 or exceeds `max_replicas`.
-    pub fn new(min_replicas: usize, max_replicas: usize, target: ScalingTarget) -> Self {
-        assert!(
-            min_replicas >= 1 && min_replicas <= max_replicas,
-            "need 1 <= min ({min_replicas}) <= max ({max_replicas})"
-        );
+    /// Panics if `max_replicas` is 0.
+    pub fn new(max_replicas: usize, target: ScalingTarget) -> Self {
+        assert!(max_replicas >= 1, "need max ({max_replicas}) >= min (1)");
         Self {
-            min_replicas,
             max_replicas,
             target,
-            tolerance: 0.10,
-            scale_down_stabilization: Secs::of(60.0),
-            max_scale_up_factor: 2.0,
-            max_scale_up_pods: 4,
         }
-    }
-
-    /// Fallible [`HpaPolicy::new`] for policies built from untrusted
-    /// configuration (e.g. a parsed deployment manifest).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HpaError::InvalidBounds`] unless
-    /// `1 <= min_replicas <= max_replicas`.
-    pub fn try_new(
-        min_replicas: usize,
-        max_replicas: usize,
-        target: ScalingTarget,
-    ) -> Result<Self, HpaError> {
-        if min_replicas < 1 || min_replicas > max_replicas {
-            return Err(HpaError::InvalidBounds {
-                min_replicas,
-                max_replicas,
-            });
-        }
-        Ok(Self::new(min_replicas, max_replicas, target))
     }
 }
 
@@ -135,8 +81,8 @@ impl HpaPolicy {
 /// [`HpaState::default`] (no scaling history).
 ///
 /// The state is a small value type so the explicit-state model checker
-/// (`er-mc`) can enumerate and fingerprint it; the simulation engine's
-/// [`HpaController`] wraps the same state and the same transition.
+/// (`er-mc`) can enumerate and fingerprint it; the simulation engine keeps
+/// one per deployment and threads it through the same transition.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HpaState {
     last_scale_down: Option<SimTime>,
@@ -184,6 +130,20 @@ impl HpaPolicy {
     /// Returns the successor state and `Some(new_replicas)` when the
     /// deployment should be resized (`None` to leave it alone).
     ///
+    /// # Examples
+    ///
+    /// ```
+    /// use er_cluster::{HpaPolicy, HpaState, Observation, ScalingTarget};
+    /// use er_sim::SimTime;
+    /// use er_units::Qps;
+    ///
+    /// let policy = HpaPolicy::new(10, ScalingTarget::QpsPerReplica(Qps::of(100.0)));
+    /// let obs = Observation { qps: Qps::of(450.0), p95_latency: None };
+    /// // 450 QPS at 100 QPS/replica -> 5 replicas.
+    /// let (_state, decision) = policy.step(&HpaState::default(), SimTime::ZERO, 2, obs);
+    /// assert_eq!(decision, Some(5));
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if `current` is zero — an HPA never manages a deployment with
@@ -201,14 +161,12 @@ impl HpaPolicy {
         };
         // Kubernetes' scale-up rate limit: without it a latency spike
         // during a backlog multiplies replicas straight to the cap.
-        let up_limit = ((current as f64) * self.max_scale_up_factor)
-            .max((current + self.max_scale_up_pods) as f64) as usize;
-        let desired = desired
-            .min(up_limit)
-            .clamp(self.min_replicas, self.max_replicas);
+        let up_limit =
+            ((current as f64) * SCALE_UP_FACTOR).max((current + SCALE_UP_PODS) as f64) as usize;
+        let desired = desired.min(up_limit).clamp(1, self.max_replicas);
 
         // Tolerance band: ignore small deviations (Kubernetes behaviour).
-        if (ratio - 1.0).abs() <= self.tolerance {
+        if (ratio - 1.0).abs() <= TOLERANCE {
             return (*state, None);
         }
         if desired == current {
@@ -218,7 +176,7 @@ impl HpaPolicy {
             // Scale-down stabilization window. SimTime subtraction yields
             // raw seconds; rewrap before comparing against the window.
             if let Some(last) = state.last_scale_down {
-                if Secs::of(now - last) < self.scale_down_stabilization {
+                if Secs::of(now - last) < SCALE_DOWN_STABILIZATION {
                     return (*state, None);
                 }
             }
@@ -241,8 +199,9 @@ impl HpaPolicy {
 /// floored at need/0.85 so capacity never drops below what the traffic
 /// requires.
 ///
-/// Pure like [`HpaPolicy::step`]: the simulation engine and the `er-mc`
-/// control-plane model call this exact function.
+/// Pure like [`HpaPolicy::step`]; the simulation engine applies it to the
+/// frontend's decisions. The `er-mc` model has no latency-scaled frontend
+/// and does not call it.
 pub fn bound_frontend_desired(
     desired: usize,
     current: usize,
@@ -281,89 +240,34 @@ pub fn clamp_scale_to_load(
     target.max(need).min(current)
 }
 
-/// Stateful HPA evaluator for one deployment: a thin shell holding the
-/// [`HpaState`] that [`HpaPolicy::step`] threads through evaluations.
-///
-/// # Examples
-///
-/// ```
-/// use er_cluster::{HpaController, HpaPolicy, Observation, ScalingTarget};
-/// use er_sim::SimTime;
-/// use er_units::Qps;
-///
-/// let policy = HpaPolicy::new(1, 10, ScalingTarget::QpsPerReplica(Qps::of(100.0)));
-/// let mut hpa = HpaController::new(policy);
-/// let obs = Observation { qps: Qps::of(450.0), p95_latency: None };
-/// // 450 QPS at 100 QPS/replica -> 5 replicas.
-/// assert_eq!(hpa.evaluate(SimTime::ZERO, 2, obs), Some(5));
-/// ```
-#[derive(Debug, Clone)]
-pub struct HpaController {
-    policy: HpaPolicy,
-    state: HpaState,
-}
-
-impl HpaController {
-    /// Creates a controller with no scaling history.
-    pub fn new(policy: HpaPolicy) -> Self {
-        Self {
-            policy,
-            state: HpaState::default(),
-        }
-    }
-
-    /// The controller's policy.
-    pub fn policy(&self) -> &HpaPolicy {
-        &self.policy
-    }
-
-    /// The controller's current pure state.
-    pub fn state(&self) -> &HpaState {
-        &self.state
-    }
-
-    /// Evaluates the policy. Returns `Some(new_replicas)` when the
-    /// deployment should be resized, `None` to leave it alone.
-    ///
-    /// Delegates to the pure [`HpaPolicy::step`] transition — the
-    /// controller only stores the successor state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `current` is zero — an HPA never manages a deployment with
-    /// no replicas.
-    pub fn evaluate(&mut self, now: SimTime, current: usize, obs: Observation) -> Option<usize> {
-        let (state, decision) = self.policy.step(&self.state, now, current, obs);
-        self.state = state;
-        decision
-    }
-
-    /// Fallible [`HpaController::evaluate`] for callers that can observe a
-    /// deployment mid-teardown: `Ok(None)` means "leave it alone",
-    /// `Ok(Some(n))` means "resize to `n`".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HpaError::NoReplicas`] if `current` is zero.
-    pub fn try_evaluate(
-        &mut self,
-        now: SimTime,
-        current: usize,
-        obs: Observation,
-    ) -> Result<Option<usize>, HpaError> {
-        if current == 0 {
-            return Err(HpaError::NoReplicas);
-        }
-        Ok(self.evaluate(now, current, obs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Threads the [`HpaState`] through successive [`HpaPolicy::step`]
+    /// calls, the way the engine does for each deployment.
+    struct Threaded {
+        policy: HpaPolicy,
+        state: HpaState,
+    }
+
+    impl Threaded {
+        fn new(policy: HpaPolicy) -> Self {
+            Self {
+                policy,
+                state: HpaState::default(),
+            }
+        }
+
+        fn evaluate(&mut self, now: SimTime, current: usize, obs: Observation) -> Option<usize> {
+            let (state, decision) = self.policy.step(&self.state, now, current, obs);
+            self.state = state;
+            decision
+        }
+    }
+
     fn qps_policy() -> HpaPolicy {
-        HpaPolicy::new(1, 100, ScalingTarget::QpsPerReplica(Qps::of(50.0)))
+        HpaPolicy::new(100, ScalingTarget::QpsPerReplica(Qps::of(50.0)))
     }
 
     fn obs(qps: f64) -> Observation {
@@ -375,7 +279,7 @@ mod tests {
 
     #[test]
     fn qps_target_scales_to_traffic() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         // 500 QPS at 50/replica wants 10 replicas; the scale-up rate limit
         // allows max(2x3, 3+4) = 7 this round.
         assert_eq!(hpa.evaluate(SimTime::ZERO, 3, obs(500.0)), Some(7));
@@ -388,14 +292,14 @@ mod tests {
 
     #[test]
     fn scale_up_rate_limit_small_deployments_use_pod_floor() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         // 1 replica wanting 100: limited to 1+4 = 5 (the pod floor beats 2x).
         assert_eq!(hpa.evaluate(SimTime::ZERO, 1, obs(5000.0)), Some(5));
     }
 
     #[test]
     fn within_tolerance_is_a_noop() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         // 2 replicas at 52.5 QPS each = 105 total: ratio 1.05 < 1.1.
         assert_eq!(hpa.evaluate(SimTime::ZERO, 2, obs(105.0)), None);
     }
@@ -420,26 +324,36 @@ mod tests {
     }
 
     #[test]
+    fn bound_frontend_desired_caps_ups_and_floors_downs_by_load() {
+        // 300 QPS offered at 100 QPS per replica: a need of 3.
+        let bound = |desired, current| {
+            bound_frontend_desired(desired, current, Qps::of(300.0), Qps::of(100.0))
+        };
+        // Scale-ups are capped at twice the need.
+        assert_eq!(bound(20, 4), 6);
+        // An up the cap would turn into a down stays at current.
+        assert_eq!(bound(10, 8), 8);
+        // Scale-downs are floored at ceil(3 / 0.85) = 4.
+        assert_eq!(bound(1, 8), 4);
+        // A down the floor would turn into an up stays at current.
+        assert_eq!(bound(2, 3), 3);
+    }
+
+    #[test]
     fn bounds_are_respected() {
-        let mut hpa = HpaController::new(HpaPolicy::new(
-            2,
-            5,
-            ScalingTarget::QpsPerReplica(Qps::of(50.0)),
-        ));
+        let policy = HpaPolicy::new(5, ScalingTarget::QpsPerReplica(Qps::of(50.0)));
+        let mut hpa = Threaded::new(policy);
         // Rate limit allows 7, but max_replicas caps at 5.
         assert_eq!(hpa.evaluate(SimTime::ZERO, 3, obs(10_000.0)), Some(5));
-        let mut hpa2 = HpaController::new(HpaPolicy::new(
-            2,
-            5,
-            ScalingTarget::QpsPerReplica(Qps::of(50.0)),
-        ));
-        assert_eq!(hpa2.evaluate(SimTime::ZERO, 4, obs(0.0)), Some(2));
+        // Zero traffic shrinks to the floor of 1.
+        let mut hpa2 = Threaded::new(policy);
+        assert_eq!(hpa2.evaluate(SimTime::ZERO, 4, obs(0.0)), Some(1));
     }
 
     #[test]
     fn latency_target_scales_up_under_pressure() {
-        let policy = HpaPolicy::new(1, 50, ScalingTarget::LatencyP95(Secs::of(0.26)));
-        let mut hpa = HpaController::new(policy);
+        let policy = HpaPolicy::new(50, ScalingTarget::LatencyP95(Secs::of(0.26)));
+        let mut hpa = Threaded::new(policy);
         let o = Observation {
             qps: Qps::of(100.0),
             p95_latency: Some(Secs::of(0.52)),
@@ -450,14 +364,14 @@ mod tests {
 
     #[test]
     fn latency_target_without_samples_is_noop() {
-        let policy = HpaPolicy::new(1, 50, ScalingTarget::LatencyP95(Secs::of(0.26)));
-        let mut hpa = HpaController::new(policy);
+        let policy = HpaPolicy::new(50, ScalingTarget::LatencyP95(Secs::of(0.26)));
+        let mut hpa = Threaded::new(policy);
         assert_eq!(hpa.evaluate(SimTime::ZERO, 4, obs(100.0)), None);
     }
 
     #[test]
     fn scale_down_is_stabilized() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         // First scale-down goes through.
         assert_eq!(
             hpa.evaluate(SimTime::from_secs(100.0), 10, obs(100.0)),
@@ -477,7 +391,7 @@ mod tests {
 
     #[test]
     fn scale_up_is_never_stabilized() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         assert_eq!(
             hpa.evaluate(SimTime::from_secs(1.0), 10, obs(100.0)),
             Some(2)
@@ -492,7 +406,7 @@ mod tests {
 
     #[test]
     fn zero_traffic_shrinks_to_min() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         assert_eq!(hpa.evaluate(SimTime::ZERO, 8, obs(0.0)), Some(1));
     }
 
@@ -502,12 +416,12 @@ mod tests {
 
     #[test]
     fn exactly_on_target_qps_is_a_noop() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         // 4 replicas each carrying exactly the 50 QPS target: ratio 1.0.
         assert_eq!(hpa.evaluate(SimTime::ZERO, 4, obs(200.0)), None);
-        // The target the controller holds is the typed Qps we configured.
+        // The target the policy holds is the typed Qps we configured.
         assert_eq!(
-            hpa.policy().target,
+            hpa.policy.target,
             ScalingTarget::QpsPerReplica(Qps::of(50.0))
         );
     }
@@ -515,29 +429,29 @@ mod tests {
     #[test]
     fn exactly_on_target_latency_is_a_noop() {
         let target = Secs::from_millis(260.0);
-        let mut hpa = HpaController::new(HpaPolicy::new(1, 50, ScalingTarget::LatencyP95(target)));
+        let mut hpa = Threaded::new(HpaPolicy::new(50, ScalingTarget::LatencyP95(target)));
         let o = Observation {
             qps: Qps::of(100.0),
             p95_latency: Some(Secs::of(0.26)),
         };
         // p95 exactly at target: ratio 1.0, inside the tolerance band.
         assert_eq!(hpa.evaluate(SimTime::ZERO, 4, o), None);
-        assert_eq!(hpa.policy().target, ScalingTarget::LatencyP95(target));
+        assert_eq!(hpa.policy.target, ScalingTarget::LatencyP95(target));
     }
 
     #[test]
     fn tolerance_edge_is_inclusive() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         // ratio 1.09375 (exactly representable): inside the band, noop even
         // though ceil(4 × 1.09375) = 5 > 4 — the band suppresses rounding.
         assert_eq!(hpa.evaluate(SimTime::ZERO, 4, obs(218.75)), None);
-        // Just past the band the controller acts.
+        // Just past the band the policy acts.
         assert_eq!(hpa.evaluate(SimTime::ZERO, 4, obs(221.0)), Some(5));
     }
 
     #[test]
     fn tolerance_edge_below_target_is_inclusive() {
-        let mut hpa = HpaController::new(qps_policy());
+        let mut hpa = Threaded::new(qps_policy());
         // ratio exactly 0.9: still inside the band, no scale-down.
         assert_eq!(hpa.evaluate(SimTime::from_secs(5.0), 10, obs(450.0)), None);
         // ratio 0.8 scales down (first scale-down needs no stabilization).
@@ -550,55 +464,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replica")]
     fn zero_current_panics() {
-        HpaController::new(qps_policy()).evaluate(SimTime::ZERO, 0, obs(1.0));
+        Threaded::new(qps_policy()).evaluate(SimTime::ZERO, 0, obs(1.0));
     }
 
     #[test]
     #[should_panic(expected = "min")]
     fn invalid_bounds_panic() {
-        HpaPolicy::new(5, 2, ScalingTarget::QpsPerReplica(Qps::of(1.0)));
-    }
-
-    #[test]
-    fn try_new_reports_bad_bounds() {
-        let err = HpaPolicy::try_new(5, 2, ScalingTarget::QpsPerReplica(Qps::of(1.0))).unwrap_err();
-        assert_eq!(
-            err,
-            HpaError::InvalidBounds {
-                min_replicas: 5,
-                max_replicas: 2
-            }
-        );
-        assert!(err.to_string().contains("1 <= min (5) <= max (2)"));
-        assert!(HpaPolicy::try_new(1, 2, ScalingTarget::QpsPerReplica(Qps::of(1.0))).is_ok());
-    }
-
-    #[test]
-    fn try_evaluate_errors_on_zero_replicas_and_matches_evaluate() {
-        let mut hpa = HpaController::new(qps_policy());
-        assert_eq!(
-            hpa.try_evaluate(SimTime::ZERO, 0, obs(1.0)),
-            Err(HpaError::NoReplicas)
-        );
-        assert_eq!(hpa.try_evaluate(SimTime::ZERO, 3, obs(500.0)), Ok(Some(7)));
-    }
-
-    #[test]
-    fn try_evaluate_zero_replicas_is_an_error_for_every_target_kind() {
-        for target in [
-            ScalingTarget::QpsPerReplica(Qps::of(50.0)),
-            ScalingTarget::LatencyP95(Secs::of(0.26)),
-        ] {
-            let mut hpa = HpaController::new(HpaPolicy::new(1, 10, target));
-            let o = Observation {
-                qps: Qps::ZERO,
-                p95_latency: Some(Secs::of(1.0)),
-            };
-            assert_eq!(
-                hpa.try_evaluate(SimTime::ZERO, 0, o),
-                Err(HpaError::NoReplicas),
-                "target={target:?}"
-            );
-        }
+        HpaPolicy::new(0, ScalingTarget::QpsPerReplica(Qps::of(1.0)));
     }
 }

@@ -15,8 +15,9 @@
 //! * a first-fit bin-packing **scheduler** ([`Cluster`]) that provisions
 //!   additional nodes on demand (the "how many servers do we need" metric of
 //!   Figures 15/18);
-//! * **HPA** ([`HpaController`]) with Kubernetes' `desired = ceil(current ×
-//!   metric/target)` rule, tolerance band, and scale-down stabilization.
+//! * **HPA** ([`HpaPolicy::step`], a pure transition over [`HpaState`]) with
+//!   Kubernetes' `desired = ceil(current × metric/target)` rule, tolerance
+//!   band, scale-up rate limit, and scale-down stabilization.
 //!
 //! # Examples
 //!
@@ -50,8 +51,8 @@ mod schedule;
 pub use cluster::{Cluster, DeployId, NodePool, ScheduleError};
 pub use hardware::{GpuSpec, HardwareProfile};
 pub use hpa::{
-    bound_frontend_desired, clamp_scale_to_load, HpaController, HpaError, HpaPolicy, HpaState,
-    Observation, ScalingTarget,
+    bound_frontend_desired, clamp_scale_to_load, HpaPolicy, HpaState, Observation, ScalingTarget,
+    SCALE_DOWN_STABILIZATION,
 };
 pub use pod::{Pod, PodSpec};
 pub use resources::ResourceRequest;

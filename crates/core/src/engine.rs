@@ -10,7 +10,7 @@
 //! This is the machinery behind the paper's Figure 19.
 
 use er_cluster::{
-    bound_frontend_desired, clamp_scale_to_load, Cluster, DeployId, HpaController, HpaPolicy,
+    bound_frontend_desired, clamp_scale_to_load, Cluster, DeployId, HpaPolicy, HpaState,
     Observation, ScalingTarget,
 };
 use er_metrics::{Histogram, QpsWindow, Summary, TimeSeries};
@@ -26,6 +26,12 @@ use crate::{Calibration, Platform, ServingPlan, ShardService, SteadyState};
 /// in the paper's stress tests (Section IV-D).
 const KNEE_FRACTION: f64 = 0.80;
 
+/// How often the autoscaler evaluates, in seconds.
+const HPA_INTERVAL_SECS: f64 = 5.0;
+
+/// The SLA queries are judged against: the paper's 400 ms on p95.
+const SLA: SlaConfig = SlaConfig::paper_default();
+
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimulationConfig {
@@ -35,12 +41,8 @@ pub struct SimulationConfig {
     pub duration_secs: f64,
     /// RNG seed (arrivals).
     pub seed: u64,
-    /// How often the autoscaler evaluates (seconds).
-    pub hpa_interval_secs: f64,
     /// How often observables are sampled into time series (seconds).
     pub metrics_interval_secs: f64,
-    /// The SLA queries are judged against.
-    pub sla: SlaConfig,
     /// Node budget (None = provision on demand).
     pub max_nodes: Option<usize>,
     /// Upper bound on replicas per deployment for the HPA.
@@ -58,9 +60,7 @@ impl SimulationConfig {
             schedule,
             duration_secs,
             seed,
-            hpa_interval_secs: 5.0,
             metrics_interval_secs: 1.0,
-            sla: SlaConfig::paper_default(),
             max_nodes: None,
             max_replicas: 512,
             fail_node_at: None,
@@ -232,7 +232,9 @@ struct DeployState {
     id: DeployId,
     qps_window: QpsWindow,
     interval_latency: Histogram,
-    hpa: HpaController,
+    policy: HpaPolicy,
+    /// The policy's pure state, threaded through [`HpaPolicy::step`].
+    hpa: HpaState,
 }
 
 /// The simulation entry point.
@@ -317,13 +319,14 @@ impl<'a> Engine<'a> {
                 ScalingTarget::QpsPerReplica(Qps::of(shard.qps_max() * KNEE_FRACTION))
             } else {
                 frontend = i;
-                ScalingTarget::LatencyP95(Secs::of(cfg.sla.hpa_threshold_secs()))
+                ScalingTarget::LatencyP95(Secs::of(SLA.hpa_threshold_secs()))
             };
             deploys.push(DeployState {
                 id,
-                qps_window: QpsWindow::with_capacity(cfg.hpa_interval_secs.max(1.0), 1024),
+                qps_window: QpsWindow::with_capacity(HPA_INTERVAL_SECS, 1024),
                 interval_latency: Histogram::new(),
-                hpa: HpaController::new(HpaPolicy::new(1, cfg.max_replicas, target)),
+                policy: HpaPolicy::new(cfg.max_replicas, target),
+                hpa: HpaState::default(),
             });
         }
 
@@ -349,7 +352,7 @@ impl<'a> Engine<'a> {
             SimTime::from_secs(cfg.metrics_interval_secs),
             Event::MetricsTick,
         );
-        queue.schedule(SimTime::from_secs(cfg.hpa_interval_secs), Event::HpaTick);
+        queue.schedule(SimTime::from_secs(HPA_INTERVAL_SECS), Event::HpaTick);
         if let Some(at) = cfg.fail_node_at {
             queue.schedule(SimTime::from_secs(at), Event::NodeFailure);
         }
@@ -592,12 +595,12 @@ impl<'a> Engine<'a> {
         let p95 = if fe.interval_latency.is_empty() {
             0.0
         } else {
-            fe.interval_latency.percentile(self.cfg.sla.percentile())
+            fe.interval_latency.percentile(SLA.percentile())
         };
         fe.interval_latency.reset();
         self.out_p95.push(now, p95 * 1000.0);
         self.intervals += 1;
-        if self.cfg.sla.is_violated(p95) {
+        if SLA.is_violated(p95) {
             self.violations += 1;
         }
 
@@ -615,7 +618,7 @@ impl<'a> Engine<'a> {
             if fe.interval_latency.is_empty() {
                 None
             } else {
-                Some(fe.interval_latency.percentile(self.cfg.sla.percentile()))
+                Some(fe.interval_latency.percentile(SLA.percentile()))
             }
         };
         for i in 0..self.deploys.len() {
@@ -633,11 +636,12 @@ impl<'a> Engine<'a> {
                     None
                 },
             };
-            if let Some(desired) =
-                self.deploys[i]
-                    .hpa
-                    .evaluate(SimTime::from_secs(now), current, obs)
-            {
+            let dep = &mut self.deploys[i];
+            let (hpa, decision) = dep
+                .policy
+                .step(&dep.hpa, SimTime::from_secs(now), current, obs);
+            dep.hpa = hpa;
+            if let Some(desired) = decision {
                 let desired = if i == self.frontend {
                     bound_frontend_desired(
                         desired,
@@ -666,7 +670,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let next = now + self.cfg.hpa_interval_secs;
+        let next = now + HPA_INTERVAL_SECS;
         if next <= self.cfg.duration_secs {
             self.queue
                 .schedule(SimTime::from_secs(next), Event::HpaTick);

@@ -273,17 +273,7 @@ pub fn plan_elastic_with_plans(
     let mut shards = vec![dense_shard_spec(model, platform, calib)];
     for (t_idx, (table, plan)) in model.tables.iter().zip(&plans).enumerate() {
         let access = LocalityTarget::new(model.locality_p).solve(table.rows);
-        let n_t = (model.batch_size as u64 * table.pooling as u64) as f64;
-        for (s_idx, (k, j)) in plan.shards().into_iter().enumerate() {
-            shards.push(embedding_shard_spec(
-                calib,
-                t_idx,
-                s_idx,
-                access.coverage(k, j) * n_t,
-                Bytes::of_u64((j - k) * table.vector_bytes()),
-                Bytes::of_u64(table.vector_bytes()),
-            ));
-        }
+        push_table_shards(&mut shards, model, calib, t_idx, &access, plan);
     }
     ServingPlan {
         model: model.clone(),
@@ -314,6 +304,36 @@ fn dense_shard_spec(model: &ModelConfig, platform: Platform, calib: &Calibration
         ),
         service: dense_service(model, platform, calib),
         expected_gathers: 0.0,
+    }
+}
+
+/// Embedding lookups table `t_idx` serves per query (`n_t`).
+fn lookups_per_query(model: &ModelConfig, t_idx: usize) -> f64 {
+    (model.batch_size as u64 * model.tables[t_idx].pooling as u64) as f64
+}
+
+/// Appends table `t_idx`'s embedding shards to `shards`: one per `(k, j)`
+/// row range of `plan`, its expected gathers taken from the table's
+/// already-solved access distribution.
+fn push_table_shards(
+    shards: &mut Vec<ShardSpec>,
+    model: &ModelConfig,
+    calib: &Calibration,
+    t_idx: usize,
+    access: &impl AccessModel,
+    plan: &PartitionPlan,
+) {
+    let n_t = lookups_per_query(model, t_idx);
+    let vector_bytes = model.tables[t_idx].vector_bytes();
+    for (s_idx, (k, j)) in plan.shards().into_iter().enumerate() {
+        shards.push(embedding_shard_spec(
+            calib,
+            t_idx,
+            s_idx,
+            access.coverage(k, j) * n_t,
+            Bytes::of_u64((j - k) * vector_bytes),
+            Bytes::of_u64(vector_bytes),
+        ));
     }
 }
 
@@ -358,7 +378,7 @@ fn plan_elastic_inner(
     let mut table_plans = Vec::with_capacity(model.tables.len());
     for (t_idx, table) in model.tables.iter().enumerate() {
         let access = LocalityTarget::new(model.locality_p).solve(table.rows);
-        let n_t = (model.batch_size as u64 * table.pooling as u64) as f64;
+        let n_t = lookups_per_query(model, t_idx);
         let vector_bytes = table.vector_bytes();
 
         // One-time profiling of gather QPS on a sparse-shard container,
@@ -388,16 +408,7 @@ fn plan_elastic_inner(
             }),
         };
 
-        for (s_idx, (k, j)) in plan.shards().into_iter().enumerate() {
-            shards.push(embedding_shard_spec(
-                calib,
-                t_idx,
-                s_idx,
-                access.coverage(k, j) * n_t,
-                Bytes::of_u64((j - k) * vector_bytes),
-                Bytes::of_u64(vector_bytes),
-            ));
-        }
+        push_table_shards(&mut shards, model, calib, t_idx, &access, &plan);
         table_plans.push(plan);
     }
 

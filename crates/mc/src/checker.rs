@@ -1,11 +1,10 @@
-//! The explicit-state checker: bounded breadth/depth-first exploration
-//! with fingerprint dedup, invariant and terminal-liveness properties, and
+//! The explicit-state checker: bounded breadth-first exploration with
+//! fingerprint dedup, invariant and terminal-liveness properties, and
 //! minimal counterexample traces.
 //!
-//! Breadth-first order is the default because it finds *shortest*
-//! counterexamples for invariants; a greedy delete-one-action pass then
-//! shrinks traces further (dropping actions that were irrelevant
-//! interleaving noise). Liveness is checked as "every terminal state
+//! Breadth-first order finds *shortest* counterexamples for invariants; a
+//! greedy delete-one-action pass then shrinks traces further (dropping
+//! actions that were irrelevant interleaving noise). Liveness is checked as "every terminal state
 //! satisfies the predicate" — sound for the finite, acyclic, bounded
 //! models this crate builds, where fairness is encoded in the action
 //! guards (e.g. a tick cannot fire while a control message is undelivered).
@@ -99,15 +98,6 @@ impl<M: Model> fmt::Debug for Property<M> {
     }
 }
 
-/// Exploration strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Breadth-first: shortest counterexamples (the default).
-    Bfs,
-    /// Depth-first: lower memory high-water mark on deep models.
-    Dfs,
-}
-
 /// Exploration bounds: the checker stops expanding past these rather than
 /// running forever on an unexpectedly large model.
 #[derive(Debug, Clone, Copy)]
@@ -183,19 +173,14 @@ impl<M: Model> CheckReport<M> {
     }
 }
 
-/// Explores `model` under `bounds` and checks `properties`.
+/// Explores `model` breadth-first under `bounds` and checks `properties`.
 ///
 /// One sweep serves all properties: `Always` predicates are evaluated on
 /// every distinct state as it is discovered, `EventuallyTerminal`
-/// predicates on every terminal state. The first (BFS: shortest) violation
+/// predicates on every terminal state. The first (shortest) violation
 /// per property is recorded, minimized, and reported; exploration
 /// continues so the report's state/depth counts describe the full bound.
-pub fn check<M: Model>(
-    model: &M,
-    properties: &[Property<M>],
-    strategy: Strategy,
-    bounds: Bounds,
-) -> CheckReport<M> {
+pub fn check<M: Model>(model: &M, properties: &[Property<M>], bounds: Bounds) -> CheckReport<M> {
     let init = model.init();
     let init_fp = fingerprint(&init);
     // fp -> how we first reached it (None for the root).
@@ -212,10 +197,7 @@ pub fn check<M: Model>(
     let mut violations: Vec<Option<(u64, M::State)>> = vec![None; properties.len()];
     let mut actions_buf: Vec<M::Action> = Vec::new();
 
-    while let Some((state, depth)) = match strategy {
-        Strategy::Bfs => frontier.pop_front(),
-        Strategy::Dfs => frontier.pop_back(),
-    } {
+    while let Some((state, depth)) = frontier.pop_front() {
         states += 1;
         deepest = deepest.max(depth);
         let fp = fingerprint(&state);
@@ -400,7 +382,7 @@ mod tests {
     #[test]
     fn bfs_finds_the_shortest_counterexample() {
         let m = Counter { cap: 10, bad: 7 };
-        let report = check(&m, &[avoid_bad()], Strategy::Bfs, Bounds::default());
+        let report = check(&m, &[avoid_bad()], Bounds::default());
         assert!(!report.ok());
         let cx = report.properties[0].counterexample.as_ref().unwrap();
         // Shortest path to 7 with steps of 1/2 is four actions; greedy
@@ -411,20 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn dfs_finds_the_same_violation() {
-        let m = Counter { cap: 10, bad: 7 };
-        let report = check(&m, &[avoid_bad()], Strategy::Dfs, Bounds::default());
-        assert!(!report.ok());
-        let cx = report.properties[0].counterexample.as_ref().unwrap();
-        assert_eq!(cx.end_state, 7);
-        // Minimization still compresses whatever DFS found first.
-        assert_eq!(cx.actions.iter().sum::<u32>(), 7);
-    }
-
-    #[test]
     fn clean_models_report_ok_with_exact_state_count() {
         let m = Counter { cap: 5, bad: 99 };
-        let report = check(&m, &[avoid_bad()], Strategy::Bfs, Bounds::default());
+        let report = check(&m, &[avoid_bad()], Bounds::default());
         assert!(report.ok());
         // States 0..=5 exactly once each: dedup works.
         assert_eq!(report.states, 6);
@@ -440,7 +411,7 @@ mod tests {
             kind: PropertyKind::EventuallyTerminal,
             check: |m: &Counter, s: &u32| *s == m.cap,
         };
-        let report = check(&m, &[converged], Strategy::Bfs, Bounds::default());
+        let report = check(&m, &[converged], Bounds::default());
         assert!(report.ok(), "intermediate states must not be checked");
     }
 
@@ -451,7 +422,7 @@ mod tests {
             max_depth: 3,
             max_states: 1_000_000,
         };
-        let report = check(&m, &[avoid_bad()], Strategy::Bfs, bounds);
+        let report = check(&m, &[avoid_bad()], bounds);
         assert!(report.truncated);
         assert!(report.ok(), "99 is unreachable within depth 3");
         assert_eq!(report.max_depth, 3);

@@ -14,8 +14,7 @@
 //!
 //! Nondeterminism = the interleavings the real system exhibits: when the
 //! controller's scale decision is delivered relative to routing and
-//! completions, how fast traffic steps arrive, and (optionally) which
-//! replica pair the power-of-two-choices RNG samples. Fairness is encoded
+//! completions, and how fast traffic steps arrive. Fairness is encoded
 //! in action guards: a tick cannot fire while a scale decision is
 //! undelivered (bounded message delay), routing stops at the horizon so
 //! in-flight work can drain, and traffic steps leave enough ticks for the
@@ -27,7 +26,7 @@
 
 use er_cluster::{
     clamp_scale_to_load, place_pod, HpaPolicy, HpaState, NodeView, Placement, PoolView,
-    ResourceRequest, ScalingTarget,
+    ResourceRequest, ScalingTarget, SCALE_DOWN_STABILIZATION,
 };
 use er_sim::SimTime;
 use er_units::Qps;
@@ -39,7 +38,10 @@ pub const TICK_SECS: f64 = 30.0;
 /// The HPA target: one replica serves 100 QPS.
 pub const TARGET_QPS: f64 = 100.0;
 /// Scale-down stabilization window, in ticks.
-pub const STABILIZATION_TICKS: u8 = 2;
+pub const STABILIZATION_TICKS: u8 = (SCALE_DOWN_STABILIZATION.raw() / TICK_SECS) as u8;
+// The tick grid must land exactly on the window's end, or the quantized
+// model would check a different window than the handler enforces.
+const _: () = assert!(STABILIZATION_TICKS as f64 * TICK_SECS == SCALE_DOWN_STABILIZATION.raw());
 /// Ticks of headroom a traffic step must leave before the horizon so the
 /// HPA can converge (rate-limited scale-up plus a stabilization window).
 const CONVERGE_TICKS: u8 = 4;
@@ -89,14 +91,14 @@ pub enum Mutation {
     NoApplyClamp,
 }
 
-/// Model bounds and variant switches.
+/// Model bounds and the seeded mutation.
 #[derive(Debug, Clone)]
 pub struct CpConfig {
     /// Per-traffic-step, per-deployment load in replica-units of
     /// [`TARGET_QPS`]. `traffic[s][d]` is deployment `d`'s load at step
     /// `s`; every inner vector fixes the deployment count.
     pub traffic: Vec<Vec<u8>>,
-    /// Replica ceiling per deployment (`min_replicas` is always 1).
+    /// Replica ceiling per deployment (the floor is always 1).
     pub max_replicas: u8,
     /// Exploration horizon in ticks.
     pub max_ticks: u8,
@@ -104,9 +106,6 @@ pub struct CpConfig {
     pub inflight_budget: u8,
     /// Node-provisioning cap for the placement submodel.
     pub max_nodes: u8,
-    /// Enumerate power-of-two-choices sample pairs on routes (instead of
-    /// the deterministic least-outstanding pick). Multiplies branching.
-    pub p2c: bool,
     /// Which (if any) seeded bug to explore.
     pub mutation: Mutation,
 }
@@ -132,12 +131,11 @@ impl CpConfig {
             max_ticks: 12,
             inflight_budget: 4,
             max_nodes: 3,
-            p2c: false,
             mutation: Mutation::None,
         }
     }
 
-    /// A small bound for fast smoke tests and the perfsuite `--mc` mode.
+    /// A small bound for fast smoke tests (`er-mc --smoke`).
     pub fn smoke() -> Self {
         Self {
             traffic: vec![vec![1, 1], vec![3, 1], vec![1, 2], vec![1, 1]],
@@ -154,7 +152,6 @@ impl CpConfig {
     /// The HPA policy every modeled deployment runs.
     pub fn policy(&self) -> HpaPolicy {
         HpaPolicy::new(
-            1,
             self.max_replicas as usize,
             ScalingTarget::QpsPerReplica(Qps::of(TARGET_QPS)),
         )
@@ -228,16 +225,6 @@ pub enum CpAction {
     Route {
         /// Target deployment.
         d: u8,
-    },
-    /// One request is routed to deployment `d` with power-of-two-choices
-    /// samples `a` and `b` (enumerated, not drawn).
-    RoutePair {
-        /// Target deployment.
-        d: u8,
-        /// First sampled replica.
-        a: u8,
-        /// Second sampled replica.
-        b: u8,
     },
     /// A request in flight at deployment `d`, replica `r`, completes.
     Complete {
@@ -425,16 +412,11 @@ impl ControlPlane {
         }
     }
 
-    fn route(&self, state: &mut CpState, d: usize, pair: Option<(u8, u8)>) {
+    fn route(&self, state: &mut CpState, d: usize) {
         let dep = &mut state.deploys[d];
         let n = dep.replicas();
         er_rpc::pure::sync_outstanding(&mut dep.outstanding, n);
-        let choice = match pair {
-            Some((a, b)) => {
-                er_rpc::pure::pick_between(&mut dep.outstanding, a as usize, b as usize)
-            }
-            None => er_rpc::pure::pick_least(&mut dep.outstanding),
-        };
+        let choice = er_rpc::pure::pick_least(&mut dep.outstanding);
         dep.inflight[choice] += 1;
     }
 }
@@ -513,15 +495,7 @@ impl Model for ControlPlane {
                 && dep.ready() > 0
                 && dep.total_inflight() < u32::from(self.cfg.inflight_budget)
             {
-                if self.cfg.p2c {
-                    for a in 0..dep.replicas() as u8 {
-                        for b in 0..dep.replicas() as u8 {
-                            out.push(CpAction::RoutePair { d: d8, a, b });
-                        }
-                    }
-                } else {
-                    out.push(CpAction::Route { d: d8 });
-                }
+                out.push(CpAction::Route { d: d8 });
             }
             for (r, &inflight) in dep.inflight.iter().enumerate() {
                 if inflight > 0 {
@@ -571,23 +545,7 @@ impl Model for ControlPlane {
                 {
                     return None;
                 }
-                self.route(&mut s, d, None);
-            }
-            CpAction::RoutePair { d, a, b } => {
-                let d = d as usize;
-                if d >= s.deploys.len() {
-                    return None;
-                }
-                let dep = &s.deploys[d];
-                if s.tick >= self.cfg.max_ticks
-                    || dep.ready() == 0
-                    || dep.total_inflight() >= u32::from(self.cfg.inflight_budget)
-                    || (a as usize) >= dep.replicas()
-                    || (b as usize) >= dep.replicas()
-                {
-                    return None;
-                }
-                self.route(&mut s, d, Some((a, b)));
+                self.route(&mut s, d);
             }
             CpAction::Complete { d, r } => {
                 let (d, r) = (d as usize, r as usize);

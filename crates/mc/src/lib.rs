@@ -6,7 +6,7 @@
 //! interactions the real product surface. This crate checks them the way
 //! `stateright`-style systems do, with zero external dependencies:
 //!
-//! * a small [`checker`] doing bounded BFS/DFS over message interleavings
+//! * a small [`checker`] doing bounded BFS over message interleavings
 //!   with FNV fingerprint dedup, safety invariants, terminal-liveness
 //!   checks, and minimal replayable counterexample traces;
 //! * a composed [`control`] model exploring HPA decisions, scale
@@ -36,7 +36,7 @@ pub mod control;
 pub mod report;
 
 pub use checker::{
-    check, fingerprint, replay, Bounds, CheckReport, Model, Property, PropertyKind, Strategy, Trace,
+    check, fingerprint, replay, Bounds, CheckReport, Model, Property, PropertyKind, Trace,
 };
 pub use control::{ControlPlane, CpAction, CpConfig, CpState, Mutation};
 pub use report::render_json;

@@ -2,16 +2,15 @@
 //! property report, exit nonzero on any counterexample.
 //!
 //! ```text
-//! er-mc [--smoke] [--p2c] [--dfs] [--depth N] [--mutate NAME]
-//!       [--format json|text] [--out PATH]
+//! er-mc [--smoke] [--mutate NAME] [--format json|text] [--out PATH]
 //! ```
 //!
 //! The default bound is the documented CI bound (2 deployments × 3 max
 //! replicas × 6 traffic steps); `--smoke` runs the small bound. `--mutate`
 //! seeds a deliberately broken handler (`forget-stabilization`,
-//! `skip-scale-sync`, `over-drain`, `stuck-hpa`) — useful for inspecting
-//! the minimized trace each bug produces; mutated runs still exit nonzero
-//! when (as intended) a property fails. `--out` writes the JSON report to
+//! `skip-scale-sync`, `over-drain`, `stuck-hpa`, `no-apply-clamp`) —
+//! useful for inspecting the minimized trace each bug produces; mutated
+//! runs still exit nonzero when (as intended) a property fails. `--out` writes the JSON report to
 //! a file (CI writes `target/er-mc.json`) regardless of `--format`.
 
 #![forbid(unsafe_code)]
@@ -19,13 +18,10 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use er_mc::{check, control, render_json, Bounds, CpConfig, Mutation, Strategy};
+use er_mc::{check, control, render_json, Bounds, CpConfig, Mutation};
 
 struct Args {
     smoke: bool,
-    p2c: bool,
-    dfs: bool,
-    depth: Option<usize>,
     mutate: Option<Mutation>,
     json: bool,
     out: Option<String>,
@@ -34,9 +30,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         smoke: false,
-        p2c: false,
-        dfs: false,
-        depth: None,
         mutate: None,
         json: false,
         out: None,
@@ -46,12 +39,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => args.smoke = true,
-            "--p2c" => args.p2c = true,
-            "--dfs" => args.dfs = true,
-            "--depth" => match it.next().and_then(|d| d.parse().ok()) {
-                Some(d) => args.depth = Some(d),
-                None => return Err("--depth takes a number".into()),
-            },
             "--mutate" => {
                 args.mutate = Some(match it.next().as_deref() {
                     Some("forget-stabilization") => Mutation::ForgetStabilization,
@@ -94,39 +81,27 @@ fn main() -> ExitCode {
     } else {
         CpConfig::ci()
     };
-    cfg.p2c = args.p2c;
     if let Some(m) = args.mutate {
         cfg.mutation = m;
     }
     let bound = format!(
-        "{} deployments x {} max replicas x {} traffic steps, {} ticks, {} in-flight{}{}",
+        "{} deployments x {} max replicas x {} traffic steps, {} ticks, {} in-flight{}",
         cfg.deployments(),
         cfg.max_replicas,
         cfg.traffic.len(),
         cfg.max_ticks,
         cfg.inflight_budget,
-        if cfg.p2c { ", p2c" } else { "" },
         match cfg.mutation {
             Mutation::None => String::new(),
             m => format!(", mutation {m:?}"),
         },
     );
 
-    let strategy = if args.dfs {
-        Strategy::Dfs
-    } else {
-        Strategy::Bfs
-    };
-    let mut bounds = Bounds::default();
-    if let Some(d) = args.depth {
-        bounds.max_depth = d;
-    }
-
     let model = control::ControlPlane::new(cfg);
     let props = control::properties();
     // lint::allow(wall_clock): reports checker wall time, not model time
     let start = Instant::now();
-    let report = check(&model, &props, strategy, bounds);
+    let report = check(&model, &props, Bounds::default());
     let elapsed = start.elapsed();
 
     let json = render_json(&bound, &report);

@@ -70,7 +70,7 @@ pub fn render_json<M: Model>(bound: &str, report: &CheckReport<M>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{check, Bounds, Property, Strategy};
+    use crate::checker::{check, Bounds, Property};
 
     #[derive(Debug)]
     struct Two;
@@ -108,7 +108,7 @@ mod tests {
                 check: |_: &Two, s: &u8| *s == 2,
             },
         ];
-        let report = check(&Two, &props, Strategy::Bfs, Bounds::default());
+        let report = check(&Two, &props, Bounds::default());
         let json = render_json("tiny", &report);
         for key in [
             "\"bound\"",

@@ -2,16 +2,11 @@
 //! suite: every deliberately broken handler must be caught by exactly the
 //! property that owns its bug class, with a minimized trace that replays.
 
-use er_mc::{check, control, replay, Bounds, CpConfig, Mutation, Strategy};
+use er_mc::{check, control, replay, Bounds, CpConfig, Mutation};
 
 fn run(cfg: CpConfig) -> er_mc::CheckReport<control::ControlPlane> {
     let model = control::ControlPlane::new(cfg);
-    check(
-        &model,
-        &control::properties(),
-        Strategy::Bfs,
-        Bounds::default(),
-    )
+    check(&model, &control::properties(), Bounds::default())
 }
 
 /// A small single-deployment bound whose traffic staircase (1 → 3 → 2 → 1)
@@ -44,15 +39,6 @@ fn ci_bound_is_exhaustive_and_clean() {
         );
     }
     assert_eq!(report.properties.len(), 5);
-}
-
-#[test]
-fn smoke_bound_with_p2c_is_clean() {
-    let mut cfg = CpConfig::smoke();
-    cfg.p2c = true;
-    let report = run(cfg);
-    assert!(!report.truncated);
-    assert!(report.ok(), "p2c routing must satisfy the same properties");
 }
 
 /// Runs a mutated config and asserts exactly `expect` fails, returning its
@@ -171,12 +157,7 @@ fn minimized_counterexamples_replay_deterministically() {
     };
     let mutation = cfg.mutation;
     let model = control::ControlPlane::new(cfg);
-    let report = check(
-        &model,
-        &control::properties(),
-        Strategy::Bfs,
-        Bounds::default(),
-    );
+    let report = check(&model, &control::properties(), Bounds::default());
     let p = report
         .properties
         .iter()
@@ -194,25 +175,4 @@ fn minimized_counterexamples_replay_deterministically() {
         .find(|q| q.name == p.name)
         .unwrap();
     assert!(!(prop.check)(&model, &replayed));
-}
-
-#[test]
-fn dfs_agrees_with_bfs_on_verdicts() {
-    let cfg = CpConfig {
-        mutation: Mutation::StuckHpa,
-        ..staircase()
-    };
-    let model = control::ControlPlane::new(cfg);
-    let props = control::properties;
-    let bfs = check(&model, &props(), Strategy::Bfs, Bounds::default());
-    let dfs = check(&model, &props(), Strategy::Dfs, Bounds::default());
-    assert_eq!(bfs.states, dfs.states, "both must explore the full space");
-    for (b, d) in bfs.properties.iter().zip(dfs.properties.iter()) {
-        assert_eq!(
-            b.counterexample.is_some(),
-            d.counterexample.is_some(),
-            "verdict for {} must not depend on search order",
-            b.name
-        );
-    }
 }

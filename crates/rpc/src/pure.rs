@@ -1,16 +1,14 @@
 //! Pure balancer transition cores.
 //!
 //! These functions are the routing model the `er-mc` control-plane
-//! checker explores: per-replica outstanding-request counters,
-//! least-outstanding and power-of-two-choices picks, completions, and the
-//! reconciliation a scale event needs. The checker's property P3
-//! (`balancer_counters_accurate`) holds the counters equal to the true
-//! in-flight counts across replica churn. The simulation engine does not
-//! call them: it routes each RPC to the pod that can start it soonest and
-//! keeps no counters. All functions are deterministic over their inputs
-//! (no clocks, no RNG, no ambient state); [`pick_between`] takes its two
-//! samples *in*, which is exactly what lets the model checker branch over
-//! them nondeterministically.
+//! checker explores: per-replica outstanding-request counters, the
+//! least-outstanding pick, completions, and the reconciliation a scale
+//! event needs. The checker's property P3 (`balancer_counters_accurate`)
+//! holds the counters equal to the true in-flight counts across replica
+//! churn. The simulation engine does not call them: it routes each RPC to
+//! the pod that can start it soonest and keeps no counters. All functions
+//! are deterministic over their inputs (no clocks, no RNG, no ambient
+//! state).
 
 /// Reconciles outstanding counters with a replica set of size `n`: dead
 /// replicas' counters are discarded (their in-flight requests died with the
@@ -44,23 +42,6 @@ pub fn pick_least(outstanding: &mut [u32]) -> usize {
     choice
 }
 
-/// Power-of-two choice between sampled replicas `a` and `b`: the
-/// less-charged of the two, ties keeping `a`. Charges the winner.
-///
-/// # Panics
-///
-/// Panics if `a` or `b` is out of range.
-#[must_use]
-pub fn pick_between(outstanding: &mut [u32], a: usize, b: usize) -> usize {
-    let choice = if outstanding[a] <= outstanding[b] {
-        a
-    } else {
-        b
-    };
-    outstanding[choice] += 1;
-    choice
-}
-
 /// A completion for `replica`: uncharges it. Completions from dead or
 /// unknown replicas are ignored — their counters were discarded at
 /// scale-in and must not go negative or resurrect.
@@ -88,13 +69,6 @@ mod tests {
         let mut c = vec![1, 0, 0];
         assert_eq!(pick_least(&mut c), 1);
         assert_eq!(c, vec![1, 1, 0]);
-    }
-
-    #[test]
-    fn pick_between_prefers_a_on_ties() {
-        let mut c = vec![2, 2];
-        assert_eq!(pick_between(&mut c, 1, 0), 1);
-        assert_eq!(c, vec![2, 3]);
     }
 
     #[test]

@@ -28,33 +28,11 @@ pub struct SlaConfig {
 
 impl SlaConfig {
     /// The paper's configuration: 400 ms on p95, HPA threshold at 65%.
-    pub fn paper_default() -> Self {
-        Self::new(0.400, 0.95, 0.65)
-    }
-
-    /// Creates a custom SLA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_secs` is non-positive, `percentile` is outside
-    /// `(0, 1]`, or `hpa_fraction` is outside `(0, 1]`.
-    pub fn new(target_secs: f64, percentile: f64, hpa_fraction: f64) -> Self {
-        assert!(
-            target_secs.is_finite() && target_secs > 0.0,
-            "SLA target must be positive, got {target_secs}"
-        );
-        assert!(
-            percentile > 0.0 && percentile <= 1.0,
-            "percentile must be in (0,1], got {percentile}"
-        );
-        assert!(
-            hpa_fraction > 0.0 && hpa_fraction <= 1.0,
-            "HPA fraction must be in (0,1], got {hpa_fraction}"
-        );
+    pub const fn paper_default() -> Self {
         Self {
-            target_secs,
-            percentile,
-            hpa_fraction,
+            target_secs: 0.400,
+            percentile: 0.95,
+            hpa_fraction: 0.65,
         }
     }
 
@@ -105,26 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_sla() {
-        let sla = SlaConfig::new(1.0, 0.99, 0.5);
-        assert_eq!(sla.hpa_threshold_secs(), 0.5);
-        assert_eq!(sla.percentile(), 0.99);
-    }
-
-    #[test]
     fn default_is_paper() {
         assert_eq!(SlaConfig::default(), SlaConfig::paper_default());
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn bad_percentile_panics() {
-        SlaConfig::new(0.4, 1.5, 0.65);
-    }
-
-    #[test]
-    #[should_panic(expected = "SLA target")]
-    fn zero_target_panics() {
-        SlaConfig::new(0.0, 0.95, 0.65);
     }
 }
