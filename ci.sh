@@ -40,6 +40,7 @@ er_lint_json() {
 }
 
 run_stage "fmt" cargo fmt --check
+# clippy.toml holds the ambient-input bans (wall clock, std::env, thread_local!).
 run_stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_stage "er-lint" er_lint_json
 # Every tests/fixtures/*_bad.rs must yield exactly its expected findings.

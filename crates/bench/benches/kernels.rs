@@ -10,7 +10,8 @@
 
 use er_model::{configs, Dlrm, QueryGenerator};
 use er_sim::SimRng;
-use er_tensor::Matrix;
+use er_tensor::simd::gather_pool_csr_f16_with;
+use er_tensor::{Matrix, SimdBackend};
 
 /// Pseudo-random matrix with exact zeros sprinkled in, mirroring what the
 /// kernels see in practice (ReLU outputs are zero-heavy).
@@ -48,7 +49,6 @@ fn main() {
         }
         (0..3)
             .map(|_| {
-                // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
                 let t0 = Instant::now();
                 for _ in 0..reps {
                     black_box(f());
@@ -114,9 +114,8 @@ fn main() {
 
     // The RM1 sparse shards' f16 gather at the serving shape: 3,122
     // lookups in 32 inputs, dim 32, over the hot shard (L2-resident) and a
-    // cold shard (past the prefetch threshold). Reported on the rung
-    // `SimdBackend::detect` picks; `ER_SIMD=avx2` pins the AVX2 rung.
-    let rung = er_tensor::SimdBackend::detect();
+    // cold shard (past the prefetch threshold). One row per available
+    // SIMD rung, so the table A/Bs the rungs on this CPU.
     for (label, rows) in [
         ("f16 gather RM1 hot shard 3712x32", 3_712u32),
         ("f16 gather RM1 cold shard 251823x32", 251_823),
@@ -131,21 +130,23 @@ fn main() {
             .collect();
         let offsets: Vec<u32> = (0..32).map(|i| (i * lookups / 32) as u32).collect();
         let mut pooled = Matrix::zeros(32, dim);
-        let secs = time(200, || {
-            er_tensor::gather_pool_csr_f16(&table, rows, &indices, &offsets, &mut pooled);
-            pooled.get(0, 0)
-        });
         let row_bytes = (dim * std::mem::size_of::<u16>()) as f64;
-        report::row(
-            label,
-            &[
-                ("rung", rung.name().to_string()),
-                ("ns_per_row", format!("{:.2}", secs * 1e9 / lookups as f64)),
-                (
-                    "gbps",
-                    format!("{:.1} GB/s", lookups as f64 * row_bytes / secs / 1e9),
-                ),
-            ],
-        );
+        for rung in SimdBackend::ALL.into_iter().filter(|r| r.is_available()) {
+            let secs = time(200, || {
+                gather_pool_csr_f16_with(rung, &table, rows, &indices, &offsets, &mut pooled);
+                pooled.get(0, 0)
+            });
+            report::row(
+                label,
+                &[
+                    ("rung", rung.name().to_string()),
+                    ("ns_per_row", format!("{:.2}", secs * 1e9 / lookups as f64)),
+                    (
+                        "gbps",
+                        format!("{:.1} GB/s", lookups as f64 * row_bytes / secs / 1e9),
+                    ),
+                ],
+            );
+        }
     }
 }

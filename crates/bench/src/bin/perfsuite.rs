@@ -115,6 +115,7 @@ const SMOKE: Scale = Scale {
 /// Minimum acceptable speedup vs the attached baseline per section.
 const SPEEDUP_FLOOR: f64 = 0.95;
 
+#[allow(clippy::disallowed_methods)] // the binary's entry point parses its own arguments
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -164,11 +165,9 @@ fn main() {
     let json = report.to_json();
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         if !dir.as_os_str().is_empty() {
-            // lint::allow(env_io): the perf harness's whole job is writing the report file
             std::fs::create_dir_all(dir).expect("create output directory");
         }
     }
-    // lint::allow(env_io): the perf harness's whole job is writing the report file
     std::fs::write(&out_path, &json).expect("write perf report");
 
     println!("{}", report.summary_table());
@@ -176,7 +175,6 @@ fn main() {
 
     // The emitted file must round-trip the schema check — this is what the
     // CI smoke stage relies on.
-    // lint::allow(env_io): schema validation re-reads the file just written
     let reread = std::fs::read_to_string(&out_path).expect("reread perf report");
     match perf::validate_schema(&reread) {
         Ok(sections) => println!("schema ok ({sections} sections)"),
@@ -216,7 +214,6 @@ fn bench_event_queue(scale: &Scale) -> Section {
         q.schedule_in(rng.uniform() * 10.0, i);
     }
     let mut digest = Digest::new();
-    // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
     let t0 = Instant::now();
     for i in 0..scale.queue_ops {
         let (t, ev) = q.pop().expect("queue holds `depth` pending events");
@@ -263,7 +260,6 @@ fn bench_forward(scale: &Scale) -> Section {
         let _ = sharded.forward_ws(q, &mut ws);
     }
     let mut digest = Digest::new();
-    // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
     let t0 = Instant::now();
     for i in 0..scale.forward_iters {
         let out = sharded.forward_ws(&queries[(i % 8) as usize], &mut ws);
@@ -291,7 +287,6 @@ fn bench_sim(name: &str, cfg: &SimulationConfig) -> Section {
         &calib,
     );
 
-    // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
     let t0 = Instant::now();
     let out = Simulation::run(&p, &calib, cfg);
     let wall = t0.elapsed().as_secs_f64();
@@ -421,7 +416,6 @@ fn bench_quant(scale: &Scale, enforce: bool) -> Vec<Section> {
     }
     for _ in 0..ROUNDS {
         for k in 0..tables.len() {
-            // lint::allow(wall_clock): benchmarks measure real elapsed time by definition
             let t0 = Instant::now();
             for _ in 0..per_round {
                 tables[k].gather_pool_into(&indices, &offsets, &mut outs[k]);

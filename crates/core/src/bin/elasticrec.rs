@@ -287,6 +287,7 @@ fn cmd_utility(opts: &Options) {
     );
 }
 
+#[allow(clippy::disallowed_methods)] // the binary's entry point parses its own arguments
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {

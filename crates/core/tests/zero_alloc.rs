@@ -34,8 +34,8 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 
-// lint::allow(unsafe): GlobalAlloc is an unsafe trait; this impl only
-// forwards to System and bumps counters.
+// GlobalAlloc is an unsafe trait; this impl only forwards to System and
+// bumps counters.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {

@@ -10,8 +10,9 @@
 /// workspace-relative with forward slashes; matching is by prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
-    /// Deterministic-execution paths: wall-clock, ambient RNG,
-    /// environment reads, and `HashMap` iteration are banned here.
+    /// Deterministic-execution paths: `HashMap`/`HashSet` iteration is
+    /// banned here. (The wall-clock, environment and thread-local bans
+    /// hold everywhere, through `clippy.toml`.)
     pub deterministic: Vec<String>,
     /// Serving hot-path crates: `unwrap`/`expect`/`panic!` are banned in
     /// non-test library code here.
@@ -19,19 +20,9 @@ pub struct Config {
     /// Blessed kernel modules: the only places allowed to spell out raw
     /// `f32` reductions (everything else goes through `er_tensor::reduce`).
     pub blessed_kernels: Vec<String>,
-    /// Extra paths where wall-clock use is flagged even though they are
-    /// not deterministic (benchmark fallbacks — must carry allow markers).
-    pub wall_clock_extra: Vec<String>,
     /// Files that have adopted er-units typed quantities: raw-f64
     /// arithmetic on resource-named symbols (`unit_mixing`) is banned here.
     pub units: Vec<String>,
-    /// Pure actor-style handler modules (`fn on_msg(&State, Msg) ->
-    /// (State, Vec<Out>)` and the helpers they call): wall-clock reads,
-    /// ambient RNG, environment reads, and mutable ambient state
-    /// (`impure_handler`) are banned inside every fn here — the er-mc
-    /// model checker can only explore what is a pure function of its
-    /// inputs.
-    pub handlers: Vec<String>,
     /// Paths the workspace walk skips entirely.
     pub skip: Vec<String>,
     /// Entry points of the warm serving fast path for the `hot_alloc`
@@ -61,21 +52,12 @@ impl Default for Config {
                 "crates/tensor/src/reduce.rs",
                 "crates/tensor/src/quant.rs",
             ]),
-            wall_clock_extra: strs(&["crates/bench"]),
             units: strs(&[
                 "crates/partition/src/cost.rs",
                 "crates/partition/src/qps_model.rs",
                 "crates/cluster/src/hardware.rs",
                 "crates/cluster/src/hpa.rs",
                 "crates/model/src/flops.rs",
-            ]),
-            handlers: strs(&[
-                "crates/cluster/src/hpa.rs",
-                "crates/cluster/src/schedule.rs",
-                "crates/rpc/src/pure.rs",
-                "crates/mc/src/checker.rs",
-                "crates/mc/src/control.rs",
-                "crates/mc/src/report.rs",
             ]),
             skip: strs(&["vendor", "target", ".git", "crates/lint/tests/fixtures"]),
             hot_alloc_entries: strs(&[
@@ -125,9 +107,7 @@ impl Config {
                 "deterministic" => cfg.deterministic = items,
                 "serving" => cfg.serving = items,
                 "blessed_kernels" => cfg.blessed_kernels = items,
-                "wall_clock_extra" => cfg.wall_clock_extra = items,
                 "units" => cfg.units = items,
-                "handlers" => cfg.handlers = items,
                 "skip" => cfg.skip = items,
                 "hot_alloc_entries" => cfg.hot_alloc_entries = items,
                 other => {

@@ -2,7 +2,7 @@
 //!
 //! The whole-workspace passes ([`crate::graph`]) operate on *facts*, not
 //! token streams: every function a file defines (with its call sites and
-//! panic / allocation / ambient-input sites), every `use` declaration
+//! panic / allocation sites), every `use` declaration
 //! (including `pub use` re-exports and globs), every `lint::allow` marker,
 //! and the file's per-file rule diagnostics computed *before* marker
 //! suppression (so the unused-marker pass can tell which markers earned
@@ -10,7 +10,7 @@
 
 use crate::config::Config;
 use crate::lexer::TokenKind;
-use crate::rules::{ambient_read, rules_pass, Diagnostic, FileContext};
+use crate::rules::{rules_pass, Diagnostic, FileContext};
 
 /// What kind of site a [`Site`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,9 +21,6 @@ pub enum SiteKind {
     /// `String::from`, `.clone()`, `.collect()`, `.to_vec()`) — feeds
     /// `hot_alloc`.
     Alloc,
-    /// An ambient input (wall clock, ambient RNG, environment read) —
-    /// feeds the transitive `impure_handler` pass.
-    Impure,
 }
 
 /// One interesting token site inside a function body.
@@ -70,7 +67,7 @@ pub struct FnFact {
     pub line: u32,
     /// Declared with a bare `pub` (scoped `pub(..)` counts as private).
     pub is_pub: bool,
-    /// Panic / alloc / impure sites inside the body, in token order.
+    /// Panic / alloc sites inside the body, in token order.
     pub sites: Vec<Site>,
     /// Outgoing calls, in token order (duplicates preserved — each call
     /// site carries its own position and suppression state).
@@ -268,8 +265,8 @@ fn extract_fns_and_imports(ctx: &FileContext<'_>, facts: &mut FileFacts) {
         .collect();
 }
 
-/// Classifies one in-body code token: panic site, alloc site, impure
-/// site, and/or a call reference on `cur`.
+/// Classifies one in-body code token: panic site, alloc site, and/or a
+/// call reference on `cur`.
 fn scan_body_token(ctx: &FileContext<'_>, ci: usize, cur: &mut FnFact) {
     let n = ctx.code.len();
     if ctx.kind(ci) != TokenKind::Ident {
@@ -322,11 +319,6 @@ fn scan_body_token(ctx: &FileContext<'_>, ci: usize, cur: &mut FnFact) {
         if called {
             site(SiteKind::Alloc, format!("`.{t}()`"), "hot_alloc");
         }
-    }
-
-    // Impure sites (ambient inputs), for the transitive handler pass.
-    if let Some(a) = ambient_read(ctx, ci) {
-        site(SiteKind::Impure, format!("`{a}`"), "impure_handler");
     }
 
     // A call: `name(..)` or `.name(..)`, but not `name!(..)` macros and
@@ -622,28 +614,6 @@ fn f() {
 ";
         let f2 = facts("crates/core/src/x.rs", src2);
         assert!(f2.fns[0].calls[0].hot_suppressed);
-    }
-
-    #[test]
-    fn impure_sites_and_markers_are_extracted_everywhere() {
-        let src = "\
-fn helper_seed() -> u64 {
-    let t = SystemTime::now();
-    let _ = std::env::var(\"SEED\");
-    0
-}
-";
-        // Not a handler-classed file: no per-file diags, but the sites are
-        // still extracted for the transitive pass.
-        let f = facts("crates/workload/src/x.rs", src);
-        assert!(f.diags.is_empty());
-        let impure: Vec<u32> = f.fns[0]
-            .sites
-            .iter()
-            .filter(|s| s.kind == SiteKind::Impure)
-            .map(|s| s.line)
-            .collect();
-        assert_eq!(impure, vec![2, 3]);
     }
 
     #[test]

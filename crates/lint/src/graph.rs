@@ -1,7 +1,7 @@
 //! Whole-workspace call-graph passes.
 //!
 //! The resolved imports of every file ([`crate::resolve`]) link calls
-//! into one inter-crate graph, and four passes run over it:
+//! into one inter-crate graph, and three passes run over it:
 //!
 //! * **`no_panic`** — a panic site is reported when it is *reachable
 //!   through calls* from a `pub fn` in a serving-scope file, across crate
@@ -13,12 +13,11 @@
 //!   must reach no allocation site. A `lint::allow(hot_alloc)` marker on
 //!   a *call* severs that edge (blessing a cold grow-only guard); on an
 //!   allocation site it blesses the site itself.
-//! * **transitive `impure_handler`** — purity propagates through the
-//!   graph: a pure handler calling a helper in another file or crate that
-//!   reads ambient inputs is flagged at the helper's site, chain attached.
 //! * **`unused_allow`** — a `lint::allow(rule)` marker that no longer
 //!   suppresses any diagnostic or site rots silently after refactors;
-//!   report it (and unknown rule names) so markers stay honest.
+//!   report it (and unknown rule names) so markers stay honest. No rule
+//!   runs in test, bench, example or binary files, so every marker there
+//!   is stale.
 
 use std::collections::VecDeque;
 
@@ -28,7 +27,7 @@ use crate::resolve::{crate_display, Workspace};
 use crate::rules::{is_test_or_tool_path, Diagnostic, RULES};
 
 /// Lints the workspace as one unit: every file's per-file rules (from its
-/// [`FileFacts`], see [`crate::facts::extract_facts`]) plus the four
+/// [`FileFacts`], see [`crate::facts::extract_facts`]) plus the three
 /// call-graph passes, in one deterministically sorted stream.
 pub fn check_workspace(facts: &[FileFacts], cfg: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -43,7 +42,6 @@ pub fn check_workspace(facts: &[FileFacts], cfg: &Config) -> Vec<Diagnostic> {
     let ws = Workspace::build(facts);
     no_panic_pass(&ws, cfg, &mut out);
     hot_alloc_pass(&ws, cfg, &mut out);
-    impure_pass(&ws, cfg, &mut out);
     unused_allow_pass(facts, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     out
@@ -205,64 +203,39 @@ pub fn hot_entry_drift(facts: &[FileFacts], cfg: &Config) -> Vec<Diagnostic> {
     out
 }
 
-/// Transitive purity: impure sites in non-handler files reachable from
-/// any function defined in a handler-classed file. (Sites *inside*
-/// handler files are the per-file `impure_handler` rule's job.)
-fn impure_pass(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    let roots: Vec<usize> = (0..ws.nodes.len())
-        .filter(|&i| Config::in_paths(&ws.file(i).path, &cfg.handlers))
-        .collect();
-    let (visited, parent) = bfs(ws, &roots, false);
-    for (i, _) in visited.iter().enumerate().filter(|(_, v)| **v) {
-        if Config::in_paths(&ws.file(i).path, &cfg.handlers) {
-            continue;
-        }
-        let chain = chain_to(ws, &parent, i);
-        let via = chain.join(" -> ");
-        let root = chain[0].clone();
-        for site in ws.func(i).sites.iter() {
-            if site.kind != SiteKind::Impure || site.suppressed {
-                continue;
-            }
-            out.push(Diagnostic {
-                path: ws.file(i).path.clone(),
-                line: site.line,
-                col: site.col,
-                rule: "impure_handler",
-                message: format!(
-                    "{} is an ambient input reachable from handler fn `{root}` via {via}; purity is transitive — the model checker can only replay what is a pure function of handler inputs, so thread this through the message or state",
-                    site.what
-                ),
-                chain: chain.clone(),
-            });
-        }
-    }
-}
-
 /// Stale-marker audit: every `lint::allow(rule)` marker must still
-/// suppress a diagnostic or sit on a site/call of its rule.
+/// suppress a diagnostic or sit on a site/call of its rule. No rule runs
+/// in a test, bench, example or binary file, so a marker there is stale.
 fn unused_allow_pass(facts: &[FileFacts], out: &mut Vec<Diagnostic>) {
     for f in facts {
-        if is_test_or_tool_path(&f.path) {
-            continue;
-        }
+        let tool = is_test_or_tool_path(&f.path);
         for m in &f.markers {
-            let covered = |line: u32| line == m.line || line == m.line + 1;
-            if m.rule != "all" && !RULES.contains(&m.rule.as_str()) {
+            let mut stale = |message: String| {
                 out.push(Diagnostic {
                     path: f.path.clone(),
                     line: m.line,
                     col: m.col,
                     rule: "unused_allow",
-                    message: format!(
-                        "`lint::allow({})` names no known rule; known rules: {}",
-                        m.rule,
-                        RULES.join(", ")
-                    ),
+                    message,
                     chain: Vec::new(),
                 });
+            };
+            if tool {
+                stale(format!(
+                    "`lint::allow({})` sits in a test, bench, example or binary file, where no rule runs; remove the marker",
+                    m.rule
+                ));
                 continue;
             }
+            if m.rule != "all" && !RULES.contains(&m.rule.as_str()) {
+                stale(format!(
+                    "`lint::allow({})` names no known rule; known rules: {}",
+                    m.rule,
+                    RULES.join(", ")
+                ));
+                continue;
+            }
+            let covered = |line: u32| line == m.line || line == m.line + 1;
             let matches_rule = |r: &str| m.rule == "all" || m.rule == r;
             let mut used = f
                 .diags
@@ -277,18 +250,6 @@ fn unused_allow_pass(facts: &[FileFacts], out: &mut Vec<Diagnostic>) {
                         && match s.kind {
                             SiteKind::Panic => matches_rule("no_panic"),
                             SiteKind::Alloc => matches_rule("hot_alloc"),
-                            // An impure site anchors the graph rule *and*
-                            // the per-file rule of its shape, so a marker
-                            // stays live even where that rule is currently
-                            // out of scope (it arms if the scope widens).
-                            SiteKind::Impure => {
-                                matches_rule("impure_handler")
-                                    || (matches_rule("env_io") && s.what.contains("env::"))
-                                    || (matches_rule("wall_clock") && s.what.contains("::now"))
-                                    || (matches_rule("ambient_rng")
-                                        && !s.what.contains("env::")
-                                        && !s.what.contains("::now"))
-                            }
                         }
                 });
                 // A hot_alloc marker on a call line cuts that edge — that
@@ -296,17 +257,10 @@ fn unused_allow_pass(facts: &[FileFacts], out: &mut Vec<Diagnostic>) {
                 used |= matches_rule("hot_alloc") && func.calls.iter().any(|c| covered(c.line));
             }
             if !used {
-                out.push(Diagnostic {
-                    path: f.path.clone(),
-                    line: m.line,
-                    col: m.col,
-                    rule: "unused_allow",
-                    message: format!(
-                        "`lint::allow({})` no longer suppresses anything here; the code it blessed has moved or been fixed — remove the stale marker",
-                        m.rule
-                    ),
-                    chain: Vec::new(),
-                });
+                stale(format!(
+                    "`lint::allow({})` no longer suppresses anything here; the code it blessed has moved or been fixed — remove the stale marker",
+                    m.rule
+                ));
             }
         }
     }
@@ -490,25 +444,6 @@ fn grow(n: usize) { let v: Vec<f32> = Vec::new(); let _ = (v, n); }
     }
 
     #[test]
-    fn transitive_impure_handler_reports_the_cross_file_chain() {
-        let d = workspace(&[
-            (
-                "crates/rpc/src/pure.rs",
-                "use er_workload::jitter::seed_hint;\n\
-                 pub fn on_msg(state: &u32, msg: &u32) -> u32 { state + msg + seed_hint() }\n",
-            ),
-            (
-                "crates/workload/src/jitter.rs",
-                "pub fn seed_hint() -> u32 { let t = Instant::now(); let _ = t; 0 }\n",
-            ),
-        ]);
-        assert_eq!(d.len(), 1, "{d:#?}");
-        assert_eq!(d[0].rule, "impure_handler");
-        assert_eq!(d[0].path, "crates/workload/src/jitter.rs");
-        assert_eq!(d[0].chain, vec!["on_msg", "er_workload::seed_hint"]);
-    }
-
-    #[test]
     fn unused_allow_flags_stale_and_unknown_markers() {
         let src = "\
 // lint::allow(no_panic): this unwrap was removed long ago
@@ -524,6 +459,20 @@ pub fn other() -> u32 { 1 }
             "{d:#?}"
         );
         assert!(d[1].message.contains("no known rule"), "{}", d[1].message);
+    }
+
+    #[test]
+    fn every_marker_in_a_tool_file_is_unused() {
+        let src = "\
+pub fn serve(x: Option<u32>) -> u32 {
+    // lint::allow(no_panic): no rule runs in integration tests
+    x.unwrap()
+}
+";
+        let d = workspace(&[("crates/rpc/tests/it.rs", src)]);
+        let got: Vec<(&str, u32)> = d.iter().map(|x| (x.rule, x.line)).collect();
+        assert_eq!(got, vec![("unused_allow", 2)], "{d:#?}");
+        assert!(d[0].message.contains("no rule runs"), "{}", d[0].message);
     }
 
     #[test]

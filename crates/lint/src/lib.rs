@@ -10,13 +10,17 @@
 //!
 //! | rule | scope | catches |
 //! |------|-------|---------|
-//! | `wall_clock` | deterministic paths + `er-bench` | `Instant::now` / `SystemTime::now` |
-//! | `ambient_rng` | deterministic paths | `thread_rng`, `from_entropy`, `rand::random` |
-//! | `env_io` | deterministic paths | `env::var` and friends |
 //! | `hashmap_iter` | deterministic paths | iteration over `HashMap`/`HashSet` bindings |
 //! | `no_panic` | serving hot path | panics *reachable through the call graph* from a public serving fn |
 //! | `float_reduction` | serving minus blessed kernels | ad-hoc `sum::<f32>` / `product::<f32>` |
 //! | `unit_mixing` | er-units adopter files | raw-f64 arithmetic on resource-named symbols |
+//! | `hot_alloc` | warm serving entries | allocation sites *reachable through the call graph* |
+//! | `unused_allow` | every file | markers that suppress nothing; every marker in a test, bench, example or binary file |
+//!
+//! er-lint keeps only the checks rustc and clippy cannot make. The
+//! wall-clock, environment and thread-local bans live in the workspace
+//! `clippy.toml`, and ambient RNG and `static mut` do not compile here
+//! (the `rand` stub exports no entropy source; `unsafe_code` is denied).
 //!
 //! Scopes are path prefixes configured in `er-lint.toml` (see
 //! [`Config`]); intentional exceptions carry a
@@ -26,16 +30,16 @@
 //! The analysis is one pass over the whole workspace. [`check_file`]
 //! runs the per-file token rules over one lexed file. The fact extractor
 //! ([`facts`]) records those diagnostics before marker suppression, plus
-//! every function, call, panic / allocation / ambient-input site and `use`
-//! declaration. [`check_workspace`] resolves the facts of every file into
-//! one inter-crate call graph ([`resolve`]) and runs the graph rules over
-//! it ([`graph`]): cross-crate `no_panic`, `hot_alloc` (the warm serving
+//! every function, call, panic / allocation site and `use` declaration.
+//! [`check_workspace`] resolves the facts of every file into one
+//! inter-crate call graph ([`resolve`]) and runs the graph rules over it
+//! ([`graph`]): cross-crate `no_panic`, `hot_alloc` (the warm serving
 //! fast path reaches no allocation site; entries configured via
 //! `hot_alloc_entries`, cross-checked against the dynamic `alloc-count`
-//! test), transitive `impure_handler`, and an `unused_allow` audit for
-//! markers that no longer suppress anything. Graph diagnostics carry the
-//! full call chain from the entry point to the offending site —
-//! crate-qualified where the chain crosses crates.
+//! test), and an `unused_allow` audit for markers that no longer suppress
+//! anything. Graph diagnostics carry the full call chain from the entry
+//! point to the offending site — crate-qualified where the chain crosses
+//! crates.
 //!
 //! # Examples
 //!
@@ -44,10 +48,10 @@
 //! use er_lint::{check_file, check_workspace, Config, FileContext};
 //!
 //! let cfg = Config::default();
-//! let src = "fn now_ms() -> u128 { Instant::now().elapsed().as_millis() }";
-//! let ctx = FileContext::new("crates/sim/src/time.rs", src);
+//! let src = "fn total(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }";
+//! let ctx = FileContext::new("crates/model/src/pool.rs", src);
 //! let diags = check_file(&ctx, &cfg);
-//! assert_eq!(diags[0].rule, "wall_clock");
+//! assert_eq!(diags[0].rule, "float_reduction");
 //!
 //! // `no_panic` follows calls, so it needs the workspace pass.
 //! let src = "pub fn serve(x: Option<u32>) -> u32 { x.unwrap() }";

@@ -27,6 +27,7 @@ struct Args {
     json: bool,
 }
 
+#[allow(clippy::disallowed_methods)] // the binary's entry point parses its own arguments
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),

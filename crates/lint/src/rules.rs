@@ -5,7 +5,7 @@
 //! class (see [`Config`]) and aware of two escape hatches:
 //!
 //! * `#[cfg(test)]` items (and whole files under `tests/`, `benches/`,
-//!   `examples/`, or `bin/`) are exempt from hot-path rules;
+//!   `examples/`, or `bin/`) are exempt from every rule;
 //! * a comment containing `lint::allow(rule_name): reason` suppresses
 //!   `rule_name` on its own line and the line directly below — the
 //!   documented way to bless an intentional exception.
@@ -17,15 +17,11 @@ use crate::lexer::{tokenize, Token, TokenKind};
 
 /// Every rule the engine can emit, in stable summary order. This is also
 /// the vocabulary `lint::allow(..)` markers are validated against.
-pub const RULES: [&str; 10] = [
-    "wall_clock",
-    "ambient_rng",
-    "env_io",
+pub const RULES: [&str; 6] = [
     "hashmap_iter",
     "no_panic",
     "float_reduction",
     "unit_mixing",
-    "impure_handler",
     "hot_alloc",
     "unused_allow",
 ];
@@ -326,7 +322,7 @@ fn allow_markers(
     (map, raw)
 }
 
-/// True for file classes exempt from hot-path rules: test, bench, example,
+/// True for file classes exempt from every rule: test, bench, example,
 /// and CLI-binary code.
 pub fn is_test_or_tool_path(path: &str) -> bool {
     let p = format!("/{path}");
@@ -337,8 +333,8 @@ pub fn is_test_or_tool_path(path: &str) -> bool {
 
 /// Runs every applicable per-file rule over one file and drops the
 /// matches an allow marker blesses. The call-graph rules (`no_panic`,
-/// `hot_alloc`, transitive `impure_handler`, `unused_allow`) need the
-/// whole workspace; [`crate::graph::check_workspace`] runs them.
+/// `hot_alloc`, `unused_allow`) need the whole workspace;
+/// [`crate::graph::check_workspace`] runs them.
 pub fn check_file(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
     let mut out = rules_pass(ctx, cfg);
     out.retain(|d| !ctx.suppressed(d.line, d.rule));
@@ -350,27 +346,19 @@ pub fn check_file(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
 /// markers actually suppress something.
 pub(crate) fn rules_pass(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let det = Config::in_paths(&ctx.path, &cfg.deterministic);
-    let serving = Config::in_paths(&ctx.path, &cfg.serving);
-    let blessed = Config::in_paths(&ctx.path, &cfg.blessed_kernels);
-    let tool = is_test_or_tool_path(&ctx.path);
-
-    if det || Config::in_paths(&ctx.path, &cfg.wall_clock_extra) {
-        wall_clock(ctx, &mut out);
+    // No rule runs in tool files; `unused_allow` relies on that.
+    if is_test_or_tool_path(&ctx.path) {
+        return out;
     }
-    if det && !tool {
-        ambient_rng(ctx, &mut out);
-        env_io(ctx, &mut out);
+    let blessed = Config::in_paths(&ctx.path, &cfg.blessed_kernels);
+    if Config::in_paths(&ctx.path, &cfg.deterministic) {
         hashmap_iter(ctx, &mut out);
     }
-    if serving && !blessed && !tool {
+    if Config::in_paths(&ctx.path, &cfg.serving) && !blessed {
         float_reduction(ctx, &mut out);
     }
-    if Config::in_paths(&ctx.path, &cfg.units) && !blessed && !tool {
+    if Config::in_paths(&ctx.path, &cfg.units) && !blessed {
         unit_mixing(ctx, &mut out);
-    }
-    if Config::in_paths(&ctx.path, &cfg.handlers) && !tool {
-        impure_handler(ctx, &mut out);
     }
     out
 }
@@ -391,116 +379,6 @@ fn push(
         message: msg,
         chain: Vec::new(),
     });
-}
-
-/// Process-environment accessors that count as an ambient read.
-const ENV_CALLS: [&str; 7] = [
-    "var", "var_os", "vars", "vars_os", "args", "args_os", "temp_dir",
-];
-
-/// An ambient input: a read whose result is not a function of the
-/// program's explicit inputs. `Display` spells it as written
-/// (`Instant::now()`, `thread_rng`, `env::var`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Ambient<'a> {
-    /// `Instant::now` / `SystemTime::now`, carrying the type name.
-    Clock(&'a str),
-    /// `thread_rng` / `from_entropy` / `rand::random`, carrying the name.
-    Rng(&'a str),
-    /// `env::var` and friends ([`ENV_CALLS`]), carrying the accessor.
-    Env(&'a str),
-}
-
-impl std::fmt::Display for Ambient<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Ambient::Clock(ty) => write!(f, "{ty}::now()"),
-            Ambient::Rng(name) => f.write_str(name),
-            Ambient::Env(call) => write!(f, "env::{call}"),
-        }
-    }
-}
-
-/// The one matcher for every ambient-read shape, anchored at code index
-/// `ci`: the `Instant`/`SystemTime`, the RNG name, or the `env` token.
-/// Callers choose their own scope (test-token skipping, enclosing fn) and
-/// message.
-pub(crate) fn ambient_read<'a>(ctx: &'a FileContext<'_>, ci: usize) -> Option<Ambient<'a>> {
-    if ctx.kind(ci) != TokenKind::Ident {
-        return None;
-    }
-    let n = ctx.code.len();
-    // The segment after `ci::`, for the `Type::now` and `env::var` shapes.
-    let next_seg = (ci + 2 < n
-        && ctx.kind(ci + 1) == TokenKind::PathSep
-        && ctx.kind(ci + 2) == TokenKind::Ident)
-        .then(|| ctx.text(ci + 2));
-    let t = ctx.text(ci);
-    match t {
-        "Instant" | "SystemTime" if next_seg == Some("now") => Some(Ambient::Clock(t)),
-        "thread_rng" | "from_entropy" => Some(Ambient::Rng(t)),
-        "random"
-            if ci >= 2
-                && ctx.kind(ci - 1) == TokenKind::PathSep
-                && ctx.is_ident(ci - 2, "rand") =>
-        {
-            Some(Ambient::Rng(t))
-        }
-        "env" => next_seg.filter(|m| ENV_CALLS.contains(m)).map(Ambient::Env),
-        _ => None,
-    }
-}
-
-/// `wall_clock`: `Instant::now` / `SystemTime::now` in deterministic
-/// paths. Simulated components must take time from `er_sim::SimTime`.
-fn wall_clock(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for ci in 0..ctx.code.len() {
-        if let Some(a @ Ambient::Clock(_)) = ambient_read(ctx, ci) {
-            push(
-                out,
-                ctx,
-                ci,
-                "wall_clock",
-                format!("`{a}` reads the wall clock; deterministic paths must take time from `er_sim::SimTime`"),
-            );
-        }
-    }
-}
-
-/// `ambient_rng`: ambient (unseeded) randomness in deterministic paths.
-fn ambient_rng(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for ci in 0..ctx.code.len() {
-        if ctx.is_test_token(ci) {
-            continue;
-        }
-        if let Some(a @ Ambient::Rng(_)) = ambient_read(ctx, ci) {
-            push(
-                out,
-                ctx,
-                ci,
-                "ambient_rng",
-                format!("`{a}` draws entropy from the environment; deterministic paths must use a seeded `er_sim::SimRng`"),
-            );
-        }
-    }
-}
-
-/// `env_io`: process-environment reads in deterministic paths.
-fn env_io(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for ci in 0..ctx.code.len() {
-        if ctx.is_test_token(ci) {
-            continue;
-        }
-        if let Some(a @ Ambient::Env(_)) = ambient_read(ctx, ci) {
-            push(
-                out,
-                ctx,
-                ci,
-                "env_io",
-                format!("`{a}` makes behaviour depend on the process environment; thread configuration through explicit parameters"),
-            );
-        }
-    }
 }
 
 /// `hashmap_iter`: iteration over `HashMap`/`HashSet` bindings in
@@ -888,130 +766,6 @@ fn unit_mixing(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Spans of every `fn` body in the file: `(name, body_open, body_close)`
-/// as code-token indices. Nested fns produce nested spans; the *innermost*
-/// span containing a token names the function it belongs to.
-fn fn_spans(ctx: &FileContext<'_>) -> Vec<(String, usize, usize)> {
-    let n = ctx.code.len();
-    let mut spans = Vec::new();
-    let mut ci = 0;
-    while ci < n {
-        if ctx.is_ident(ci, "fn") && ci + 1 < n && ctx.kind(ci + 1) == TokenKind::Ident {
-            let name = ctx.text(ci + 1).to_string();
-            // Find the body's opening brace, skipping the parameter list;
-            // a `;` at paren depth 0 means a bodyless trait declaration.
-            let mut j = ci + 2;
-            let mut paren = 0usize;
-            let mut body = None;
-            while j < n {
-                match ctx.kind(j) {
-                    TokenKind::Punct('(') => paren += 1,
-                    TokenKind::Punct(')') => paren = paren.saturating_sub(1),
-                    TokenKind::Punct('{') if paren == 0 => {
-                        body = Some(j);
-                        break;
-                    }
-                    TokenKind::Punct(';') if paren == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if let Some(start) = body {
-                let mut depth = 0usize;
-                let mut k = start;
-                let mut end = n - 1;
-                while k < n {
-                    match ctx.kind(k) {
-                        TokenKind::Punct('{') => depth += 1,
-                        TokenKind::Punct('}') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                end = k;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                spans.push((name, start, end));
-            }
-        }
-        ci += 1;
-    }
-    spans
-}
-
-/// `impure_handler`: ambient inputs inside handler-classed modules.
-///
-/// Files in the `handlers` path class hold pure actor-style handlers
-/// (`fn on_msg(&State, Msg) -> (State, Vec<Out>)`) and the helpers they
-/// call — the code the `er-mc` model checker replays, where any hidden
-/// input (wall clock, ambient RNG, process environment, mutable statics)
-/// silently invalidates every explored trace. Four shapes:
-///
-/// 1. `Instant::now()` / `SystemTime::now()` inside any fn — time must
-///    arrive in the message;
-/// 2. `thread_rng` / `from_entropy` / `rand::random` inside any fn —
-///    nondeterminism must be enumerated or seeded by the caller;
-/// 3. `env::var` and friends inside any fn — configuration must be a
-///    parameter;
-/// 4. `static mut` / `thread_local!` declarations anywhere — handler
-///    state must live in the state value the checker fingerprints.
-fn impure_handler(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    let n = ctx.code.len();
-    let spans = fn_spans(ctx);
-    let enclosing = |ci: usize| -> Option<&str> {
-        spans
-            .iter()
-            .rev()
-            .find(|(_, start, end)| *start < ci && ci < *end)
-            .map(|(name, _, _)| name.as_str())
-    };
-    for ci in 0..n {
-        if ctx.is_test_token(ci) {
-            continue;
-        }
-        // Shape 4 anchors on declarations, inside fns or not.
-        if ctx.is_ident(ci, "static") && ci + 1 < n && ctx.is_ident(ci + 1, "mut") {
-            push(
-                out,
-                ctx,
-                ci,
-                "impure_handler",
-                "`static mut` is ambient state a pure handler can mutate invisibly; keep handler state in the state value the model checker fingerprints".to_string(),
-            );
-            continue;
-        }
-        if ctx.is_ident(ci, "thread_local")
-            && ci + 1 < n
-            && ctx.kind(ci + 1) == TokenKind::Punct('!')
-        {
-            push(
-                out,
-                ctx,
-                ci,
-                "impure_handler",
-                "`thread_local!` is ambient state invisible to the model checker; keep handler state in the state value it fingerprints".to_string(),
-            );
-            continue;
-        }
-        // Shapes 1-3: an ambient read inside a fn body.
-        let Some(a) = ambient_read(ctx, ci) else {
-            continue;
-        };
-        let Some(fn_name) = enclosing(ci) else {
-            continue;
-        };
-        let msg = match a {
-            Ambient::Clock(_) => format!("`{a}` inside handler fn `{fn_name}` reads the wall clock; pure on_msg-shaped handlers must take time from the message"),
-            Ambient::Rng(_) => format!("`{a}` inside handler fn `{fn_name}` draws ambient entropy; pure on_msg-shaped handlers must have nondeterminism enumerated or seeded by the caller"),
-            Ambient::Env(_) => format!("`{a}` inside handler fn `{fn_name}` reads the process environment; pure on_msg-shaped handlers must take configuration as parameters"),
-        };
-        push(out, ctx, ci, "impure_handler", msg);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1030,35 +784,27 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_fires_in_sim_paths_with_position() {
+    fn float_reduction_fires_with_position_and_skips_comments() {
         let d = check(
-            "crates/sim/src/time.rs",
-            "fn t() -> f64 {\n    let t0 = Instant::now();\n    0.0\n}\n",
+            "crates/model/src/interaction.rs",
+            "// xs.iter().sum::<f32>() would fix the order ad hoc\nfn t(xs: &[f32]) -> f32 {\n    xs.iter().sum::<f32>()\n}\n",
         );
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "wall_clock");
-        assert_eq!((d[0].line, d[0].col), (2, 14));
-        assert!(d[0].to_string().contains("crates/sim/src/time.rs:2:14"));
-    }
-
-    #[test]
-    fn wall_clock_ignores_other_crates_and_comments() {
-        assert!(check("crates/metrics/src/qps.rs", "let t = Instant::now();").is_empty());
-        assert!(check(
-            "crates/sim/src/time.rs",
-            "// Instant::now() would be wrong here\nlet x = 1;"
-        )
-        .is_empty());
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "float_reduction");
+        assert_eq!((d[0].line, d[0].col), (3, 15));
+        assert!(d[0]
+            .to_string()
+            .contains("crates/model/src/interaction.rs:3:15"));
     }
 
     #[test]
     fn allow_marker_suppresses_on_its_line_and_the_next() {
         let src = "\
-// lint::allow(wall_clock): plain fallback timer, not simulated time
-let t0 = Instant::now();
-let t1 = Instant::now();
+// lint::allow(float_reduction): reference-order oracle for a test fixture
+let a = xs.iter().sum::<f32>();
+let b = xs.iter().sum::<f32>();
 ";
-        let d = check("crates/sim/src/time.rs", src);
+        let d = check("crates/model/src/interaction.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 3);
     }
@@ -1126,14 +872,6 @@ impl S {
     }
 
     #[test]
-    fn ambient_rng_and_env_io_fire_in_deterministic_paths() {
-        let src = "fn f() { let r = thread_rng(); let v = std::env::var(\"X\"); let _ = (r, v); }";
-        let d = check("crates/partition/src/dp.rs", src);
-        let rules: Vec<_> = d.iter().map(|x| x.rule).collect();
-        assert_eq!(rules, vec!["ambient_rng", "env_io"]);
-    }
-
-    #[test]
     fn float_reduction_fires_outside_blessed_kernels_only() {
         let src = "fn f(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }";
         assert_eq!(check("crates/model/src/interaction.rs", src).len(), 1);
@@ -1145,7 +883,7 @@ impl S {
 
     #[test]
     fn strings_and_raw_strings_never_match_rules() {
-        let src = r##"pub fn f() -> &'static str { r#"Instant::now() .unwrap() panic!"# }"##;
+        let src = r##"pub fn f() -> &'static str { r#"sum::<f32>() .unwrap() panic!"# }"##;
         assert!(check_ws("crates/core/src/engine.rs", src).is_empty());
     }
 
@@ -1203,68 +941,6 @@ fn f(a_bytes: Bytes, b_bytes: Bytes, gathers: f64) -> Bytes {
         let src = "fn f(shard_bytes: f64, dense_flops: f64) -> f64 { shard_bytes + dense_flops }";
         assert!(check("crates/core/src/engine.rs", src).is_empty());
         assert_eq!(check("crates/model/src/flops.rs", src).len(), 3);
-    }
-
-    #[test]
-    fn impure_handler_fires_only_in_handler_files_and_names_the_fn() {
-        let src = "\
-pub fn on_msg(state: &u32, msg: &u32) -> (u32, Vec<u32>) {
-    let t = Instant::now();
-    (*state + *msg + t.elapsed().as_secs() as u32, Vec::new())
-}
-";
-        let d = check("crates/rpc/src/pure.rs", src);
-        assert_eq!(d.len(), 1, "{d:#?}");
-        assert_eq!(d[0].rule, "impure_handler");
-        assert!(d[0].message.contains("`on_msg`"), "{}", d[0].message);
-        // The same source outside the handlers class is clean.
-        assert!(check("crates/metrics/src/qps.rs", src).is_empty());
-    }
-
-    #[test]
-    fn impure_handler_flags_rng_env_and_ambient_state() {
-        let src = "\
-static mut HITS: u32 = 0;
-pub fn step(state: &u32) -> u32 {
-    let r = thread_rng();
-    let v = std::env::var(\"SEED\");
-    let _ = (r, v);
-    *state
-}
-";
-        let d = check("crates/cluster/src/schedule.rs", src);
-        let rules: Vec<_> = d.iter().map(|x| (x.rule, x.line)).collect();
-        assert_eq!(
-            rules,
-            vec![
-                ("impure_handler", 1),
-                ("impure_handler", 3),
-                ("impure_handler", 4)
-            ],
-            "{d:#?}"
-        );
-    }
-
-    #[test]
-    fn impure_handler_ignores_fn_signatures_and_test_code() {
-        // Mentions outside fn bodies (docs are comments anyway) and inside
-        // #[cfg(test)] items don't count; a pure handler passes clean.
-        let src = "\
-pub fn on_msg(state: &u32, now_secs: f64, msg: &u32) -> (u32, Vec<u32>) {
-    let _ = now_secs;
-    (state + msg, Vec::new())
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let t0 = Instant::now();
-        let _ = t0;
-    }
-}
-";
-        assert!(check("crates/rpc/src/pure.rs", src).is_empty());
     }
 
     #[test]

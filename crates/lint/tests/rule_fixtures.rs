@@ -1,7 +1,8 @@
 //! Per-rule fixture tests: each fixture file is lexed and checked exactly
 //! as the `er-lint` binary would, under a path class that activates the
-//! rule in question — positive fixtures must produce the expected
-//! diagnostics, allowlisted fixtures must come back clean.
+//! rule in question, and must produce exactly the expected diagnostics.
+//! The last test guards the ambient-input bans that live in
+//! `clippy.toml` instead of er-lint.
 
 use er_lint::facts::extract_facts;
 use er_lint::{check_file, check_workspace, render_json, Config, Diagnostic, FileContext};
@@ -34,37 +35,6 @@ fn rules_and_lines(diags: &[Diagnostic]) -> Vec<(&'static str, u32)> {
 }
 
 #[test]
-fn wall_clock_fixture_flags_both_clock_reads() {
-    let src = include_str!("fixtures/wall_clock_bad.rs");
-    let diags = check("crates/sim/src/wall_clock_bad.rs", src);
-    assert_eq!(
-        rules_and_lines(&diags),
-        vec![("wall_clock", 6), ("wall_clock", 11)],
-        "{diags:#?}"
-    );
-    // Diagnostics carry file:line:col and the rule name — the format the
-    // CI gate greps for.
-    assert!(diags[0]
-        .to_string()
-        .starts_with("crates/sim/src/wall_clock_bad.rs:6:"));
-    assert!(diags[0].to_string().contains("[wall_clock]"));
-}
-
-#[test]
-fn wall_clock_allow_markers_suppress_cleanly() {
-    let src = include_str!("fixtures/wall_clock_allowed.rs");
-    let diags = check("crates/sim/src/wall_clock_allowed.rs", src);
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn wall_clock_fixture_is_clean_outside_scoped_paths() {
-    let src = include_str!("fixtures/wall_clock_bad.rs");
-    let diags = check("crates/metrics/src/wall_clock_bad.rs", src);
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
 fn hashmap_iter_fixture_flags_iteration_not_lookup() {
     let src = include_str!("fixtures/hashmap_iter_bad.rs");
     let diags = check("crates/sim/src/hashmap_iter_bad.rs", src);
@@ -77,6 +47,12 @@ fn hashmap_iter_fixture_flags_iteration_not_lookup() {
         ],
         "{diags:#?}"
     );
+    // Diagnostics carry file:line:col and the rule name — the format the
+    // CI gate greps for.
+    assert!(diags[0]
+        .to_string()
+        .starts_with("crates/sim/src/hashmap_iter_bad.rs:12:"));
+    assert!(diags[0].to_string().contains("[hashmap_iter]"));
 }
 
 #[test]
@@ -120,20 +96,9 @@ fn quant_dequant_fixture_flags_unblessed_dequant_loops() {
 }
 
 #[test]
-fn ambient_fixture_flags_rng_and_env_reads() {
-    let src = include_str!("fixtures/ambient_bad.rs");
-    let diags = check("crates/partition/src/ambient_bad.rs", src);
-    assert_eq!(
-        rules_and_lines(&diags),
-        vec![("ambient_rng", 4), ("env_io", 9)],
-        "{diags:#?}"
-    );
-}
-
-#[test]
 fn fixtures_are_clean_when_classed_as_test_files() {
-    // The same sources under tests/ or benches/ raise nothing for
-    // hot-path rules (wall_clock still applies only via scoped paths).
+    // The same sources under tests/ or benches/ raise nothing: no rule
+    // runs in test, bench, example or binary files.
     let src = include_str!("fixtures/no_panic_bad.rs");
     assert!(check_graph("crates/rpc/tests/no_panic_bad.rs", src).is_empty());
     let src = include_str!("fixtures/float_reduction_bad.rs");
@@ -142,11 +107,11 @@ fn fixtures_are_clean_when_classed_as_test_files() {
 
 #[test]
 fn config_override_can_extend_a_scope() {
-    let cfg = Config::from_toml_str("deterministic = [\"crates/metrics/src\"]").unwrap();
-    let src = include_str!("fixtures/wall_clock_bad.rs");
+    let src = include_str!("fixtures/hashmap_iter_bad.rs");
     let ctx = FileContext::new("crates/metrics/src/qps.rs", src);
-    let diags = check_file(&ctx, &cfg);
-    assert_eq!(diags.len(), 2);
+    assert!(check_file(&ctx, &Config::default()).is_empty());
+    let cfg = Config::from_toml_str("deterministic = [\"crates/metrics/src\"]").unwrap();
+    assert_eq!(check_file(&ctx, &cfg).len(), 3);
 }
 
 #[test]
@@ -200,37 +165,6 @@ fn unit_mixing_qps_latency_fixture_flags_the_littles_law_product() {
         "{diags:#?}"
     );
     assert!(diags[2].message.contains("Little"), "{}", diags[2].message);
-}
-
-#[test]
-fn impure_handler_fixture_flags_every_ambient_input() {
-    let src = include_str!("fixtures/impure_handler_bad.rs");
-    // `crates/rpc/src/pure.rs` is in the `handlers` class (exact file).
-    let diags = check("crates/rpc/src/pure.rs", src);
-    assert_eq!(
-        rules_and_lines(&diags),
-        vec![
-            ("impure_handler", 5),  // static mut
-            ("impure_handler", 11), // Instant::now in on_msg
-            ("impure_handler", 13), // thread_rng in on_msg
-            ("impure_handler", 15), // env::var in on_msg
-            ("impure_handler", 22), // SystemTime::now in helper
-        ],
-        "{diags:#?}"
-    );
-    // Diagnostics name the enclosing handler fn.
-    assert!(
-        diags[1].message.contains("`on_msg`"),
-        "{}",
-        diags[1].message
-    );
-    assert!(
-        diags[4].message.contains("`helper_seed`"),
-        "{}",
-        diags[4].message
-    );
-    // The same source outside any handlers-classed path is clean.
-    assert!(check("crates/metrics/src/qps.rs", src).is_empty());
 }
 
 #[test]
@@ -352,32 +286,6 @@ fn xcrate_panic_fixture_reports_the_three_crate_chain_in_json() {
     );
 }
 
-#[test]
-fn transitive_impure_fixture_reports_the_handler_chain_in_json() {
-    let diags = check_graph_files(&[
-        (
-            "crates/rpc/src/pure.rs",
-            include_str!("fixtures/transitive_impure_handler.rs"),
-        ),
-        (
-            "crates/workload/src/seed.rs",
-            include_str!("fixtures/transitive_impure_bad.rs"),
-        ),
-    ]);
-    assert_eq!(
-        rules_and_lines(&diags),
-        vec![("impure_handler", 6)],
-        "{diags:#?}"
-    );
-    assert_eq!(diags[0].path, "crates/workload/src/seed.rs");
-    assert_eq!(diags[0].chain, vec!["on_msg", "er_workload::seed_hint"]);
-    let json = render_json(&diags);
-    assert!(
-        json.contains("\"chain\": [\"on_msg\", \"er_workload::seed_hint\"]"),
-        "{json}"
-    );
-}
-
 /// Every `*_bad.rs` fixture must be covered by an exact-expectation test
 /// above AND must produce at least one diagnostic under its designated
 /// path class — so adding a fixture without wiring its expectations fails
@@ -388,7 +296,6 @@ fn every_bad_fixture_is_wired_to_expectations() {
     // checked in the same mini-workspace as (fixture name, path class)).
     type Companions = &'static [(&'static str, &'static str)];
     let expected: &[(&str, &str, bool, usize, Companions)] = &[
-        ("wall_clock_bad.rs", "crates/sim/src/f.rs", false, 2, &[]),
         ("hashmap_iter_bad.rs", "crates/sim/src/f.rs", false, 3, &[]),
         ("no_panic_bad.rs", "crates/rpc/src/f.rs", true, 3, &[]),
         (
@@ -405,7 +312,6 @@ fn every_bad_fixture_is_wired_to_expectations() {
             2,
             &[],
         ),
-        ("ambient_bad.rs", "crates/partition/src/f.rs", false, 2, &[]),
         (
             "unit_mixing_bytes_flops_bad.rs",
             "crates/partition/src/cost.rs",
@@ -425,13 +331,6 @@ fn every_bad_fixture_is_wired_to_expectations() {
             "crates/cluster/src/hpa.rs",
             false,
             3,
-            &[],
-        ),
-        (
-            "impure_handler_bad.rs",
-            "crates/rpc/src/pure.rs",
-            false,
-            5,
             &[],
         ),
         ("panic_reach_bad.rs", "crates/rpc/src/f.rs", true, 1, &[]),
@@ -461,13 +360,6 @@ fn every_bad_fixture_is_wired_to_expectations() {
                 ("xcrate_panic_root.rs", "crates/rpc/src/router.rs"),
             ],
         ),
-        (
-            "transitive_impure_bad.rs",
-            "crates/workload/src/seed.rs",
-            true,
-            1,
-            &[("transitive_impure_handler.rs", "crates/rpc/src/pure.rs")],
-        ),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let all_files: Vec<String> = std::fs::read_dir(&dir)
@@ -487,10 +379,10 @@ fn every_bad_fixture_is_wired_to_expectations() {
         on_disk, listed,
         "every *_bad.rs fixture needs an entry here (and a matching exact test)"
     );
-    // Companion files (no `_bad`/`_allowed` suffix) must be wired into
-    // some group — an orphan companion means a half-deleted fixture.
+    // Companion files (no `_bad` suffix) must be wired into some group —
+    // an orphan companion means a half-deleted fixture.
     for name in &all_files {
-        if name.ends_with("_bad.rs") || name.ends_with("_allowed.rs") {
+        if name.ends_with("_bad.rs") {
             continue;
         }
         assert!(
@@ -524,4 +416,41 @@ fn every_bad_fixture_is_wired_to_expectations() {
         };
         assert_eq!(diags.len(), *count, "{name} under {class}: {diags:#?}");
     }
+}
+
+/// The wall-clock, environment and thread-local bans live only in the
+/// workspace `clippy.toml`, which `ci.sh` enforces with `cargo clippy
+/// --workspace --all-targets -D warnings`. Dropping an entry would narrow
+/// a ban silently, so each one is pinned here.
+#[test]
+fn clippy_toml_keeps_every_ambient_input_ban() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../clippy.toml");
+    let text = std::fs::read_to_string(&path).expect("workspace clippy.toml readable");
+    let entry = |key: &str, item: &str| {
+        let section = text
+            .split_once(&format!("{key} = ["))
+            .and_then(|(_, rest)| rest.split_once(']'))
+            .map_or("", |(body, _)| body);
+        section.contains(&format!("path = \"{item}\""))
+    };
+    for method in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::env::var",
+        "std::env::var_os",
+        "std::env::vars",
+        "std::env::vars_os",
+        "std::env::args",
+        "std::env::args_os",
+        "std::env::temp_dir",
+    ] {
+        assert!(
+            entry("disallowed-methods", method),
+            "clippy.toml no longer bans `{method}`"
+        );
+    }
+    assert!(
+        entry("disallowed-macros", "std::thread_local"),
+        "clippy.toml no longer bans `std::thread_local!`"
+    );
 }

@@ -27,6 +27,7 @@ struct Args {
     out: Option<String>,
 }
 
+#[allow(clippy::disallowed_methods)] // the binary's entry point parses its own arguments
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         smoke: false,
@@ -34,7 +35,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         out: None,
     };
-    // lint::allow(env_io): binary entry point parses its own CLI args
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -99,7 +99,6 @@ fn main() -> ExitCode {
 
     let model = control::ControlPlane::new(cfg);
     let props = control::properties();
-    // lint::allow(wall_clock): reports checker wall time, not model time
     let start = Instant::now();
     let report = check(&model, &props, Bounds::default());
     let elapsed = start.elapsed();

@@ -20,16 +20,14 @@ fn staircase() -> CpConfig {
     }
 }
 
-#[test]
-fn ci_bound_is_exhaustive_and_clean() {
-    let report = run(CpConfig::ci());
-    assert!(!report.truncated, "CI bound must be fully explored");
-    assert!(
-        report.states >= 100_000,
-        "the documented bound dedupes >= 1e5 states, got {}",
-        report.states
-    );
-    assert!(report.terminals > 0);
+/// Asserts `report` explored its whole bound, found no counterexample,
+/// and reached exactly the pinned `(states, max_depth, terminals)`. A
+/// change to any count means the handlers or the model changed.
+fn assert_clean_with_counts(
+    report: &er_mc::CheckReport<control::ControlPlane>,
+    counts: (usize, usize, usize),
+) {
+    assert!(!report.truncated, "the bound must be fully explored");
     for p in &report.properties {
         assert!(
             p.counterexample.is_none(),
@@ -39,6 +37,21 @@ fn ci_bound_is_exhaustive_and_clean() {
         );
     }
     assert_eq!(report.properties.len(), 5);
+    assert_eq!(
+        (report.states, report.max_depth, report.terminals),
+        counts,
+        "(states, max depth, terminals)"
+    );
+}
+
+#[test]
+fn ci_bound_is_exhaustive_and_clean() {
+    assert_clean_with_counts(&run(CpConfig::ci()), (174_640, 32, 179));
+}
+
+#[test]
+fn smoke_bound_is_exhaustive_and_clean() {
+    assert_clean_with_counts(&run(CpConfig::smoke()), (13_420, 23, 32));
 }
 
 /// Runs a mutated config and asserts exactly `expect` fails, returning its

@@ -17,8 +17,7 @@
 //! Dispatch walks the ladder AVX-512 → AVX2 → scalar via explicit runtime
 //! CPUID checks (`is_x86_feature_detected!`), so a 1-core AVX2-only dev
 //! box and an AVX-512 server produce bit-identical results from different
-//! code paths; `ER_SIMD` pins dispatch to one rung for A/B runs (see
-//! [`SimdBackend::detect`]).
+//! code paths (see [`SimdBackend::detect`]).
 //!
 //! [`SimdBackend`] names one rung of that ladder and the `*_with` entry
 //! points force a kernel onto a specific rung — that is how the
@@ -60,29 +59,14 @@ impl SimdBackend {
     /// Every rung, narrowest first — the order parity tests sweep.
     pub const ALL: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512];
 
-    /// The widest rung this CPU supports (what auto-dispatch uses).
-    ///
-    /// `ER_SIMD=scalar|avx2|avx512` pins dispatch to one rung instead —
-    /// useful for A/B-ing rungs on one part (e.g. quantifying 512-bit
-    /// frequency licensing) without rebuilding. An unavailable or
-    /// unrecognized value falls back to detection; results are
-    /// bit-identical on every rung either way. The choice is latched
-    /// once per process.
-    #[allow(clippy::disallowed_methods)] // ER_SIMD pin below, latched once
+    /// The widest rung this CPU supports (what auto-dispatch uses),
+    /// detected once per process. To A/B rungs on one part, force each
+    /// through the `*_with` entry points instead; results are
+    /// bit-identical on every rung either way.
     pub fn detect() -> SimdBackend {
         use std::sync::OnceLock;
         static DETECTED: OnceLock<SimdBackend> = OnceLock::new();
         *DETECTED.get_or_init(|| {
-            // Deliberate process-wide dispatch pin, read once; every rung
-            // is bit-identical so determinism holds.
-            // lint::allow(env_io): one-shot dispatch pin, latched per process
-            if let Ok(v) = std::env::var("ER_SIMD") {
-                for b in SimdBackend::ALL {
-                    if v.eq_ignore_ascii_case(b.name()) && b.is_available() {
-                        return b;
-                    }
-                }
-            }
             if SimdBackend::Avx512.is_available() {
                 SimdBackend::Avx512
             } else if SimdBackend::Avx2.is_available() {
