@@ -1,137 +1,96 @@
-//! Performance baseline suite: times the serving fast path end to end and
-//! writes `BENCH_perf.json` so every PR leaves a perf trajectory behind.
-//!
-//! Four timed sections, each with a deterministic work definition so runs
-//! are comparable across commits on the same machine:
-//!
-//! * `event_queue` — raw schedule/pop throughput of [`er_sim::EventQueue`]
-//!   under a churning future-event list (the discrete-event engine's inner
-//!   loop);
-//! * `forward` — steady-state [`elasticrec::ShardedDlrm`] forward passes
-//!   (the functional serving path: remap → bucketize → gather → MLP);
-//! * `fig19_sim` — the Figure 19 dynamic-traffic closed loop (arrivals,
-//!   fan-out, HPA) at full duration, the wall-clock-dominant workload of
-//!   the whole reproduction;
-//! * `par_seq` — the same closed loop on a second seed, pinning a second
-//!   simulation digest.
-//!
-//! Every section also folds its *simulation-visible* results into a
-//! determinism digest, so a perf refactor that changes outputs is caught
-//! here as well as in the test suite.
-//!
-//! A further group covers the quantized data plane: `quant_{f32,f16,i8}_d64`
-//! time the fused CSR gather over a dim-64 table in each storage kind
-//! (same index stream, so the wall-clock ratio is the bandwidth win of
-//! narrow storage; full mode enforces i8 >= 1.8x of f32).
+//! Performance baseline suite: runs the sections of [`er_bench::perf`]
+//! and writes `BENCH_perf.json` so every change leaves a perf trajectory
+//! behind. Seven timed sections (eight with `--fleet`), each folding its
+//! results into a determinism digest; the section list is in the
+//! [`er_bench::perf`] docs.
 //!
 //! Usage:
 //!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--fleet]
 //!             [--quant-parity] [--no-enforce-speedup]
 //!
-//! `--smoke` runs a tiny configuration (CI-sized), writes to
-//! `target/BENCH_perf_smoke.json` by default, and validates the emitted
-//! JSON schema. `--baseline` points at a previous `BENCH_perf.json`; its
-//! `wall_secs` per section are embedded, speedups computed, and any
-//! section slower than 0.95x of its baseline fails the run (opt out with
-//! `--no-enforce-speedup`). `--quant-parity` runs only the
-//! quantized-data-plane checks: f32, f16 and i8 gather digests
-//! bit-identical across every available SIMD backend, every rung's f16
-//! decode exact on all 65,536 bit patterns, and quantized gathers within
-//! their analytic error bounds. `--fleet` adds the 1000-node
-//! synthetic fleet scenario as a timed section, `fleet_par`. It and
-//! `par_seq` keep their old names so committed baselines still match.
+//! `--smoke` runs a tiny configuration (CI-sized) and writes to
+//! `target/BENCH_perf_smoke.json` by default; `tests/digests.rs` pins its
+//! digests.
+//! Every run validates the emitted JSON schema. `--baseline` points at a
+//! previous `BENCH_perf.json`: the run exits nonzero if that file cannot
+//! be read or is malformed, if a section of this run is missing from it,
+//! or if any digest differs from it. Its `wall_secs` per section are
+//! embedded, speedups computed, and any section slower than 0.95x of its
+//! baseline fails the run (opt out with `--no-enforce-speedup`). Full
+//! mode also enforces the quantized i8 gather at >= 1.8x of f32.
+//! `--quant-parity` runs only the quantized-data-plane checks: f32, f16
+//! and i8 gather digests bit-identical across every available SIMD
+//! backend, every rung's f16 decode exact on all 65,536 bit patterns, and
+//! quantized gathers within their analytic error bounds. `--fleet` adds
+//! the 1000-node synthetic fleet scenario as a timed section,
+//! `fleet_par`. An unknown argument, or `--out`/`--baseline` without a
+//! value, is an error.
 
-use std::time::Instant;
+use std::process::exit;
 
-use elasticrec::{
-    plan, Calibration, Platform, ShardedDlrm, Simulation, SimulationConfig, SimulationOutcome,
-    Strategy,
-};
-use er_bench::perf::{self, Digest, PerfReport, Section};
-use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator};
-use er_partition::PartitionPlan;
-use er_sim::{EventQueue, SimRng};
+use er_bench::perf::{self, Digest, QUANT_I8_SPEEDUP_FLOOR, QUANT_ROUNDS};
+use er_model::EmbeddingTable;
 use er_tensor::quant::f16_to_f32;
 use er_tensor::simd::{
     gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, SimdBackend,
 };
 use er_tensor::{quantize_f16, quantize_i8_rows, Matrix};
 use er_units::ElemKind;
-use er_workload::TrafficSchedule;
-
-/// Scale knobs for one suite run.
-struct Scale {
-    /// Events pushed through the event-queue churn loop.
-    queue_ops: u64,
-    /// Pending events held in the queue while churning.
-    queue_depth: u64,
-    /// Forward passes timed after warmup.
-    forward_iters: u64,
-    /// Embedding rows per table in the forward model.
-    forward_rows: u64,
-    /// Simulated seconds of the fig19 schedule.
-    sim_duration: f64,
-    /// Base QPS of the fig19 stepped schedule (peaks at 5x).
-    sim_base_qps: f64,
-    /// Embedding rows in the quantized-gather table (dim 64). Full scale
-    /// puts every kind well past the private caches (f32 ~102 MB, i8
-    /// ~26 MB) with hash-scattered indices, so each gather pays the
-    /// memory hierarchy per row and — with cache-line-aligned storage —
-    /// the kinds' line traffic is exactly their byte ratio. This is the
-    /// regime where narrow storage pays and the paper's placement model
-    /// applies.
-    quant_rows: u32,
-    /// Timed gather calls per storage kind, split across interleaved
-    /// rounds by `bench_quant`.
-    quant_iters: u64,
-    /// Indices pooled per output row in the quantized-gather lookup.
-    quant_pooling: usize,
-}
-
-const FULL: Scale = Scale {
-    queue_ops: 4_000_000,
-    queue_depth: 4096,
-    forward_iters: 400,
-    forward_rows: 2000,
-    sim_duration: 320.0,
-    sim_base_qps: 60.0,
-    quant_rows: 400_000,
-    quant_iters: 40,
-    quant_pooling: 32,
-};
-
-const SMOKE: Scale = Scale {
-    queue_ops: 50_000,
-    queue_depth: 256,
-    forward_iters: 5,
-    forward_rows: 300,
-    sim_duration: 20.0,
-    sim_base_qps: 20.0,
-    quant_rows: 2_000,
-    quant_iters: 3,
-    quant_pooling: 8,
-};
 
 /// Minimum acceptable speedup vs the attached baseline per section.
 const SPEEDUP_FLOOR: f64 = 0.95;
 
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    smoke: bool,
+    fleet: bool,
+    quant_parity: bool,
+    no_enforce_speedup: bool,
+    out: Option<String>,
+    baseline: Option<String>,
+}
+
+impl Args {
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut parsed = Args::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--fleet" => parsed.fleet = true,
+                "--quant-parity" => parsed.quant_parity = true,
+                "--no-enforce-speedup" => parsed.no_enforce_speedup = true,
+                "--out" => parsed.out = Some(path_after(&mut it, arg)?),
+                "--baseline" => parsed.baseline = Some(path_after(&mut it, arg)?),
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// The path following `flag`; a missing one, or a flag in its place, is
+/// an error rather than a silent fallback to the default.
+fn path_after(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
+    it.next()
+        .filter(|v| !v.starts_with("--"))
+        .cloned()
+        .ok_or_else(|| format!("{flag} needs a path"))
+}
+
+/// Prints `msg` as a perfsuite error and exits nonzero.
+fn fail(msg: &str) -> ! {
+    eprintln!("perfsuite: {msg}");
+    exit(1)
+}
+
 #[allow(clippy::disallowed_methods)] // the binary's entry point parses its own arguments
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let quant_parity = args.iter().any(|a| a == "--quant-parity");
-    let fleet = args.iter().any(|a| a == "--fleet");
-    let enforce_speedup = !args.iter().any(|a| a == "--no-enforce-speedup");
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| {
-        if smoke {
-            "target/BENCH_perf_smoke.json".to_string()
-        } else {
-            "BENCH_perf.json".to_string()
-        }
-    });
-    let baseline_path = flag_value(&args, "--baseline");
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw).unwrap_or_else(|e| fail(&e));
 
-    if quant_parity {
+    if args.quant_parity {
         // The CI stage: f32 gather digests must agree across every SIMD
         // backend this CPU offers, and quantized gathers must stay within
         // their analytic error bounds. Nothing written; nonzero exit on
@@ -140,27 +99,36 @@ fn main() {
         return;
     }
 
-    let scale = if smoke { &SMOKE } else { &FULL };
-
-    let mut report = PerfReport::new(if smoke { "smoke" } else { "full" });
-
-    report.push(bench_event_queue(scale));
-    report.push(bench_forward(scale));
-    report.push(bench_sim("fig19_sim", &fig19_config(scale, 1234)));
-    report.push(bench_sim("par_seq", &fig19_config(scale, 4321)));
-    for s in bench_quant(scale, !smoke) {
-        report.push(s);
-    }
-    if fleet {
-        report.push(bench_sim("fleet_par", &fleet_config()));
-    }
-
-    if let Some(path) = &baseline_path {
-        match std::fs::read_to_string(path) {
-            Ok(text) => report.attach_baseline(&text),
-            Err(e) => eprintln!("perfsuite: cannot read baseline {path}: {e}"),
+    // Read and validate the baseline before the (minutes-long) run.
+    let baseline = args.baseline.as_ref().map(|path| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
+        if let Err(e) = perf::validate_schema(&text) {
+            fail(&format!("malformed baseline {path}: {e}"));
         }
+        text
+    });
+
+    let (scale, default_out) = if args.smoke {
+        (&perf::SMOKE, "target/BENCH_perf_smoke.json")
+    } else {
+        (&perf::FULL, "BENCH_perf.json")
+    };
+    let out_path = args.out.clone().unwrap_or_else(|| default_out.to_string());
+
+    let (mut report, quant) = perf::run(scale, args.fleet);
+    println!(
+        "quant gather d64: f16 {:.2}x, i8 {:.2}x vs f32 (median of {QUANT_ROUNDS} paired rounds)",
+        quant.f16, quant.i8,
+    );
+    if !args.smoke && quant.i8 < QUANT_I8_SPEEDUP_FLOOR {
+        fail(&format!(
+            "i8 gather speedup {:.2}x below the {QUANT_I8_SPEEDUP_FLOOR}x floor vs f32",
+            quant.i8
+        ));
     }
+
+    let baseline_check = baseline.as_ref().map(|text| report.check_baseline(text));
 
     let json = report.to_json();
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
@@ -178,290 +146,26 @@ fn main() {
     let reread = std::fs::read_to_string(&out_path).expect("reread perf report");
     match perf::validate_schema(&reread) {
         Ok(sections) => println!("schema ok ({sections} sections)"),
-        Err(e) => {
-            eprintln!("perfsuite: schema validation failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("schema validation failed: {e}")),
+    }
+
+    // Digest drift is a behaviour change, not noise: any mismatch or
+    // missing section fails the run.
+    match baseline_check {
+        Some(Err(e)) => fail(&format!("baseline check failed:\n{e}")),
+        Some(Ok(())) => println!("baseline ok (every digest =base)"),
+        None => {}
     }
 
     // The perf gate: with a baseline attached, any section below the
     // floor fails the suite (wall-time noise budget is the 5% margin).
-    if enforce_speedup && baseline_path.is_some() {
+    if !args.no_enforce_speedup && baseline.is_some() {
         if let Err(e) = report.enforce_speedups(SPEEDUP_FLOOR) {
-            eprintln!("perfsuite: speedup floor violated:\n{e}");
-            std::process::exit(1);
+            fail(&format!("speedup floor violated:\n{e}"));
         }
         println!("speedup floor ok (every section >= {SPEEDUP_FLOOR}x of baseline)");
     }
 }
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Event-queue churn: hold `depth` pending events, then pop-one/push-one
-/// for `ops` iterations — the steady-state shape of the sim's future-event
-/// list. The digest folds every popped timestamp so ordering changes are
-/// caught.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_event_queue(scale: &Scale) -> Section {
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut rng = SimRng::seed_from(7);
-    for i in 0..scale.queue_depth {
-        q.schedule_in(rng.uniform() * 10.0, i);
-    }
-    let mut digest = Digest::new();
-    let t0 = Instant::now();
-    for i in 0..scale.queue_ops {
-        let (t, ev) = q.pop().expect("queue holds `depth` pending events");
-        digest.fold_f64(t.as_secs());
-        digest.fold_u64(ev);
-        q.schedule_in(rng.uniform() * 10.0, i);
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    while let Some((t, _)) = q.pop() {
-        digest.fold_f64(t.as_secs());
-    }
-    Section::new("event_queue", wall, scale.queue_ops, digest)
-}
-
-/// Steady-state sharded forward passes over a fixed query set — the
-/// zero-allocation fast path this suite exists to track. The digest folds
-/// every output probability, so the path must stay bit-identical.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_forward(scale: &Scale) -> Section {
-    let cfg = configs::rm1()
-        .scaled_tables(scale.forward_rows)
-        .with_num_tables(4);
-    let model = Dlrm::with_seed(&cfg, 11);
-    let rows = scale.forward_rows;
-    let counts: Vec<Vec<u64>> = (0..4)
-        .map(|t| {
-            (0..rows)
-                .map(|i| ((i * 7919 + t as u64 * 31) % rows) + 1)
-                .collect()
-        })
-        .collect();
-    let cuts = vec![rows / 10, rows / 2, rows];
-    let plans = vec![PartitionPlan::new(cuts, rows).expect("valid cuts"); 4];
-    let sharded = ShardedDlrm::new(model, &counts, plans).expect("valid sharding");
-
-    let gen = QueryGenerator::new(&cfg);
-    let mut rng = SimRng::seed_from(3);
-    let queries: Vec<_> = (0..8).map(|_| gen.generate(&mut rng)).collect();
-
-    // Warm the workspace (and caches) so the timed region is the true
-    // steady state: zero allocations per forward pass.
-    let mut ws = sharded.workspace();
-    for q in &queries {
-        let _ = sharded.forward_ws(q, &mut ws);
-    }
-    let mut digest = Digest::new();
-    let t0 = Instant::now();
-    for i in 0..scale.forward_iters {
-        let out = sharded.forward_ws(&queries[(i % 8) as usize], &mut ws);
-        digest.fold_f64(f64::from(out.get(0, 0)));
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    // Fold full output of one pass for a stronger fingerprint.
-    let out = sharded.forward_ws(&queries[0], &mut ws);
-    for r in 0..out.rows() {
-        digest.fold_f64(f64::from(out.get(r, 0)));
-    }
-    Section::new("forward", wall, scale.forward_iters, digest)
-}
-
-/// Times one [`Simulation::run`] of `cfg` on the Elastic RM1 plan. Work
-/// units are completed queries; the digest folds the whole outcome, so
-/// any event-ordering change anywhere in the run moves it.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_sim(name: &str, cfg: &SimulationConfig) -> Section {
-    let calib = Calibration::cpu_only();
-    let p = plan(
-        &configs::rm1(),
-        Platform::CpuOnly,
-        Strategy::Elastic,
-        &calib,
-    );
-
-    let t0 = Instant::now();
-    let out = Simulation::run(&p, &calib, cfg);
-    let wall = t0.elapsed().as_secs_f64();
-    Section::new(name, wall, out.completed_queries, digest_outcome(&out))
-}
-
-/// The Figure 19 dynamic-traffic closed loop at the suite's scale.
-/// `fig19_sim` and `par_seq` run it on two seeds, so a change that happens
-/// to leave one digest intact still has a second one to move.
-fn fig19_config(scale: &Scale, seed: u64) -> SimulationConfig {
-    let schedule = TrafficSchedule::figure19(scale.sim_base_qps, scale.sim_duration / 8.0);
-    SimulationConfig::new(schedule, scale.sim_duration, seed)
-}
-
-/// The 1000-node synthetic fleet: a heavy Figure 19-class scenario with a
-/// hard 1000-node budget, a deep replica ceiling and a node failure.
-/// Exercises the engine under sustained HPA churn and large pod sets
-/// rather than at toy cluster sizes.
-fn fleet_config() -> SimulationConfig {
-    let schedule = TrafficSchedule::figure19(400.0, 30.0);
-    let mut cfg = SimulationConfig::new(schedule, 240.0, 77);
-    cfg.max_nodes = Some(1000);
-    cfg.max_replicas = 2048;
-    cfg.fail_node_at = Some(90.0);
-    cfg
-}
-
-/// Folds a simulation outcome bit-for-bit: counters, latency percentiles,
-/// and the full metrics time series. Any event-ordering change anywhere in
-/// a run lands in this value.
-fn digest_outcome(out: &SimulationOutcome) -> Digest {
-    let mut digest = Digest::new();
-    digest.fold_u64(out.total_queries);
-    digest.fold_u64(out.completed_queries);
-    digest.fold_u64(out.sla_violation_intervals as u64);
-    digest.fold_u64(out.metric_intervals as u64);
-    digest.fold_u64(out.final_nodes_used as u64);
-    digest.fold_f64(out.peak_memory_gib);
-    digest.fold_f64(out.latency.percentile(0.5));
-    digest.fold_f64(out.latency.percentile(0.95));
-    digest.fold_f64(out.latency.percentile(0.99));
-    for series in [
-        &out.achieved_qps,
-        &out.target_qps,
-        &out.memory_gib,
-        &out.p95_ms,
-        &out.total_replicas,
-    ] {
-        for pt in series.points() {
-            digest.fold_f64(pt.time);
-            digest.fold_f64(pt.value);
-        }
-    }
-    digest
-}
-
-/// Deterministic CSR lookup over `rows`: `inputs` bags of `pooling`
-/// hash-scattered indices, so repeated gathers stream the whole table
-/// instead of re-hitting a small cached working set.
-fn quant_lookup(rows: u32, inputs: usize, pooling: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut indices = Vec::with_capacity(inputs * pooling);
-    let mut offsets = Vec::with_capacity(inputs);
-    for input in 0..inputs as u64 {
-        offsets.push(indices.len() as u32);
-        for k in 0..pooling as u64 {
-            let h = (input * 131 + k)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .rotate_left(29);
-            indices.push((h % u64::from(rows)) as u32);
-        }
-    }
-    (indices, offsets)
-}
-
-/// Middle element of the sorted sample (upper median for even sizes).
-fn median(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
-/// The quantized-gather group: the same dim-64 CSR gather in f32, f16,
-/// and i8 storage. At full scale every kind sits well past the private
-/// caches, so with cache-line-aligned rows each gather's memory traffic
-/// is exactly the kind's row bytes (one line per i8 row, four per f32
-/// row) — the bandwidth advantage quantization buys and the effect
-/// ElasticRec's cost model prices into placement.
-///
-/// Timing is interleaved: each round runs every kind back to back
-/// inside the same machine-state window, so a co-tenant burst perturbs
-/// one round's ratio instead of one kind's entire wall. The recorded
-/// wall is the per-round median scaled to the round count, and the
-/// enforced speedup is the median of per-round f32/i8 ratios — both
-/// reject transient noise on a shared box. With `enforce` set (full
-/// mode), i8 must beat f32 by at least [`QUANT_I8_SPEEDUP_FLOOR`] or
-/// the suite exits nonzero.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
-fn bench_quant(scale: &Scale, enforce: bool) -> Vec<Section> {
-    let dim = 64u32;
-    let rows = scale.quant_rows;
-    let f32_table = EmbeddingTable::with_seed(rows, dim, 97);
-    let (indices, offsets) = quant_lookup(rows, 8192, scale.quant_pooling);
-    let gathers_per_call = indices.len() as u64;
-
-    const ROUNDS: u64 = 10;
-    let per_round = (scale.quant_iters / ROUNDS).max(1);
-
-    let tables: Vec<_> = ElemKind::ALL
-        .iter()
-        .map(|&kind| f32_table.quantized(kind))
-        .collect();
-    let mut outs: Vec<Matrix> = tables
-        .iter()
-        .map(|_| Matrix::zeros(offsets.len(), dim as usize))
-        .collect();
-    let mut digests = vec![Digest::new(); tables.len()];
-    let mut walls = vec![Vec::with_capacity(ROUNDS as usize); tables.len()];
-
-    // Warm-up round (discarded): faults every kind's storage and page
-    // tables in; the first post-construction pass runs against caches
-    // full of quantization write-back and measures warm-up, not the
-    // storage kind.
-    for _ in 0..per_round {
-        for (table, out) in tables.iter().zip(&mut outs) {
-            table.gather_pool_into(&indices, &offsets, out);
-        }
-    }
-    for _ in 0..ROUNDS {
-        for k in 0..tables.len() {
-            let t0 = Instant::now();
-            for _ in 0..per_round {
-                tables[k].gather_pool_into(&indices, &offsets, &mut outs[k]);
-                digests[k].fold_f64(f64::from(outs[k].get(0, 0)));
-            }
-            walls[k].push(t0.elapsed().as_secs_f64());
-        }
-    }
-
-    let mut sections = Vec::new();
-    for (k, kind) in ElemKind::ALL.iter().enumerate() {
-        // Fold one full pooled row for a stronger fingerprint.
-        for j in 0..dim as usize {
-            digests[k].fold_f64(f64::from(outs[k].get(0, j)));
-        }
-        sections.push(Section::new(
-            &format!("quant_{kind}_d64"),
-            median(&walls[k]) * ROUNDS as f64,
-            ROUNDS * per_round * gathers_per_call,
-            digests[k],
-        ));
-    }
-
-    // walls is ordered like ElemKind::ALL = [F32, F16, I8].
-    let paired = |num: &[f64], den: &[f64]| -> f64 {
-        let ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
-        median(&ratios)
-    };
-    let i8_speedup = paired(&walls[0], &walls[2]);
-    println!(
-        "quant gather d64: f16 {:.2}x, i8 {:.2}x vs f32 (median of {ROUNDS} paired rounds)",
-        paired(&walls[0], &walls[1]),
-        i8_speedup,
-    );
-    if enforce && i8_speedup < QUANT_I8_SPEEDUP_FLOOR {
-        eprintln!(
-            "perfsuite: i8 gather speedup {i8_speedup:.2}x below the \
-             {QUANT_I8_SPEEDUP_FLOOR}x floor vs f32"
-        );
-        std::process::exit(1);
-    }
-    sections
-}
-
-/// Minimum i8-vs-f32 gather speedup the full suite enforces.
-const QUANT_I8_SPEEDUP_FLOOR: f64 = 1.8;
 
 /// The `--quant-parity` CI stage: every SIMD backend this CPU offers must
 /// produce bit-identical f32, f16 and i8 gathers and decode every f16 bit
@@ -472,7 +176,7 @@ fn run_quant_parity() {
     let dim = 64u32;
     let rows = 4096u32;
     let table = EmbeddingTable::with_seed(rows, dim, 97);
-    let (indices, offsets) = quant_lookup(rows, 512, 24);
+    let (indices, offsets) = perf::quant_lookup(rows, 512, 24);
 
     // Backend parity of the f32, f16 and i8 gathers, over a deterministic
     // buffer: one digest per backend and element kind.
@@ -519,8 +223,9 @@ fn run_quant_parity() {
             digests.push(digest.hex());
         }
         if digests.iter().any(|d| d != &digests[0]) {
-            eprintln!("perfsuite: {kind} gather digests diverged across backends: {digests:?}");
-            std::process::exit(1);
+            fail(&format!(
+                "{kind} gather digests diverged across backends: {digests:?}"
+            ));
         }
     }
 
@@ -537,11 +242,10 @@ fn run_quant_parity() {
         gather_pool_csr_f16_with(backend, &every, n, &ids, &ids, &mut out);
         for (&h, &v) in every.iter().zip(out.as_slice()) {
             if v.to_bits() != f16_to_f32(h).to_bits() {
-                eprintln!(
-                    "perfsuite: {backend} decodes f16 {h:#06x} to {:#010x}",
+                fail(&format!(
+                    "{backend} decodes f16 {h:#06x} to {:#010x}",
                     v.to_bits()
-                );
-                std::process::exit(1);
+                ));
             }
         }
     }
@@ -560,11 +264,10 @@ fn run_quant_parity() {
             for j in 0..got.cols() {
                 let err = (got.get(r, j) - reference.get(r, j)).abs();
                 if err > bound.get(r, j) {
-                    eprintln!(
-                        "perfsuite: {kind} gather error {err} exceeds bound {} at ({r},{j})",
+                    fail(&format!(
+                        "{kind} gather error {err} exceeds bound {} at ({r},{j})",
                         bound.get(r, j)
-                    );
-                    std::process::exit(1);
+                    ));
                 }
                 worst = worst.max(err / bound.get(r, j).max(f32::MIN_POSITIVE));
             }

@@ -1,5 +1,5 @@
-//! Property test: the pooled index-heap [`er_sim::EventQueue`] is
-//! observationally identical to a straightforward reference model.
+//! Property test: [`er_sim::EventQueue`] is observationally identical to
+//! a straightforward reference model.
 //!
 //! The reference is a plain `BinaryHeap` of `(time, seq)` min-entries over
 //! arbitrary interleaved schedule/pop programs. Delays are drawn from a
@@ -43,10 +43,9 @@ fn step_strategy() -> impl Strategy<Value = (u8, u8, u32)> {
 }
 
 proptest! {
-    /// Pops from the pooled queue match the reference model bit-for-bit —
-    /// times, payloads, and order — under arbitrary interleavings,
-    /// including exact same-instant ties and full drains that recycle the
-    /// slot pool.
+    /// Pops from the queue match the reference model bit-for-bit — times,
+    /// payloads, and order — under arbitrary interleavings, including
+    /// exact same-instant ties and full drains.
     #[test]
     fn pooled_queue_matches_reference_heap(
         steps in proptest::collection::vec(step_strategy(), 1..200),
@@ -70,29 +69,5 @@ proptest! {
             prop_assert_eq!(got.map(|(t, e)| (t.as_secs(), e)), Some(want));
         }
         prop_assert!(q.pop().is_none());
-    }
-
-    /// A preallocated pool behaves identically to a growable one, and a
-    /// drained queue reports every slot recycled.
-    #[test]
-    fn preallocated_pool_is_observationally_equal(
-        steps in proptest::collection::vec(step_strategy(), 1..100),
-    ) {
-        let mut a: EventQueue<u32> = EventQueue::new();
-        let mut b: EventQueue<u32> = EventQueue::with_capacity(256);
-        for &(pops, delay_q, payload) in &steps {
-            for _ in 0..pops {
-                prop_assert_eq!(a.pop(), b.pop());
-            }
-            let delay = f64::from(delay_q) / 4.0;
-            a.schedule_in(delay, payload);
-            b.schedule_in(delay, payload);
-        }
-        while let Some(ev) = a.pop() {
-            prop_assert_eq!(b.pop(), Some(ev));
-        }
-        prop_assert!(b.pop().is_none());
-        prop_assert_eq!(a.len(), 0);
-        prop_assert_eq!(a.pool_slots(), b.pool_slots());
     }
 }
