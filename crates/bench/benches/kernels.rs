@@ -1,6 +1,7 @@
 //! Wall-clock microbenchmarks of the fast kernels against their naive
-//! oracles: naive vs packed matmul, reference vs fused gather+pool, and
-//! the quantized f16 gather at the RM1 serving shape. Prints a speedup
+//! oracles: naive vs packed matmul, reference vs fused gather+pool, the
+//! quantized f16 gather at the RM1 serving shape, and remap+bucketize
+//! through the plan's cut search vs through route words. Prints a speedup
 //! table via [`er_bench::report`].
 //!
 //! These are not paper figures; they document the substrate's raw
@@ -8,7 +9,12 @@
 //! timings (MLP forward, bucketize, DP partition) live in `perfsuite` and
 //! `perfbench`.
 
+use er_distribution::sorting::HotnessPermutation;
+use er_distribution::LocalityTarget;
 use er_model::{configs, Dlrm, QueryGenerator};
+use er_partition::{
+    bucketize_into, bucketize_routed_into, BucketizedLookup, PartitionPlan, RouteTable,
+};
 use er_sim::SimRng;
 use er_tensor::simd::gather_pool_csr_f16_with;
 use er_tensor::{Matrix, SimdBackend};
@@ -149,4 +155,65 @@ fn main() {
             );
         }
     }
+
+    // Remap + bucketize per query at the `sparse_ramp` shape: 10 tables of
+    // 500k rows, hotness-sorted from a seeded scramble and cut where that
+    // workload's scaled RM1 plan cuts, each with 32 inputs x 128 Zipf
+    // (P = 0.90) lookups. The plan path remaps through `to_sorted` and
+    // searches the cuts in `bucketize_into`; the route path loads one
+    // route word per id and decodes it in `bucketize_routed_into`, as
+    // `forward_ws` does. Both loop hot, with no gather evicting the tables.
+    let rows = 500_000u64;
+    let plan = PartitionPlan::new(vec![3_712, 61_143, 248_177, rows], rows)
+        .expect("increasing cuts ending at the row count");
+    let cdf = LocalityTarget::new(0.90).solve(rows).tabulate();
+    let mut rng = SimRng::seed_from(5);
+    let tables: Vec<(HotnessPermutation, RouteTable, Vec<u32>)> = (0..10)
+        .map(|_| {
+            let mut ids: Vec<u32> = (0..rows as u32).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.index(i + 1));
+            }
+            let mut counts = vec![0u64; rows as usize];
+            for (rank, &id) in ids.iter().enumerate() {
+                counts[id as usize] = rows - rank as u64;
+            }
+            let perm = HotnessPermutation::from_counts(&counts);
+            let route = RouteTable::new(&plan, &perm).expect("500k rows fit a route word");
+            let lookups = (0..32 * 128)
+                .map(|_| ids[cdf.quantile(rng.uniform()) as usize - 1])
+                .collect();
+            (perm, route, lookups)
+        })
+        .collect();
+    let offsets: Vec<u32> = (0..32).map(|i| i * 128).collect();
+    let mut remapped = Vec::new();
+    let mut buckets = BucketizedLookup {
+        indices: Vec::new(),
+        offsets: Vec::new(),
+    };
+    let plan_path = time(200, || {
+        for (perm, _, lookups) in &tables {
+            remapped.clear();
+            remapped.extend(lookups.iter().map(|&i| perm.to_sorted(i)));
+            bucketize_into(&remapped, &offsets, &plan, &mut buckets);
+        }
+        buckets.indices[0].len()
+    });
+    let route_path = time(200, || {
+        for (_, route, lookups) in &tables {
+            remapped.clear();
+            remapped.extend(lookups.iter().map(|&i| route.word(i)));
+            bucketize_routed_into(&remapped, &offsets, route, &mut buckets);
+        }
+        buckets.indices[0].len()
+    });
+    report::row(
+        "remap+bucketize sparse_ramp 10x500k",
+        &[
+            ("plan", us(plan_path)),
+            ("route", us(route_path)),
+            ("route_speedup", report::ratio(plan_path, route_path)),
+        ],
+    );
 }

@@ -1,6 +1,6 @@
 //! Performance baseline suite: runs the sections of [`er_bench::perf`]
-//! and writes `BENCH_perf.json` so every change leaves a perf trajectory
-//! behind. Seven timed sections (eight with `--fleet`), each folding its
+//! and writes a `BENCH_perf.json` report so every change leaves a perf
+//! trajectory behind. Seven timed sections (eight with `--fleet`), each folding its
 //! results into a determinism digest; the section list is in the
 //! [`er_bench::perf`] docs.
 //!
@@ -8,9 +8,10 @@
 //!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--fleet]
 //!             [--quant-parity] [--no-enforce-speedup]
 //!
-//! `--smoke` runs a tiny configuration (CI-sized) and writes to
-//! `target/BENCH_perf_smoke.json` by default; `tests/digests.rs` pins its
-//! digests.
+//! A full run writes to `target/BENCH_perf.json` by default and `--smoke`
+//! (a tiny, CI-sized configuration whose digests `tests/digests.rs` pins)
+//! to `target/BENCH_perf_smoke.json`; refreshing the committed
+//! `BENCH_perf.json` takes an explicit `--out BENCH_perf.json`.
 //! Every run validates the emitted JSON schema. `--baseline` points at a
 //! previous `BENCH_perf.json`: the run exits nonzero if that file cannot
 //! be read or is malformed, if a section of this run is missing from it,
@@ -23,8 +24,8 @@
 //! backend, every rung's f16 decode exact on all 65,536 bit patterns, and
 //! quantized gathers within their analytic error bounds. `--fleet` adds
 //! the 1000-node synthetic fleet scenario as a timed section,
-//! `fleet_par`. An unknown argument, or `--out`/`--baseline` without a
-//! value, is an error.
+//! `fleet_par`. An unknown argument, `--out`/`--baseline` without a
+//! value, or an `--out` naming the `--baseline` file is an error.
 
 use std::process::exit;
 
@@ -68,6 +69,37 @@ impl Args {
         }
         Ok(parsed)
     }
+
+    /// Where the report is written: `--out`, else a file under `target/`,
+    /// so no run overwrites a committed baseline unless told to by name.
+    /// An `--out` that names the `--baseline` file is an error: the run
+    /// would replace the digests it is checked against.
+    fn out_path(&self) -> Result<String, String> {
+        let out = self.out.clone().unwrap_or_else(|| {
+            let default = if self.smoke {
+                "target/BENCH_perf_smoke.json"
+            } else {
+                "target/BENCH_perf.json"
+            };
+            default.to_string()
+        });
+        match &self.baseline {
+            Some(base) if same_file(base, &out) => Err(format!(
+                "--out {out} names the --baseline file; write the report elsewhere"
+            )),
+            _ => Ok(out),
+        }
+    }
+}
+
+/// Whether two paths name one file: equal as given, or resolving to the
+/// same canonical path (`./x` and `x`, symlinks).
+fn same_file(a: &str, b: &str) -> bool {
+    a == b
+        || matches!(
+            (std::fs::canonicalize(a), std::fs::canonicalize(b)),
+            (Ok(x), Ok(y)) if x == y
+        )
 }
 
 /// The path following `flag`; a missing one, or a flag in its place, is
@@ -89,6 +121,7 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&raw).unwrap_or_else(|e| fail(&e));
+    let out_path = args.out_path().unwrap_or_else(|e| fail(&e));
 
     if args.quant_parity {
         // The CI stage: f32 gather digests must agree across every SIMD
@@ -109,12 +142,11 @@ fn main() {
         text
     });
 
-    let (scale, default_out) = if args.smoke {
-        (&perf::SMOKE, "target/BENCH_perf_smoke.json")
+    let scale = if args.smoke {
+        &perf::SMOKE
     } else {
-        (&perf::FULL, "BENCH_perf.json")
+        &perf::FULL
     };
-    let out_path = args.out.clone().unwrap_or_else(|| default_out.to_string());
 
     let (mut report, quant) = perf::run(scale, args.fleet);
     println!(
@@ -278,4 +310,38 @@ fn run_quant_parity() {
         "quant parity ok: {} backends agree, quantized errors bounded",
         backends.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Args {
+        let owned: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Args::parse(&owned).expect("valid arguments")
+    }
+
+    #[test]
+    fn reports_default_under_target() {
+        let full = parse(&["--fleet", "--baseline", "BENCH_perf.json"]);
+        assert_eq!(full.out_path().unwrap(), "target/BENCH_perf.json");
+        let smoke = parse(&["--smoke"]);
+        assert_eq!(smoke.out_path().unwrap(), "target/BENCH_perf_smoke.json");
+        let named = parse(&["--out", "BENCH_perf.json"]);
+        assert_eq!(named.out_path().unwrap(), "BENCH_perf.json");
+    }
+
+    #[test]
+    fn out_naming_the_baseline_is_rejected() {
+        let same = parse(&["--baseline", "BENCH_perf.json", "--out", "BENCH_perf.json"]);
+        assert!(same.out_path().unwrap_err().contains("--baseline"));
+        // The committed baseline, reached by two spellings of its path.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let base = format!("{root}/BENCH_perf.json");
+        let dotted = format!("{root}/./BENCH_perf.json");
+        let aliased = parse(&["--baseline", &base, "--out", &dotted]);
+        assert!(aliased.out_path().is_err());
+        let elsewhere = parse(&["--baseline", &base, "--out", "target/BENCH_perf.json"]);
+        assert_eq!(elsewhere.out_path().unwrap(), "target/BENCH_perf.json");
+    }
 }

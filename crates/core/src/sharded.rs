@@ -8,6 +8,12 @@
 //! correctness argument for the whole decomposition: partitioning is an
 //! execution detail, not a model change.
 //!
+//! The hotness sort and the plan are folded at construction into one
+//! [`RouteTable`] per table: a `u32` per original row holding its shard
+//! and its row within that shard. Serving loads one word per lookup id
+//! and bucketization only decodes it, so no query pays for a permutation
+//! lookup or a search over the plan's cut points.
+//!
 //! There is one implementation of that walk, [`ShardedDlrm::forward_ws`],
 //! which recycles every intermediate through a caller-owned
 //! [`ForwardWorkspace`]; [`ShardedDlrm::forward`] runs it on a fresh one.
@@ -16,7 +22,7 @@
 
 use er_distribution::sorting::HotnessPermutation;
 use er_model::{dot_interaction_into, Dlrm, EmbeddingTable, QueryBatch};
-use er_partition::{bucketize_into, PartitionPlan};
+use er_partition::{bucketize_routed_into, PartitionPlan, RouteTable};
 use er_tensor::Matrix;
 use er_units::{Bytes, ElemKind};
 
@@ -47,7 +53,9 @@ use crate::ForwardWorkspace;
 #[derive(Debug, Clone)]
 pub struct ShardedDlrm {
     dlrm: Dlrm,
-    perms: Vec<HotnessPermutation>,
+    /// `routes[t]`: table `t`'s route word per original row, the
+    /// hotness remap and shard search of bucketization in one load.
+    routes: Vec<RouteTable>,
     plans: Vec<PartitionPlan>,
     /// `shard_tables[t][s]`: the physical storage of table `t`'s shard `s`
     /// (sorted rows, sliced at the plan's cut points).
@@ -73,7 +81,8 @@ impl ShardedDlrm {
     /// # Errors
     ///
     /// Returns an error if the number of count vectors or plans does not
-    /// match the model's tables, or sizes disagree.
+    /// match the model's tables, sizes disagree, or a shard has more rows
+    /// than its route words can address.
     pub fn new(
         dlrm: Dlrm,
         access_counts: &[Vec<u64>],
@@ -88,7 +97,7 @@ impl ShardedDlrm {
                 plans.len()
             )));
         }
-        let mut perms = Vec::with_capacity(tables.len());
+        let mut routes = Vec::with_capacity(tables.len());
         let mut shard_tables = Vec::with_capacity(tables.len());
         for (t, table) in tables.iter().enumerate() {
             if access_counts[t].len() != table.rows() as usize {
@@ -106,18 +115,20 @@ impl ShardedDlrm {
                 )));
             }
             let perm = HotnessPermutation::from_counts(&access_counts[t]);
+            let route = RouteTable::new(&plans[t], &perm)
+                .map_err(|e| ShardingError(format!("table {t}: {e}")))?;
             let sorted = table.permuted(|pos| perm.to_original(pos), table.rows());
             let shards = plans[t]
                 .shards()
                 .into_iter()
                 .map(|(k, j)| sorted.slice(k as u32, j as u32))
                 .collect();
-            perms.push(perm);
+            routes.push(route);
             shard_tables.push(shards);
         }
         Ok(Self {
             dlrm,
-            perms,
+            routes,
             plans,
             shard_tables,
         })
@@ -181,8 +192,8 @@ impl ShardedDlrm {
         ForwardWorkspace::for_tables(self.plans.len())
     }
 
-    /// Forward pass through caller-owned scratch: per table, remap the
-    /// lookups into hotness-sorted space, bucketize them onto the shards,
+    /// Forward pass through caller-owned scratch: per table, load each
+    /// lookup id's route word, decode the words into per-shard local rows,
     /// gather and pool each shard into a zeroed partial and sum the
     /// partials in ascending shard order; then the bottom MLP, the dot
     /// interaction and the top MLP. Every intermediate is recycled from
@@ -195,7 +206,8 @@ impl ShardedDlrm {
     /// # Panics
     ///
     /// Panics if the query addresses a different number of tables than the
-    /// model has.
+    /// model has, or if a lookup id is not a row of its table. An id out of
+    /// range panics at its route-word load, before any shard is touched.
     pub fn forward_ws<'w>(&self, query: &QueryBatch, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
         self.check_query(query);
         let tables = query.lookups.len();
@@ -206,15 +218,11 @@ impl ShardedDlrm {
             ws.pooled.push(Matrix::zeros(1, 1));
         }
         for (t, lookup) in query.lookups.iter().enumerate() {
-            ws.sorted.clear();
-            ws.sorted
-                .extend(lookup.indices().iter().map(|&i| self.perms[t].to_sorted(i)));
-            bucketize_into(
-                &ws.sorted,
-                lookup.offsets(),
-                &self.plans[t],
-                &mut ws.buckets,
-            );
+            let route = &self.routes[t];
+            ws.words.clear();
+            ws.words
+                .extend(lookup.indices().iter().map(|&i| route.word(i)));
+            bucketize_routed_into(&ws.words, lookup.offsets(), route, &mut ws.buckets);
             let dim = self.dlrm.tables()[t].dim() as usize;
             ws.pooled[t].reshape_zeroed(lookup.num_inputs(), dim);
             for (s, table) in self.shard_tables[t].iter().enumerate() {
@@ -253,7 +261,7 @@ impl ShardedDlrm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_model::{configs, QueryGenerator};
+    use er_model::{configs, QueryGenerator, TableLookup};
     use er_sim::SimRng;
 
     fn setup(
@@ -373,6 +381,15 @@ mod tests {
             sharded.shard_param_bytes().raw(),
             same.shard_param_bytes().raw()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "row 300 out of range for a 300-row route table")]
+    fn out_of_range_id_panics_at_the_route_load() {
+        let (cfg, _, sharded) = setup(300, 1, vec![30, 300]);
+        let mut q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(4));
+        q.lookups[0] = TableLookup::new(vec![0, 300], vec![0, 1]).unwrap();
+        sharded.forward(&q);
     }
 
     #[test]

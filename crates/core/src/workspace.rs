@@ -4,7 +4,7 @@ use er_partition::BucketizedLookup;
 use er_tensor::Matrix;
 
 /// Caller-owned scratch for [`crate::ShardedDlrm::forward_ws`]: every
-/// intermediate of the sharded serving path — remapped indices, bucketized
+/// intermediate of the sharded serving path — route words, bucketized
 /// per-shard arrays, per-shard partial pools, pooled embeddings, the
 /// interaction output, and the MLP ping-pong buffers — lives here and is
 /// recycled across queries.
@@ -40,8 +40,8 @@ use er_tensor::Matrix;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ForwardWorkspace {
-    /// Current table's lookup indices remapped into hotness-sorted space.
-    pub(crate) sorted: Vec<u32>,
+    /// Current table's lookup ids as route words.
+    pub(crate) words: Vec<u32>,
     /// Current table's per-shard `(index, offset)` arrays.
     pub(crate) buckets: BucketizedLookup,
     /// One shard's pooled partial (`num_inputs x dim`).
@@ -61,7 +61,7 @@ impl ForwardWorkspace {
     /// All buffers start at placeholder size and grow on first use.
     pub(crate) fn for_tables(num_tables: usize) -> Self {
         Self {
-            sorted: Vec::new(),
+            words: Vec::new(),
             buckets: BucketizedLookup {
                 indices: Vec::new(),
                 offsets: Vec::new(),

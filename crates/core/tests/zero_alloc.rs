@@ -3,7 +3,7 @@
 //! Behind the `alloc-count` feature this binary installs a counting global
 //! allocator and asserts that, once a [`elasticrec::ForwardWorkspace`] is
 //! warm, a full sharded forward pass performs **zero** heap allocations —
-//! the end-to-end guarantee the pooled buffers, `bucketize_into`, the
+//! the end-to-end guarantee the pooled buffers, `bucketize_routed_into`, the
 //! `gather_pool_into` kernel, and the MLP ping-pong scratch combine to
 //! deliver. It also asserts that a warm [`er_sim::EventQueue`] churns
 //! (pop one, schedule one) without allocating. Run with:

@@ -99,12 +99,6 @@ impl HotnessPermutation {
         self.to_original[pos as usize]
     }
 
-    /// Remaps a whole index array from original to sorted IDs — applied to
-    /// each query's sparse indices before bucketization.
-    pub fn remap_indices(&self, indices: &[u32]) -> Vec<u32> {
-        indices.iter().map(|&i| self.to_sorted(i)).collect()
-    }
-
     /// Reorders per-entry data into sorted order (`out[pos] =
     /// data[to_original(pos)]`) — how the table's vectors are physically
     /// laid out after preprocessing.
@@ -161,17 +155,20 @@ mod tests {
     #[test]
     fn identity_is_noop() {
         let p = HotnessPermutation::identity(5);
-        assert_eq!(p.remap_indices(&[0, 3, 4]), vec![0, 3, 4]);
+        for i in [0, 3, 4] {
+            assert_eq!(p.to_sorted(i), i);
+        }
         assert_eq!(p.apply(&[10, 20, 30, 40, 50]), vec![10, 20, 30, 40, 50]);
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
     }
 
     #[test]
-    fn remap_indices_translates_queries() {
+    fn to_sorted_translates_queries() {
         let p = HotnessPermutation::from_counts(&[1, 100, 10]);
         // Sorted: entry 1 -> pos 0, entry 2 -> pos 1, entry 0 -> pos 2.
-        assert_eq!(p.remap_indices(&[0, 1, 2]), vec![2, 0, 1]);
+        let sorted: Vec<u32> = [0, 1, 2].iter().map(|&i| p.to_sorted(i)).collect();
+        assert_eq!(sorted, vec![2, 0, 1]);
     }
 
     #[test]

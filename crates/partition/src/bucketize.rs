@@ -3,7 +3,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::PartitionPlan;
+use er_distribution::sorting::HotnessPermutation;
+
+use crate::{PartitionPlan, PlanError};
 
 /// The per-shard `(index, offset)` arrays produced by bucketizing one
 /// query's lookup against a partition plan.
@@ -101,6 +103,154 @@ pub fn bucketize_into(
     plan: &PartitionPlan,
     out: &mut BucketizedLookup,
 ) {
+    scatter_into(indices, offsets, plan.num_shards(), out, |id| {
+        let (s, base) = plan.locate(u64::from(id));
+        (s, id - base as u32)
+    });
+}
+
+/// Per-row routing words of one hotness-sorted, partitioned table: the
+/// word of original row `orig` is `shard << shift | local`, where `local`
+/// is the row's sorted position minus its shard's base. `shift` leaves
+/// just enough high bits for the plan's shard index.
+///
+/// One load of [`RouteTable::word`] per id does the hotness remap, the
+/// shard search and the rebase of [`bucketize_into`] at once;
+/// [`bucketize_routed_into`] then only decodes and scatters.
+///
+/// # Examples
+///
+/// ```
+/// use er_distribution::sorting::HotnessPermutation;
+/// use er_partition::{bucketize_into, bucketize_routed_into, BucketizedLookup, PartitionPlan, RouteTable};
+///
+/// let perm = HotnessPermutation::from_counts(&[1, 9, 4, 7, 2, 3, 8, 5, 6, 0]);
+/// let plan = PartitionPlan::new(vec![6, 10], 10).unwrap();
+/// let route = RouteTable::new(&plan, &perm).unwrap();
+/// let (ids, offsets) = ([1u32, 7, 3, 6, 9, 2], [0u32, 2]);
+///
+/// let words: Vec<u32> = ids.iter().map(|&i| route.word(i)).collect();
+/// let mut routed = BucketizedLookup { indices: vec![], offsets: vec![] };
+/// bucketize_routed_into(&words, &offsets, &route, &mut routed);
+///
+/// let sorted: Vec<u32> = ids.iter().map(|&i| perm.to_sorted(i)).collect();
+/// let mut located = routed.clone();
+/// bucketize_into(&sorted, &offsets, &plan, &mut located);
+/// assert_eq!(routed, located);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteTable {
+    words: Vec<u32>,
+    shift: u32,
+    mask: u32,
+    num_shards: usize,
+}
+
+impl RouteTable {
+    /// Builds the route words of a table hotness-sorted by `perm` and cut
+    /// by `plan`, walking each shard's sorted range through
+    /// [`HotnessPermutation::to_original`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `perm` and `plan` cover different row counts,
+    /// or a shard's local rows do not fit the bits the shard index leaves.
+    pub fn new(plan: &PartitionPlan, perm: &HotnessPermutation) -> Result<Self, PlanError> {
+        if perm.len() as u64 != plan.table_len() {
+            return Err(PlanError(format!(
+                "permutation has {} rows but the plan covers {}",
+                perm.len(),
+                plan.table_len()
+            )));
+        }
+        let shift = route_shift(plan)?;
+        let mut words = vec![0u32; perm.len()];
+        for (s, (k, j)) in plan.shards().into_iter().enumerate() {
+            let tag = ((s as u64) << shift) as u32;
+            for pos in k..j {
+                words[perm.to_original(pos as u32) as usize] = tag | (pos - k) as u32;
+            }
+        }
+        Ok(Self {
+            words,
+            shift,
+            mask: ((1u64 << shift) - 1) as u32,
+            num_shards: plan.num_shards(),
+        })
+    }
+
+    /// The route word of original row `orig`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `orig` is not a row of the table.
+    #[inline]
+    pub fn word(&self, orig: u32) -> u32 {
+        let rows = self.words.len();
+        assert!(
+            (orig as usize) < rows,
+            "row {orig} out of range for a {rows}-row route table"
+        );
+        self.words[orig as usize]
+    }
+
+    /// `(shard, local row)` of a route word.
+    #[inline]
+    fn decode(&self, word: u32) -> (usize, u32) {
+        ((u64::from(word) >> self.shift) as usize, word & self.mask)
+    }
+}
+
+/// The shift of a plan's route words: the shard index takes the fewest
+/// high bits that count every shard, and every shard's local rows must fit
+/// in the bits left below it.
+fn route_shift(plan: &PartitionPlan) -> Result<u32, PlanError> {
+    let shard_bits = usize::BITS - (plan.num_shards() - 1).leading_zeros();
+    let shift = 32u32.checked_sub(shard_bits).ok_or_else(|| {
+        PlanError(format!(
+            "{} shards exceed a u32 route word",
+            plan.num_shards()
+        ))
+    })?;
+    match (0..plan.num_shards()).find(|&s| plan.shard_size(s) > 1u64 << shift) {
+        Some(s) => Err(PlanError(format!(
+            "shard {s} has {} rows, more than the {shift} local bits of a route word hold",
+            plan.shard_size(s)
+        ))),
+        None => Ok(shift),
+    }
+}
+
+/// [`bucketize_into`] over route words: `words[i]` is
+/// `routes.word(indices[i])`, so each id only decodes to its shard and
+/// local row. The output equals [`bucketize_into`] of the same ids
+/// remapped to sorted positions, element for element. The warm serving
+/// path, allocation-free once `out` has grown.
+///
+/// # Panics
+///
+/// Panics under [`bucketize`]'s offset contract, or if a word's shard bits
+/// name no shard of `routes` (words come from [`RouteTable::word`]).
+pub fn bucketize_routed_into(
+    words: &[u32],
+    offsets: &[u32],
+    routes: &RouteTable,
+    out: &mut BucketizedLookup,
+) {
+    scatter_into(words, offsets, routes.num_shards, out, |w| routes.decode(w));
+}
+
+/// The one scatter-and-offsets body of both bucketize entries: each id
+/// `decode`s to `(shard, local row)` and is pushed onto that shard's index
+/// array, after every shard opens the id's input range.
+#[inline]
+fn scatter_into(
+    ids: &[u32],
+    offsets: &[u32],
+    num_shards: usize,
+    out: &mut BucketizedLookup,
+    decode: impl Fn(u32) -> (usize, u32),
+) {
     assert!(!offsets.is_empty(), "offset array must be non-empty");
     assert_eq!(offsets[0], 0, "offset array must start at 0");
     for w in offsets.windows(2) {
@@ -108,11 +258,10 @@ pub fn bucketize_into(
     }
     assert!(
         // lint::allow(no_panic): non-emptiness asserted three lines up
-        *offsets.last().expect("non-empty") as usize <= indices.len(),
+        *offsets.last().expect("non-empty") as usize <= ids.len(),
         "last offset exceeds index array"
     );
 
-    let num_shards = plan.num_shards();
     let num_inputs = offsets.len();
     out.indices.truncate(num_shards);
     out.offsets.truncate(num_shards);
@@ -134,12 +283,10 @@ pub fn bucketize_into(
             out.offsets[s].push(pos);
         }
         let start = offsets[input] as usize;
-        let end = offsets
-            .get(input + 1)
-            .map_or(indices.len(), |&o| o as usize);
-        for &id in &indices[start..end] {
-            let (s, base) = plan.locate(u64::from(id));
-            out.indices[s].push(id - base as u32);
+        let end = offsets.get(input + 1).map_or(ids.len(), |&o| o as usize);
+        for &id in &ids[start..end] {
+            let (s, local) = decode(id);
+            out.indices[s].push(local);
         }
     }
 }
@@ -268,6 +415,33 @@ mod tests {
             bucketize_into(indices, offsets, plan, &mut out);
             assert_eq!(out, bucketize(indices, offsets, plan));
         }
+    }
+
+    #[test]
+    fn route_capacity_is_checked_on_the_plan_alone() {
+        // No rows are allocated: the check reads only the plan's cuts.
+        let max = u64::from(u32::MAX);
+        let single = PartitionPlan::single(max + 1);
+        assert_eq!(route_shift(&single), Ok(32));
+        assert!(route_shift(&PartitionPlan::single(max + 2)).is_err());
+        // Two shards leave 31 local bits: a 2^31-row shard fits, one row
+        // more does not.
+        let fits = PartitionPlan::new(vec![1 << 31, max], max).unwrap();
+        assert_eq!(route_shift(&fits), Ok(31));
+        let over = PartitionPlan::new(vec![10, (1 << 31) + 11], (1 << 31) + 11).unwrap();
+        let err = route_shift(&over).unwrap_err();
+        assert!(err.to_string().contains("shard 1"), "{err}");
+        // Five shards take three bits.
+        let five = PartitionPlan::new(vec![1, 2, 3, 4, 1 << 29], 1 << 29).unwrap();
+        assert_eq!(route_shift(&five), Ok(29));
+        let five_over = PartitionPlan::new(vec![1, 2, 3, 4, (1 << 29) + 5], (1 << 29) + 5).unwrap();
+        assert!(route_shift(&five_over).is_err());
+    }
+
+    #[test]
+    fn route_table_rejects_a_permutation_of_another_length() {
+        let perm = HotnessPermutation::identity(9);
+        assert!(RouteTable::new(&fig11_plan(), &perm).is_err());
     }
 
     #[test]

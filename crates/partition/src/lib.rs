@@ -8,7 +8,9 @@
 //! ([`partition_exact`] / [`partition_bucketed`], Algorithm 2) then finds
 //! the shard boundaries minimizing total memory consumption, and
 //! [`bucketize`] remaps each query's `(index, offset)` arrays onto the
-//! resulting shards (Figure 11).
+//! resulting shards (Figure 11). For serving, a [`RouteTable`] precomputes
+//! each original row's shard and local row as one `u32`, which
+//! [`bucketize_routed_into`] decodes with no search over the cut points.
 //!
 //! # Examples
 //!
@@ -38,8 +40,10 @@ mod dp;
 mod plan;
 mod qps_model;
 
-pub use bucketize::{bucketize, bucketize_into, BucketizedLookup};
+pub use bucketize::{
+    bucketize, bucketize_into, bucketize_routed_into, BucketizedLookup, RouteTable,
+};
 pub use cost::{CostModel, DEFAULT_TARGET_TRAFFIC};
 pub use dp::{partition_bucketed, partition_bucketed_k, partition_exact};
-pub use plan::PartitionPlan;
+pub use plan::{PartitionPlan, PlanError};
 pub use qps_model::{AnalyticGatherModel, ProfiledQpsModel, QpsModel};

@@ -24,7 +24,7 @@ pub struct PartitionPlan {
 
 /// Error constructing an invalid [`PartitionPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanError(String);
+pub struct PlanError(pub(crate) String);
 
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

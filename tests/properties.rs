@@ -8,7 +8,7 @@ use er_distribution::sorting::HotnessPermutation;
 use er_distribution::{AccessModel, EmpiricalCdf, LocalityTarget, ZipfDistribution};
 use er_metrics::Histogram;
 use er_model::{configs, Dlrm, EmbeddingTable, QueryGenerator, TableLookup};
-use er_partition::{bucketize, partition_exact, PartitionPlan};
+use er_partition::{bucketize, bucketize_routed_into, partition_exact, PartitionPlan, RouteTable};
 use er_sim::{SimRng, SimTime};
 use er_tensor::Matrix;
 use er_units::ElemKind;
@@ -99,6 +99,25 @@ proptest! {
             let size = plan.shard_size(s) as u32;
             prop_assert!(b.indices[s].iter().all(|&i| i < size));
         }
+    }
+
+    /// Route words decoded by `bucketize_routed_into` give exactly what
+    /// `bucketize_into` gives for the same ids remapped through `to_sorted`
+    /// (1–8 shards, tied counts, empty inputs, repeated ids).
+    #[test]
+    fn routed_bucketize_matches_located_bucketize(
+        counts in proptest::collection::vec(0u64..20, 64),
+        (indices, offsets) in lookup_strategy(64),
+        cuts in proptest::collection::btree_set(1..64u64, 0..8),
+    ) {
+        let plan = PartitionPlan::new(cuts.into_iter().chain([64]).collect(), 64).expect("valid");
+        let perm = HotnessPermutation::from_counts(&counts);
+        let route = RouteTable::new(&plan, &perm).expect("64 rows fit a route word");
+        let words: Vec<u32> = indices.iter().map(|&i| route.word(i)).collect();
+        let sorted: Vec<u32> = indices.iter().map(|&i| perm.to_sorted(i)).collect();
+        let mut routed = bucketize(&[], &[0], &plan);
+        bucketize_routed_into(&words, &offsets, &route, &mut routed);
+        prop_assert_eq!(routed, bucketize(&sorted, &offsets, &plan));
     }
 
     /// The DP partitioner never loses to brute-force enumeration.
