@@ -64,8 +64,10 @@ run_stage "test zero-alloc" cargo test -q -p elasticrec --features alloc-count -
 # perfsuite`.
 run_stage "perfsuite smoke" ./target/release/perfsuite --smoke
 # The quantized data plane's contract: every available SIMD backend
-# produces bit-identical f32 gathers, and f16/i8 gathers stay inside their
-# analytic error bounds (unavailable backends are logged as skipped).
+# produces bit-identical f32, f16 and i8 gathers, decodes all 2^16 f16
+# and encodes all 2^32 f32 bit patterns as the software converters do,
+# and f16/i8 gathers stay inside their analytic error bounds (unavailable
+# backends are logged as skipped).
 run_stage "quant parity" ./target/release/perfsuite --quant-parity
 # Full-scale digests: every section, fleet_par included, must match the
 # digest committed in BENCH_perf.json, and a section missing from it fails

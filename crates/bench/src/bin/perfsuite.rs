@@ -21,8 +21,9 @@
 //! mode also enforces the quantized i8 gather at >= 1.8x of f32.
 //! `--quant-parity` runs only the quantized-data-plane checks: f32, f16
 //! and i8 gather digests bit-identical across every available SIMD
-//! backend, every rung's f16 decode exact on all 65,536 bit patterns, and
-//! quantized gathers within their analytic error bounds. `--fleet` adds
+//! backend, every rung's f16 decode exact on all 65,536 bit patterns,
+//! every rung's f16 encode equal to `f16_from_f32` on all 2^32 f32 bit
+//! patterns, and quantized gathers within their analytic error bounds. `--fleet` adds
 //! the 1000-node synthetic fleet scenario as a timed section,
 //! `fleet_par`. An unknown argument, `--out`/`--baseline` without a
 //! value, or an `--out` naming the `--baseline` file is an error.
@@ -31,9 +32,10 @@ use std::process::exit;
 
 use er_bench::perf::{self, Digest, QUANT_I8_SPEEDUP_FLOOR, QUANT_ROUNDS};
 use er_model::EmbeddingTable;
-use er_tensor::quant::f16_to_f32;
+use er_tensor::quant::{f16_from_f32, f16_to_f32};
 use er_tensor::simd::{
-    gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, SimdBackend,
+    gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, quantize_f16_with,
+    SimdBackend,
 };
 use er_tensor::{quantize_f16, quantize_i8_rows, Matrix};
 use er_units::ElemKind;
@@ -200,10 +202,11 @@ fn main() {
 }
 
 /// The `--quant-parity` CI stage: every SIMD backend this CPU offers must
-/// produce bit-identical f32, f16 and i8 gathers and decode every f16 bit
-/// pattern exactly (absent backends are skipped with an explicit log
-/// line), and the quantized gathers must stay within their analytic error
-/// bounds against the f32 reference.
+/// produce bit-identical f32, f16 and i8 gathers, decode every f16 bit
+/// pattern exactly and encode every f32 bit pattern as `f16_from_f32`
+/// does (absent backends are skipped with an explicit log line), and the
+/// quantized gathers must stay within their analytic error bounds against
+/// the f32 reference.
 fn run_quant_parity() {
     let dim = 64u32;
     let rows = 4096u32;
@@ -282,6 +285,33 @@ fn run_quant_parity() {
         }
     }
     println!("quant-parity: f16 decode exact on all 65536 patterns on every backend");
+
+    // The f16 encode of every rung against `f16_from_f32` on all 2^32 f32
+    // bit patterns, a block at a time.
+    const BLOCK: u64 = 1 << 20;
+    let mut input = vec![0.0f32; BLOCK as usize];
+    let mut want = vec![0u16; BLOCK as usize];
+    let mut got = vec![0u16; BLOCK as usize];
+    for base in (0..1u64 << 32).step_by(BLOCK as usize) {
+        for (i, (x, w)) in input.iter_mut().zip(&mut want).enumerate() {
+            *x = f32::from_bits((base + i as u64) as u32);
+            *w = f16_from_f32(*x);
+        }
+        for &backend in &backends {
+            quantize_f16_with(backend, &input, &mut got);
+            if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                fail(&format!(
+                    "{backend} encodes f32 {:#010x} to f16 {:#06x}, f16_from_f32 gives {:#06x}",
+                    input[i].to_bits(),
+                    got[i],
+                    want[i]
+                ));
+            }
+        }
+    }
+    println!(
+        "quant-parity: f16 encode equal to f16_from_f32 on all 2^32 patterns on every backend"
+    );
 
     // Quantized error bounds against the f32 reference.
     let mut reference = Matrix::zeros(1, 1);

@@ -465,6 +465,34 @@ mod tests {
     }
 
     #[test]
+    fn elastic_cut_points_are_pinned() {
+        // Every table of these models has the same rows and locality, so
+        // each (model, platform) pair has one cut vector.
+        let cpu = [148_444, 2_445_689, 9_927_055, 20_000_000];
+        let gpu = [299_070, 4_927_321, 20_000_000];
+        let cases: [(&str, ModelConfig, Platform, &[u64]); 6] = [
+            ("rm1", configs::rm1(), Platform::CpuOnly, &cpu),
+            ("rm1", configs::rm1(), Platform::CpuGpu, &gpu),
+            ("rm2", configs::rm2(), Platform::CpuOnly, &cpu),
+            ("rm2", configs::rm2(), Platform::CpuGpu, &gpu),
+            ("rm3", configs::rm3(), Platform::CpuOnly, &gpu),
+            ("rm3", configs::rm3(), Platform::CpuGpu, &gpu),
+        ];
+        for (name, model, platform, want) in cases {
+            let c = if platform.dense_on_gpu() {
+                Calibration::cpu_gpu()
+            } else {
+                Calibration::cpu_only()
+            };
+            let p = plan(&model, platform, Strategy::Elastic, &c);
+            assert_eq!(p.table_plans.len(), model.tables.len(), "{name}");
+            for t in &p.table_plans {
+                assert_eq!(t.cuts(), want, "{name} {platform:?}");
+            }
+        }
+    }
+
+    #[test]
     fn identical_tables_get_identical_plans() {
         let p = plan(
             &configs::rm1(),

@@ -117,11 +117,14 @@ impl ShardedDlrm {
             let perm = HotnessPermutation::from_counts(&access_counts[t]);
             let route = RouteTable::new(&plans[t], &perm)
                 .map_err(|e| ShardingError(format!("table {t}: {e}")))?;
-            let sorted = table.permuted(|pos| perm.to_original(pos), table.rows());
+            // Each shard's rows are the sorted table's rows [k, j), read
+            // straight from the source table: no sorted copy is built.
             let shards = plans[t]
                 .shards()
                 .into_iter()
-                .map(|(k, j)| sorted.slice(k as u32, j as u32))
+                .map(|(k, j)| {
+                    table.select_rows((k as u32..j as u32).map(|pos| perm.to_original(pos)))
+                })
                 .collect();
             routes.push(route);
             shard_tables.push(shards);

@@ -8,9 +8,11 @@ use crate::AccessModel;
 /// is proportional to `r^-s`.
 ///
 /// The generalized harmonic normalizer is evaluated with an Euler–Maclaurin
-/// approximation, so construction and CDF queries are O(1) even at the
-/// paper's 20M-entry table size — no 20M-element weight array is ever
-/// materialized.
+/// approximation past an exactly summed 256-rank head, so no 20M-element
+/// weight array is ever materialized at the paper's table size.
+/// Construction sums the head once (256 `powf` calls) and keeps it, so a
+/// CDF query past rank 256 costs a few `powf` calls and one at or below
+/// it sums at most `x` terms.
 ///
 /// # Examples
 ///
@@ -25,21 +27,29 @@ use crate::AccessModel;
 pub struct ZipfDistribution {
     n: u64,
     s: f64,
+    /// `H(min(n, 256), s)`, the exactly summed head of every `H(x, s)`
+    /// with `x > 256`.
+    head: f64,
     h_n: f64,
 }
 
+/// Ranks whose harmonic terms are summed exactly; past this, the tail is
+/// integrated.
+const EXACT_LIMIT: u64 = 256;
+
+/// `sum_{k=1..n} k^-s`, summed in rank order.
+fn exact_harmonic(n: u64, s: f64) -> f64 {
+    (1..=n).map(|k| (k as f64).powf(-s)).sum()
+}
+
 /// Generalized harmonic number `H(n, s) = sum_{k=1..n} k^-s`, approximated by
-/// Euler–Maclaurin for large `n`. Exact summation below a small threshold.
-fn harmonic(n: u64, s: f64) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    const EXACT_LIMIT: u64 = 256;
+/// Euler–Maclaurin for large `n`. Exact summation up to [`EXACT_LIMIT`];
+/// above it, `head` must be `H(EXACT_LIMIT, s)`.
+fn harmonic(n: u64, s: f64, head: f64) -> f64 {
     if n <= EXACT_LIMIT {
-        return (1..=n).map(|k| (k as f64).powf(-s)).sum();
+        return exact_harmonic(n, s);
     }
-    // Sum the head exactly, integrate the tail.
-    let head: f64 = (1..=EXACT_LIMIT).map(|k| (k as f64).powf(-s)).sum();
+    // The head is summed exactly, the tail integrated.
     let a = EXACT_LIMIT as f64;
     let b = n as f64;
     let integral = if (s - 1.0).abs() < 1e-12 {
@@ -65,10 +75,12 @@ impl ZipfDistribution {
             s.is_finite() && s >= 0.0,
             "exponent must be non-negative, got {s}"
         );
+        let head = exact_harmonic(n.min(EXACT_LIMIT), s);
         Self {
             n,
             s,
-            h_n: harmonic(n, s),
+            head,
+            h_n: harmonic(n, s, head),
         }
     }
 
@@ -77,7 +89,9 @@ impl ZipfDistribution {
         self.s
     }
 
-    /// Draws a 1-based rank by inverse-CDF bisection on `u ~ Uniform[0,1)`.
+    /// Draws a 1-based rank by inverse-CDF bisection on `u ~ Uniform[0,1)`:
+    /// about `log2(n)` CDF evaluations per draw, each a few `powf` calls
+    /// past rank 256.
     ///
     /// # Panics
     ///
@@ -110,7 +124,7 @@ impl ZipfDistribution {
     /// Materializes the full per-rank CDF for O(log n) quantile sampling.
     ///
     /// [`ZipfDistribution::quantile`] bisects on the analytic CDF — exact
-    /// but ~25 harmonic evaluations per draw. For bulk sampling (millions
+    /// but ~25 CDF evaluations per draw. For bulk sampling (millions
     /// of draws for the memory-utility measurements) the tabulated form is
     /// orders of magnitude faster at the price of `8 × n` bytes.
     pub fn tabulate(&self) -> CdfTable {
@@ -177,7 +191,7 @@ impl AccessModel for ZipfDistribution {
             return 0.0;
         }
         let x = x.min(self.n);
-        (harmonic(x, self.s) / self.h_n).min(1.0)
+        (harmonic(x, self.s, self.head) / self.h_n).min(1.0)
     }
 
     fn pmf(&self, r: u64) -> f64 {
@@ -195,9 +209,46 @@ mod tests {
         for &s in &[0.0, 0.5, 1.0, 1.5, 2.0] {
             for &n in &[1u64, 10, 256, 1000, 100_000] {
                 let exact: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
-                let approx = harmonic(n, s);
+                let approx = harmonic(n, s, exact_harmonic(EXACT_LIMIT, s));
                 let rel = ((approx - exact) / exact).abs();
                 assert!(rel < 1e-6, "s={s} n={n} rel={rel}");
+            }
+        }
+    }
+
+    /// `H(n, s)` as it was computed before the head was cached: the head
+    /// re-summed on every call.
+    fn uncached_harmonic(n: u64, s: f64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        if n <= 256 {
+            return (1..=n).map(|k| (k as f64).powf(-s)).sum();
+        }
+        let head: f64 = (1..=256u64).map(|k| (k as f64).powf(-s)).sum();
+        let (a, b) = (256.0f64, n as f64);
+        let integral = if (s - 1.0).abs() < 1e-12 {
+            (b / a).ln()
+        } else {
+            (b.powf(1.0 - s) - a.powf(1.0 - s)) / (1.0 - s)
+        };
+        head + integral + 0.5 * (b.powf(-s) - a.powf(-s))
+    }
+
+    #[test]
+    fn cached_head_cdf_is_bit_equal_to_uncached() {
+        for n in [1u64, 200, 256, 257, 100_000, 20_000_000] {
+            for s in [0.0, 0.5, 1.0, 1.3] {
+                let z = ZipfDistribution::new(n, s);
+                let h_n = uncached_harmonic(n, s);
+                for x in [0, 1, 255, 256, 257, n / 10, n] {
+                    let want = if x == 0 {
+                        0.0
+                    } else {
+                        (uncached_harmonic(x.min(n), s) / h_n).min(1.0)
+                    };
+                    assert_eq!(z.cdf(x).to_bits(), want.to_bits(), "n={n} s={s} x={x}");
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Embedding tables with gather and pooling — DLRM's sparse layer.
 
 use er_tensor::quant::{dequantize_f16, dequantize_i8_rows, f16_to_f32};
-use er_tensor::{quantize_f16, quantize_i8_rows, Aligned, Matrix};
+use er_tensor::{quantize_f16_into, quantize_i8_rows_into, Aligned, Matrix};
 use er_units::{Bytes, ElemKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,7 +14,8 @@ use crate::TableLookup;
 /// always was. Element buffers are cache-line-[`Aligned`] so a dim-64 i8
 /// row is exactly one line and a dim-64 f32 row exactly four — random
 /// gathers pay the row's byte size in line traffic, never a straddling
-/// surcharge (the values, and hence all digests, are unchanged).
+/// surcharge (the values, and hence all digests, are unchanged). Every
+/// constructor writes its elements straight into the final aligned buffer.
 #[derive(Debug, Clone, PartialEq)]
 enum TableStorage {
     F32(Aligned<f32>),
@@ -60,13 +61,14 @@ impl EmbeddingTable {
     pub fn with_seed(rows: u32, dim: u32, seed: u64) -> Self {
         assert!(rows > 0 && dim > 0, "table dimensions must be non-zero");
         let mut rng = StdRng::seed_from_u64(seed);
-        let data = (0..rows as usize * dim as usize)
-            .map(|_| rng.gen_range(-0.1..0.1))
-            .collect();
+        let mut data = Aligned::zeroed(rows as usize * dim as usize);
+        for v in data.iter_mut() {
+            *v = rng.gen_range(-0.1..0.1);
+        }
         Self {
             rows,
             dim,
-            storage: TableStorage::F32(Aligned::from_vec(data)),
+            storage: TableStorage::F32(data),
         }
     }
 
@@ -79,15 +81,15 @@ impl EmbeddingTable {
         assert!(!rows.is_empty(), "table must have at least one row");
         let dim = rows[0].len();
         assert!(dim > 0, "rows must be non-empty");
-        let mut data = Vec::with_capacity(rows.len() * dim);
-        for (i, r) in rows.iter().enumerate() {
+        let mut data = Aligned::zeroed(rows.len() * dim);
+        for (i, (dst, r)) in data.chunks_exact_mut(dim).zip(rows).enumerate() {
             assert_eq!(r.len(), dim, "row {i} has inconsistent width");
-            data.extend_from_slice(r);
+            dst.copy_from_slice(r);
         }
         Self {
             rows: rows.len() as u32,
             dim: dim as u32,
-            storage: TableStorage::F32(Aligned::from_vec(data)),
+            storage: TableStorage::F32(data),
         }
     }
 
@@ -136,13 +138,16 @@ impl EmbeddingTable {
         };
         let storage = match kind {
             ElemKind::F32 => TableStorage::F32(data.clone()),
-            ElemKind::F16 => TableStorage::F16(Aligned::from_vec(quantize_f16(data))),
+            ElemKind::F16 => {
+                let mut halfs = Aligned::zeroed(data.len());
+                quantize_f16_into(data, &mut halfs);
+                TableStorage::F16(halfs)
+            }
             ElemKind::I8 => {
-                let (codes, scales) = quantize_i8_rows(data, self.dim as usize);
-                TableStorage::I8 {
-                    codes: Aligned::from_vec(codes),
-                    scales,
-                }
+                let mut codes = Aligned::zeroed(data.len());
+                let mut scales = vec![0.0; self.rows as usize];
+                quantize_i8_rows_into(data, self.dim as usize, &mut codes, &mut scales);
+                TableStorage::I8 { codes, scales }
             }
         };
         EmbeddingTable {
@@ -166,7 +171,7 @@ impl EmbeddingTable {
         EmbeddingTable {
             rows: self.rows,
             dim: self.dim,
-            storage: TableStorage::F32(Aligned::from_vec(data)),
+            storage: TableStorage::F32(Aligned::from_slice(&data)),
         }
     }
 
@@ -337,6 +342,48 @@ impl EmbeddingTable {
         bound
     }
 
+    /// Builds a table whose row `i` is this table's row `rows[i]`, written
+    /// once, straight into the new table's storage, at this table's
+    /// [`ElemKind`] (an i8 row's scale travels with it). Slicing and the
+    /// Figure 8 hotness sort are both row selections, so a shard of the
+    /// sorted table comes from the source table in one pass:
+    /// `select_rows((start..end).map(|pos| perm.to_original(pos)))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or names a row `>= rows()`.
+    pub fn select_rows(&self, rows: impl ExactSizeIterator<Item = u32>) -> EmbeddingTable {
+        let n = rows.len();
+        assert!(n > 0, "a table needs at least one row");
+        let d = self.dim as usize;
+        let ids = rows.map(|id| {
+            assert!(
+                id < self.rows,
+                "selected row {id} out of range ({})",
+                self.rows
+            );
+            id as usize
+        });
+        let storage = match &self.storage {
+            TableStorage::F32(data) => TableStorage::F32(copy_rows(data, d, n, ids)),
+            TableStorage::F16(data) => TableStorage::F16(copy_rows(data, d, n, ids)),
+            TableStorage::I8 { codes, scales } => {
+                let mut out_scales = Vec::with_capacity(n);
+                let ids = ids.inspect(|&id| out_scales.push(scales[id]));
+                let codes = copy_rows(codes, d, n, ids);
+                TableStorage::I8 {
+                    codes,
+                    scales: out_scales,
+                }
+            }
+        };
+        EmbeddingTable {
+            rows: n as u32,
+            dim: self.dim,
+            storage,
+        }
+    }
+
     /// Extracts the sub-table covering rows `[start, end)` — how a
     /// partitioned embedding shard's storage is built. Works at every
     /// [`ElemKind`] (an i8 shard keeps its rows' scales).
@@ -349,21 +396,7 @@ impl EmbeddingTable {
             start < end && end <= self.rows,
             "invalid slice [{start}, {end})"
         );
-        let d = self.dim as usize;
-        let (s, e) = (start as usize * d, end as usize * d);
-        let storage = match &self.storage {
-            TableStorage::F32(data) => TableStorage::F32(Aligned::from_slice(&data[s..e])),
-            TableStorage::F16(data) => TableStorage::F16(Aligned::from_slice(&data[s..e])),
-            TableStorage::I8 { codes, scales } => TableStorage::I8 {
-                codes: Aligned::from_slice(&codes[s..e]),
-                scales: scales[start as usize..end as usize].to_vec(),
-            },
-        };
-        EmbeddingTable {
-            rows: end - start,
-            dim: self.dim,
-            storage,
-        }
+        self.select_rows(start..end)
     }
 
     /// Reorders rows by a permutation (`out[pos] = self[perm_to_original(pos)]`)
@@ -375,44 +408,23 @@ impl EmbeddingTable {
     /// Panics if the permutation length differs from the table's row count.
     pub fn permuted(&self, to_original: impl Fn(u32) -> u32, len: u32) -> EmbeddingTable {
         assert_eq!(len, self.rows, "permutation length must match table rows");
-        let d = self.dim as usize;
-        let storage = match &self.storage {
-            TableStorage::F32(data) => {
-                let mut out = Vec::with_capacity(data.len());
-                for pos in 0..self.rows {
-                    let base = to_original(pos) as usize * d;
-                    out.extend_from_slice(&data[base..base + d]);
-                }
-                TableStorage::F32(Aligned::from_vec(out))
-            }
-            TableStorage::F16(data) => {
-                let mut out = Vec::with_capacity(data.len());
-                for pos in 0..self.rows {
-                    let base = to_original(pos) as usize * d;
-                    out.extend_from_slice(&data[base..base + d]);
-                }
-                TableStorage::F16(Aligned::from_vec(out))
-            }
-            TableStorage::I8 { codes, scales } => {
-                let mut out = Vec::with_capacity(codes.len());
-                let mut out_scales = Vec::with_capacity(scales.len());
-                for pos in 0..self.rows {
-                    let orig = to_original(pos) as usize;
-                    out.extend_from_slice(&codes[orig * d..(orig + 1) * d]);
-                    out_scales.push(scales[orig]);
-                }
-                TableStorage::I8 {
-                    codes: Aligned::from_vec(out),
-                    scales: out_scales,
-                }
-            }
-        };
-        EmbeddingTable {
-            rows: self.rows,
-            dim: self.dim,
-            storage,
-        }
+        self.select_rows((0..len).map(to_original))
     }
+}
+
+/// Copies `n` rows of the `d`-wide row-major `data`, row `ids[i]` into
+/// row `i`, into a fresh aligned buffer.
+fn copy_rows<T: Copy + Default>(
+    data: &[T],
+    d: usize,
+    n: usize,
+    ids: impl Iterator<Item = usize>,
+) -> Aligned<T> {
+    let mut out = Aligned::zeroed(n * d);
+    for (dst, id) in out.chunks_exact_mut(d).zip(ids) {
+        dst.copy_from_slice(&data[id * d..(id + 1) * d]);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -7,6 +7,11 @@
 //! and (b) match the kind's own scalar reference (`gather_pool`)
 //! bit-for-bit — the quantized analogue of the f32 paths' bit-exactness
 //! contract.
+//!
+//! The shard-building property rides along: a shard written in one pass
+//! by `select_rows` through a random permutation must hold what a
+//! permute-then-slice of the table holds, at every kind, and quantizing
+//! commutes with selecting rows.
 
 use er_model::{EmbeddingTable, TableLookup};
 use er_tensor::Matrix;
@@ -102,6 +107,51 @@ proptest! {
             let q = table.quantized(kind);
             q.gather_pool_into(lookup.indices(), lookup.offsets(), &mut out);
             prop_assert_eq!(&q.gather_pool(&lookup), &out);
+        }
+    }
+
+    /// Each shard built by one `select_rows` pass from the source table
+    /// equals the matching rows of a test-local permute-then-slice oracle
+    /// (compared through `dequantized()`, so i8 scales count), and
+    /// quantizing before or after selecting stores the same bits.
+    #[test]
+    fn one_pass_shards_match_permute_then_slice(
+        dim in 1u32..40,
+        rows in 1u32..48,
+        seed in 0u64..u64::MAX,
+        perm_seed in 0u64..u64::MAX,
+        cut_bits in 0u64..u64::MAX,
+    ) {
+        let table = build_table(rows, dim, seed);
+        // Fisher-Yates: to_original[pos] is the source row at sorted `pos`.
+        let mut to_original: Vec<u32> = (0..rows).collect();
+        for i in (1..rows as usize).rev() {
+            to_original.swap(i, (mix(perm_seed ^ i as u64) % (i as u64 + 1)) as usize);
+        }
+        let mut cuts: Vec<u32> = (1..rows).filter(|&c| cut_bits >> c & 1 == 1).collect();
+        cuts.push(rows);
+        for kind in [ElemKind::F32, ElemKind::F16, ElemKind::I8] {
+            let source = table.quantized(kind);
+            let exact = source.dequantized();
+            let sorted: Vec<&[f32]> = to_original.iter().map(|&o| exact.vector(o)).collect();
+            let mut start = 0;
+            for &end in &cuts {
+                let ids = || to_original[start as usize..end as usize].iter().copied();
+                let shard = source.select_rows(ids());
+                prop_assert_eq!(shard.elem_kind(), kind);
+                prop_assert_eq!(shard.rows(), end - start);
+                let got = shard.dequantized();
+                for (i, want) in sorted[start as usize..end as usize].iter().enumerate() {
+                    prop_assert_eq!(got.vector(i as u32), *want, "{} row {}", kind, start + i as u32);
+                }
+                prop_assert_eq!(&table.select_rows(ids()).quantized(kind), &shard);
+                let two_step = table
+                    .permuted(|pos| to_original[pos as usize], rows)
+                    .quantized(kind)
+                    .slice(start, end);
+                prop_assert_eq!(&two_step, &shard);
+                start = end;
+            }
         }
     }
 }

@@ -6,31 +6,36 @@
 //! page boundary (the allocator header), which makes every 64-byte i8
 //! row straddle **two** lines and every 256-byte f32 row span five —
 //! paying 25–100% more line traffic than the row's byte size. [`Aligned`]
-//! pads the front of an ordinary `Vec` so element 0 sits on a cache-line
-//! boundary, without any `unsafe`: rows whose byte size divides the line
-//! size then occupy exactly `row_bytes / 64` lines.
+//! over-allocates an ordinary `Vec` by one cache line and starts the
+//! payload at the first line boundary inside it, without any `unsafe`:
+//! rows whose byte size divides the line size then occupy exactly
+//! `row_bytes / 64` lines.
 //!
-//! The padding is recomputed on every construction (and on `clone`,
-//! since the new allocation lands somewhere else), so the alignment
-//! guarantee survives copies.
+//! Storage is built in place: [`Aligned::zeroed`] hands out a zero-filled
+//! buffer (fresh pages from the allocator, so large buffers cost no
+//! up-front write) and [`DerefMut`] lets the builder write each element
+//! once, into its final position. The padding is recomputed on every
+//! construction (and on `clone`, since the new allocation lands somewhere
+//! else), so the alignment guarantee survives copies.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 
 /// Cache line size the front padding targets, in bytes.
 pub const CACHE_LINE: usize = 64;
 
 /// A flat `[T]` whose first element is 64-byte aligned. Dereferences to
-/// the payload slice; the front padding is invisible to readers.
+/// the payload slice; the padding is invisible to readers and writers.
 ///
 /// # Examples
 ///
 /// ```
 /// use er_tensor::Aligned;
 ///
-/// let a = Aligned::from_vec(vec![1.0f32; 1000]);
+/// let mut a = Aligned::<f32>::zeroed(1000);
 /// assert_eq!(a.len(), 1000);
 /// assert_eq!(a.as_ptr() as usize % 64, 0);
-/// assert_eq!(&a[..3], &[1.0, 1.0, 1.0]);
+/// a[..3].copy_from_slice(&[1.0, 2.0, 3.0]);
+/// assert_eq!(&a[..4], &[1.0, 2.0, 3.0, 0.0]);
 /// ```
 #[derive(Debug)]
 pub struct Aligned<T> {
@@ -40,14 +45,26 @@ pub struct Aligned<T> {
 }
 
 impl<T: Copy + Default> Aligned<T> {
-    /// Wraps `v` in a 64-byte-aligned buffer (one copy).
+    /// A 64-byte-aligned buffer of `len` default (for the storage element
+    /// types: zero) elements, to be filled in place through [`DerefMut`].
     ///
     /// # Panics
     ///
     /// Panics if `T`'s size is zero or does not divide the cache line
     /// size (every storage element type — i8, u16, f32 — does).
-    pub fn from_vec(v: Vec<T>) -> Self {
-        Self::from_slice(&v)
+    pub fn zeroed(len: usize) -> Self {
+        let elem = std::mem::size_of::<T>();
+        assert!(
+            elem > 0 && CACHE_LINE.is_multiple_of(elem),
+            "element size must divide the cache line"
+        );
+        // One spare line covers any misalignment. A zero fill takes the
+        // allocator's zeroed-memory path, so a large buffer's pages are
+        // first written by whoever fills the payload.
+        let buf = vec![T::default(); len + CACHE_LINE / elem];
+        // Allocations are elem-aligned, so the byte gap divides evenly.
+        let off = (CACHE_LINE - buf.as_ptr() as usize % CACHE_LINE) % CACHE_LINE / elem;
+        Self { buf, off, len }
     }
 
     /// Copies `s` into a fresh 64-byte-aligned buffer.
@@ -57,29 +74,9 @@ impl<T: Copy + Default> Aligned<T> {
     /// Panics if `T`'s size is zero or does not divide the cache line
     /// size.
     pub fn from_slice(s: &[T]) -> Self {
-        let elem = std::mem::size_of::<T>();
-        assert!(
-            elem > 0 && CACHE_LINE.is_multiple_of(elem),
-            "element size must divide the cache line"
-        );
-        let pad = CACHE_LINE / elem;
-        let mut buf = Vec::with_capacity(s.len() + pad);
-        // A Vec never reallocates while len <= capacity, so the base
-        // address observed here is the one the payload ends up at.
-        let mis = buf.as_ptr() as usize % CACHE_LINE;
-        // Allocations are elem-aligned, so the byte gap divides evenly.
-        let off = if mis == 0 {
-            0
-        } else {
-            (CACHE_LINE - mis) / elem
-        };
-        buf.resize(off, T::default());
-        buf.extend_from_slice(s);
-        Self {
-            buf,
-            off,
-            len: s.len(),
-        }
+        let mut a = Self::zeroed(s.len());
+        a.copy_from_slice(s);
+        a
     }
 }
 
@@ -88,6 +85,12 @@ impl<T> Deref for Aligned<T> {
 
     fn deref(&self) -> &[T] {
         &self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl<T> DerefMut for Aligned<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.off..self.off + self.len]
     }
 }
 
@@ -111,19 +114,31 @@ mod tests {
     #[test]
     fn payload_is_cache_line_aligned() {
         for len in [0usize, 1, 63, 64, 1000, 100_000] {
-            let a = Aligned::from_vec(vec![7i8; len]);
+            let a = Aligned::from_slice(&vec![7i8; len]);
             assert_eq!(a.as_ptr() as usize % CACHE_LINE, 0, "i8 len {len}");
             assert_eq!(&*a, vec![7i8; len].as_slice());
-            let b = Aligned::from_vec(vec![0.5f32; len]);
+            let b = Aligned::<f32>::zeroed(len);
             assert_eq!(b.as_ptr() as usize % CACHE_LINE, 0, "f32 len {len}");
-            let c = Aligned::from_vec(vec![9u16; len]);
+            assert!(b.iter().all(|&v| v.to_bits() == 0), "f32 len {len}");
+            let c = Aligned::from_slice(&vec![9u16; len]);
             assert_eq!(c.as_ptr() as usize % CACHE_LINE, 0, "u16 len {len}");
         }
     }
 
     #[test]
+    fn writes_land_in_the_payload() {
+        let mut a = Aligned::<u16>::zeroed(37);
+        for (i, v) in a.iter_mut().enumerate() {
+            *v = i as u16 * 3;
+        }
+        let want: Vec<u16> = (0..37).map(|i| i * 3).collect();
+        assert_eq!(&*a, want.as_slice());
+        assert_eq!(a, Aligned::from_slice(&want));
+    }
+
+    #[test]
     fn clone_realigns_and_compares_equal() {
-        let a = Aligned::from_vec((0..997i32).collect::<Vec<_>>());
+        let a = Aligned::from_slice(&(0..997i32).collect::<Vec<_>>());
         let b = a.clone();
         assert_eq!(b.as_ptr() as usize % CACHE_LINE, 0);
         assert_eq!(a, b);

@@ -39,5 +39,8 @@ pub use gather::gather_pool_csr;
 pub use linear::Linear;
 pub use matrix::{Matrix, PackedMatrix};
 pub use mlp::Mlp;
-pub use quant::{gather_pool_csr_f16, gather_pool_csr_i8, quantize_f16, quantize_i8_rows};
+pub use quant::{
+    gather_pool_csr_f16, gather_pool_csr_i8, quantize_f16, quantize_f16_into, quantize_i8_rows,
+    quantize_i8_rows_into,
+};
 pub use simd::SimdBackend;

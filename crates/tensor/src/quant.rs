@@ -32,7 +32,8 @@ use crate::Matrix;
 /// Converts an f32 to IEEE-754 half precision (round-to-nearest-even).
 ///
 /// Overflow saturates to ±inf; NaN maps to a quiet NaN. This is the
-/// storage-side (offline) conversion — clarity over speed.
+/// reference encoder and the scalar rung of [`quantize_f16_into`]; the
+/// wide rungs match it bit for bit on all 2^32 inputs.
 pub fn f16_from_f32(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -97,9 +98,22 @@ pub fn f16_to_f32(h: u16) -> f32 {
     f32::from_bits(sign | expman) * f32::from_bits(0x7780_0000)
 }
 
-/// Quantizes a flat f32 buffer to f16 storage.
+/// Quantizes a flat f32 buffer to f16 storage (see [`quantize_f16_into`]).
 pub fn quantize_f16(data: &[f32]) -> Vec<u16> {
-    data.iter().map(|&v| f16_from_f32(v)).collect()
+    let mut out = vec![0; data.len()];
+    quantize_f16_into(data, &mut out);
+    out
+}
+
+/// Encodes `src` into `dst` as [`f16_from_f32`] would element by element,
+/// dispatched down the AVX-512 → AVX2 → scalar ladder: the wide rungs
+/// convert in hardware (see [`crate::simd::quantize_f16_with`]).
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` differ in length.
+pub fn quantize_f16_into(src: &[f32], dst: &mut [u16]) {
+    crate::simd::quantize_f16_with(crate::SimdBackend::detect(), src, dst);
 }
 
 /// Dequantizes f16 storage back to f32 (test/report helper).
@@ -107,10 +121,8 @@ pub fn dequantize_f16(data: &[u16]) -> Vec<f32> {
     data.iter().map(|&h| f16_to_f32(h)).collect()
 }
 
-/// Per-row symmetric i8 quantization of a `rows x dim` row-major buffer:
-/// for each row, `scale = max_abs / 127` and `q = round(v / scale)` (in
-/// f64, so the rounding analysis stays trivial). All-zero rows get scale 0
-/// and all-zero codes.
+/// Per-row symmetric i8 quantization of a `rows x dim` row-major buffer
+/// (see [`quantize_i8_rows_into`]).
 ///
 /// Returns `(codes, scales)` with `scales.len() == rows`.
 ///
@@ -119,24 +131,41 @@ pub fn dequantize_f16(data: &[u16]) -> Vec<f32> {
 /// Panics if `dim` is zero or `data.len()` is not a multiple of `dim`.
 pub fn quantize_i8_rows(data: &[f32], dim: usize) -> (Vec<i8>, Vec<f32>) {
     assert!(dim > 0, "dim must be non-zero");
+    let mut codes = vec![0; data.len()];
+    let mut scales = vec![0.0; data.len() / dim];
+    quantize_i8_rows_into(data, dim, &mut codes, &mut scales);
+    (codes, scales)
+}
+
+/// Per-row symmetric i8 quantization of a `rows x dim` row-major buffer
+/// into caller-owned storage: for each row, `scale = max_abs / 127` and
+/// `q = round(v / scale)` (in f64, so the rounding analysis stays
+/// trivial). All-zero rows get scale 0 and all-zero codes.
+///
+/// # Panics
+///
+/// Panics if `dim` is zero, `data.len()` is not a multiple of `dim`, or
+/// `codes` and `scales` are not `data.len()` and `data.len() / dim` long.
+pub fn quantize_i8_rows_into(data: &[f32], dim: usize, codes: &mut [i8], scales: &mut [f32]) {
+    assert!(dim > 0, "dim must be non-zero");
     assert_eq!(data.len() % dim, 0, "data must be rows x dim");
-    let rows = data.len() / dim;
-    let mut codes = Vec::with_capacity(data.len());
-    let mut scales = Vec::with_capacity(rows);
-    for row in data.chunks_exact(dim) {
+    assert_eq!(codes.len(), data.len(), "one code per element");
+    assert_eq!(scales.len(), data.len() / dim, "one scale per row");
+    for ((row, out), scale) in data
+        .chunks_exact(dim)
+        .zip(codes.chunks_exact_mut(dim))
+        .zip(scales)
+    {
         let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = max_abs / 127.0;
-        scales.push(scale);
-        if scale == 0.0 {
-            codes.resize(codes.len() + dim, 0);
+        *scale = max_abs / 127.0;
+        if *scale == 0.0 {
+            out.fill(0);
             continue;
         }
-        for &v in row {
-            let q = (v as f64 / scale as f64).round();
-            codes.push(q.clamp(-127.0, 127.0) as i8);
+        for (q, &v) in out.iter_mut().zip(row) {
+            *q = (v as f64 / *scale as f64).round().clamp(-127.0, 127.0) as i8;
         }
     }
-    (codes, scales)
 }
 
 /// Dequantizes per-row i8 storage back to f32 (test/report helper):

@@ -5,10 +5,15 @@
 //! `gather_pool_body` in `gather.rs`) compiled with `#[target_feature(...)]`
 //! for AVX2 or AVX-512 — the same Rust source on wider registers, so the FP
 //! op sequence (and therefore the bits) cannot diverge between backends.
-//! There are no intrinsics except the prefetch hint and the f16 decode:
-//! the AVX2 and AVX-512 gathers decode f16 lanes with the hardware
-//! `vcvtph2ps`, which is exact, and which [`crate::quant::f16_to_f32`]
-//! (the scalar rung's decoder) matches bit for bit on all 65,536 inputs.
+//! There are no intrinsics except the prefetch hint and the f16
+//! conversions. The AVX2 and AVX-512 gathers decode f16 lanes with the
+//! hardware `vcvtph2ps`, which is exact, and which
+//! [`crate::quant::f16_to_f32`] (the scalar rung's decoder) matches bit for
+//! bit on all 65,536 inputs. The f16 encoder ([`quantize_f16_with`]) runs
+//! `vcvtps2ph` with an explicit round-to-nearest-even immediate, which
+//! matches [`crate::quant::f16_from_f32`] on every f32 except NaNs: the
+//! hardware keeps a NaN's payload, so NaN lanes are re-encoded in
+//! software.
 //! The one other per-rung choice is the matmul tile width: AVX-512 runs two
 //! 16-column panels per tile (6x32, 12 of its 32 vector registers), the
 //! other rungs one (6x16), over the same packed layout; the tile width
@@ -257,6 +262,114 @@ pub fn gather_pool_csr_i8_with(
     assert_eq!(scales.len(), rows as usize, "one scale per table row");
     let dec = crate::quant::I8(scales);
     gather_on(backend, (dec, dec, dec), data, rows, indices, offsets, out);
+}
+
+/// Encodes `src` as IEEE-754 halfs into `dst` on a forced backend, bit
+/// for bit as [`crate::quant::f16_from_f32`] encodes each element: the
+/// scalar rung is that function, the AVX2 and AVX-512 rungs convert 8 or
+/// 16 lanes at a time with `vcvtps2ph` (round to nearest even, whatever
+/// MXCSR says), re-encode any NaN lane in software and finish the tail
+/// with the scalar encoder.
+///
+/// # Panics
+///
+/// Panics if `backend` is unavailable on this CPU, or if `src` and `dst`
+/// differ in length.
+pub fn quantize_f16_with(backend: SimdBackend, src: &[f32], dst: &mut [u16]) {
+    check_available(backend);
+    assert_eq!(
+        src.len(),
+        dst.len(),
+        "f16 output must match the input length"
+    );
+    let done = match backend {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: availability of the target features was just verified.
+        SimdBackend::Avx512 => unsafe { encode_f16_avx512(src, dst) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: availability of the target features was just verified.
+        SimdBackend::Avx2 => unsafe { encode_f16_avx2(src, dst) },
+        _ => 0,
+    };
+    for (h, &x) in dst[done..].iter_mut().zip(&src[done..]) {
+        *h = crate::quant::f16_from_f32(x);
+    }
+}
+
+/// Encodes the whole 16-lane chunks of `src` into `dst` with the 512-bit
+/// `vcvtps2ph`, returning how many elements it wrote.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, and `dst` must be at least as long as
+/// `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+unsafe fn encode_f16_avx512(src: &[f32], dst: &mut [u16]) -> usize {
+    use std::arch::x86_64::{
+        __m256i, _mm256_storeu_si256, _mm512_cmp_ps_mask, _mm512_cvtps_ph, _mm512_loadu_ps,
+        _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
+    };
+    const W: usize = 16;
+    let whole = src.len() / W * W;
+    for i in (0..whole).step_by(W) {
+        // SAFETY: `i + W <= src.len() <= dst.len()`, so the 64-byte load
+        // and the 32-byte store stay inside the two slices.
+        unsafe {
+            let v = _mm512_loadu_ps(src.as_ptr().add(i));
+            let h = _mm512_cvtps_ph::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(v);
+            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast::<__m256i>(), h);
+            let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+            if nan != 0 {
+                reencode_nan_lanes(u32::from(nan), &src[i..i + W], &mut dst[i..i + W]);
+            }
+        }
+    }
+    whole
+}
+
+/// Encodes the whole 8-lane chunks of `src` into `dst` with the F16C
+/// 256-bit `vcvtps2ph`, returning how many elements it wrote.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` and `f16c`, and `dst` must be at least as
+/// long as `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn encode_f16_avx2(src: &[f32], dst: &mut [u16]) -> usize {
+    use std::arch::x86_64::{
+        __m128i, _mm256_cmp_ps, _mm256_cvtps_ph, _mm256_loadu_ps, _mm256_movemask_ps,
+        _mm_storeu_si128, _CMP_UNORD_Q, _MM_FROUND_TO_NEAREST_INT,
+    };
+    const W: usize = 8;
+    let whole = src.len() / W * W;
+    for i in (0..whole).step_by(W) {
+        // SAFETY: `i + W <= src.len() <= dst.len()`, so the 32-byte load
+        // and the 16-byte store stay inside the two slices.
+        unsafe {
+            let v = _mm256_loadu_ps(src.as_ptr().add(i));
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
+            _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), h);
+            let nan = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+            if nan != 0 {
+                reencode_nan_lanes(nan as u32, &src[i..i + W], &mut dst[i..i + W]);
+            }
+        }
+    }
+    whole
+}
+
+/// Overwrites the lanes of `dst` flagged in `mask` with the software
+/// encoding of `src`: `vcvtps2ph` keeps a NaN's payload bits, while
+/// [`crate::quant::f16_from_f32`] emits one quiet NaN per sign.
+#[cold]
+fn reencode_nan_lanes(mask: u32, src: &[f32], dst: &mut [u16]) {
+    for (lane, (h, &x)) in dst.iter_mut().zip(src).enumerate() {
+        if mask >> lane & 1 == 1 {
+            *h = crate::quant::f16_from_f32(x);
+        }
+    }
 }
 
 /// Runs the one gather body on `backend` with that rung's decoder from

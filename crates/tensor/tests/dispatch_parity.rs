@@ -5,10 +5,10 @@
 //! the same order. Backends this CPU lacks are *skipped with an explicit
 //! log line*, never silently passed.
 
-use er_tensor::quant::f16_to_f32;
+use er_tensor::quant::{f16_from_f32, f16_to_f32};
 use er_tensor::simd::{
     gather_pool_csr_f16_with, gather_pool_csr_i8_with, gather_pool_csr_with, matmul_packed_with,
-    SimdBackend,
+    quantize_f16_with, SimdBackend,
 };
 use er_tensor::{quantize_f16, quantize_i8_rows, Matrix};
 
@@ -202,6 +202,56 @@ fn f16_decode_is_exact_on_every_bit_pattern_and_backend() {
                 g, w,
                 "f16 {h:#06x} decodes to {g:#010x}, want {w:#010x} on {b}"
             );
+        }
+    }
+}
+
+#[test]
+fn f16_encode_matches_the_software_encoder_on_every_backend() {
+    // Every high half-word under low half-words that hit each 13-bit
+    // rounding case (exact, just above zero, just below, at and just past
+    // the tie, the top of the dropped bits, the kept LSB, all ones): every
+    // exponent, so every subnormal shift and the overflow to infinity.
+    let lows = [
+        0x0000u32, 0x0001, 0x0fff, 0x1000, 0x1001, 0x1fff, 0x2000, 0xffff,
+    ];
+    let mut inputs: Vec<f32> = (0..=0xffffu32)
+        .flat_map(|hi| lows.map(|lo| f32::from_bits(hi << 16 | lo)))
+        .collect();
+    // Zeros, infinities, and quiet and signalling NaNs with payloads,
+    // which the hardware would keep. Seven more keep the length off every
+    // multiple of 8 and 16, so the scalar tail runs.
+    inputs.extend(
+        [
+            0x0000_0000u32,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0001,
+            0xffd2_3456,
+            0x7f80_0001,
+            0xffa0_2000,
+            0x7fbf_ffff,
+        ]
+        .map(f32::from_bits),
+    );
+    let want: Vec<u16> = inputs.iter().map(|&x| f16_from_f32(x)).collect();
+    for backend in backends() {
+        let mut got = vec![0xabcdu16; inputs.len()];
+        quantize_f16_with(backend, &inputs, &mut got);
+        if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+            panic!(
+                "backend {backend} encodes {:#010x} to {:#06x}, software gives {:#06x}",
+                inputs[i].to_bits(),
+                got[i],
+                want[i]
+            );
+        }
+        // Short and unaligned slices: all-tail, one chunk plus a tail.
+        for (start, len) in [(0usize, 0usize), (3, 1), (5, 7), (9, 15), (1, 17), (40, 33)] {
+            let mut part = vec![0u16; len];
+            quantize_f16_with(backend, &inputs[start..start + len], &mut part);
+            assert_eq!(part, want[start..start + len], "{backend} at {start}+{len}");
         }
     }
 }
