@@ -64,10 +64,11 @@ run_stage "test zero-alloc" cargo test -q -p elasticrec --features alloc-count -
 # perfsuite`.
 run_stage "perfsuite smoke" ./target/release/perfsuite --smoke
 # The quantized data plane's contract: every available SIMD backend
-# produces bit-identical f32, f16 and i8 gathers, decodes all 2^16 f16
-# and encodes all 2^32 f32 bit patterns as the software converters do,
-# and f16/i8 gathers stay inside their analytic error bounds (unavailable
-# backends are logged as skipped).
+# produces bit-identical f32, f16 and i8 gathers and decodes all 2^16 f16
+# bit patterns as the software converter does, every SIMD rung encodes
+# all 2^32 f32 bit patterns as `f16_from_f32` does (the scalar rung is
+# that converter), and f16/i8 gathers stay inside their analytic error
+# bounds (unavailable backends are logged as skipped).
 run_stage "quant parity" ./target/release/perfsuite --quant-parity
 # Full-scale digests: every section, fleet_par included, must match the
 # digest committed in BENCH_perf.json, and a section missing from it fails
@@ -77,9 +78,8 @@ run_stage "quant parity" ./target/release/perfsuite --quant-parity
 run_stage "perfsuite digests" ./target/release/perfsuite --fleet --baseline BENCH_perf.json --no-enforce-speedup --out target/BENCH_perf.json
 # The control plane's contract: er-mc exhaustively explores the documented
 # CI bound (2 deployments x 3 replicas x 6 traffic steps) breadth-first over
-# the same pure HPA and placement handlers the engine runs, plus
-# er_rpc::pure's least-outstanding counter routing model, hard-failing on
-# any counterexample. The machine-readable report lands at
+# the same pure HPA, placement and soonest-start routing handlers the
+# engine runs, hard-failing on any counterexample. The machine-readable report lands at
 # target/er-mc.json (er-lint-style schema).
 run_stage "er-mc" ./target/release/er-mc --format json --out target/er-mc.json
 

@@ -56,4 +56,4 @@ pub use hpa::{
 };
 pub use pod::{Pod, PodSpec};
 pub use resources::ResourceRequest;
-pub use schedule::{place_pod, NodeView, PlaceError, Placement, PoolView};
+pub use schedule::{place_pod, soonest_start, NodeView, PlaceError, Placement, PoolView};

@@ -1,12 +1,14 @@
-//! Pure pod placement: the bin-packing decision of [`crate::Cluster`]
-//! extracted as a side-effect-free function over value snapshots.
+//! Pure scheduling decisions over value snapshots: where a pod goes, and
+//! which pod serves a request.
 //!
 //! [`place_pod`] is the single source of truth for where a pod goes — the
 //! cluster's `add_pod` builds the views, calls it, and applies the
-//! returned [`Placement`]; the `er-mc` control-plane model calls the same
-//! function on model states. Keeping the decision pure (no clocks, no RNG,
-//! no ambient state) is what makes scheduler policies enumerable by the
-//! model checker and, down the road, pluggable values.
+//! returned [`Placement`]. [`soonest_start`] is the single source of truth
+//! for which replica serves an RPC — the simulation engine calls it for
+//! every request it routes. The `er-mc` control-plane model calls both
+//! functions on model states. Keeping the decisions pure (no clocks, no
+//! RNG, no ambient state) is what makes scheduler and routing policies
+//! enumerable by the model checker and, down the road, pluggable values.
 
 use crate::ResourceRequest;
 
@@ -108,9 +110,37 @@ pub fn place_pod(
     Err(PlaceError::ClusterFull)
 }
 
+/// Picks the pod that can start a request soonest at `now`, returning
+/// `(id, start)`.
+///
+/// `pods` yields each live pod as `(id, ready_at, free_at)` in deployment
+/// order: a pod starts work at `max(now, ready_at, free_at)`, so a pod
+/// still starting up is never handed work before it is ready. Ties go to
+/// the earliest pod. Returns `None` when `pods` is empty.
+pub fn soonest_start(
+    now: f64,
+    pods: impl IntoIterator<Item = (u64, f64, f64)>,
+) -> Option<(u64, f64)> {
+    let mut best: Option<(u64, f64)> = None;
+    for (id, ready_at, free_at) in pods {
+        let start = now.max(ready_at).max(free_at);
+        if best.is_none_or(|(_, b)| start < b) {
+            best = Some((id, start));
+            if start <= now {
+                // `start >= now` for every pod, so an idle, ready pod is
+                // the global optimum; later pods can only tie, and ties go
+                // to the earliest pod anyway.
+                break;
+            }
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn req(cpu: u64, mem: u64) -> ResourceRequest {
         ResourceRequest::cpu(cpu, mem)
@@ -176,5 +206,63 @@ mod tests {
             place_pod(&[], &capped, &req(16_000, 0)),
             Err(PlaceError::ClusterFull)
         );
+    }
+
+    /// When pod c, still starting at `now = 100`, becomes ready.
+    const READY_C: f64 = 102.0;
+
+    /// Pods a, b and c (ids 7, 8, 9) at `now = 100`, each free at its
+    /// entry of `frees`: a and b are ready, c is starting until `READY_C`.
+    fn pick(frees: [f64; 3]) -> Option<(u64, f64)> {
+        let ready = [0.0, 100.0, READY_C];
+        soonest_start(100.0, (0..3).map(|i| (7 + i as u64, ready[i], frees[i])))
+    }
+
+    #[test]
+    fn soonest_start_picks_the_pod_that_can_start_soonest() {
+        // Idle and ready: a wins at `now`, and b, idle too, loses the tie.
+        assert_eq!(pick([0.0; 3]), Some((7, 100.0)));
+        // An idle, ready pod wins over a busy one earlier in order.
+        assert_eq!(pick([101.0, 0.0, 0.0]), Some((8, 100.0)));
+        // Idle but starting, c is not picked before its `ready_at` while a
+        // ready pod can start sooner.
+        assert_eq!(pick([101.5, 101.0, 0.0]), Some((8, 101.0)));
+        // Every ready pod is busy past `ready_at`: c starts when ready.
+        assert_eq!(
+            pick([READY_C + 1.0, READY_C + 2.0, 0.0]),
+            Some((9, READY_C))
+        );
+        // Ties go to the earliest pod in order, starting or not.
+        assert_eq!(pick([READY_C, READY_C, 0.0]), Some((7, READY_C)));
+        assert_eq!(pick([READY_C + 1.0, READY_C, 0.0]), Some((8, READY_C)));
+        assert_eq!(soonest_start(0.0, []), None);
+    }
+
+    proptest! {
+        /// The pick equals a brute-force minimum over `(start, position)`.
+        /// Times sit on a half-second grid, so ties, `free_at == now` (the
+        /// early break) and pods starting after `now` are routine; an empty
+        /// pod set yields `None`.
+        #[test]
+        fn soonest_start_matches_brute_force_minimum(
+            now_q in 0u8..6,
+            pods in proptest::collection::vec((0u8..8, 0u8..8), 0..6),
+        ) {
+            let half = |q: u8| f64::from(q) / 2.0;
+            let now = half(now_q);
+            let want = pods
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, f))| (now.max(half(r)).max(half(f)), i))
+                .min_by(|a, b| a.partial_cmp(b).unwrap())
+                .map(|(start, i)| (100 + i as u64, start));
+            let got = soonest_start(
+                now,
+                pods.iter()
+                    .enumerate()
+                    .map(|(i, &(r, f))| (100 + i as u64, half(r), half(f))),
+            );
+            prop_assert_eq!(got, want);
+        }
     }
 }

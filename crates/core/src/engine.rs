@@ -10,8 +10,8 @@
 //! This is the machinery behind the paper's Figure 19.
 
 use er_cluster::{
-    bound_frontend_desired, clamp_scale_to_load, Cluster, DeployId, HpaPolicy, HpaState,
-    Observation, ScalingTarget,
+    bound_frontend_desired, clamp_scale_to_load, soonest_start, Cluster, DeployId, HpaPolicy,
+    HpaState, Observation, ScalingTarget,
 };
 use er_metrics::{Histogram, QpsWindow, Summary, TimeSeries};
 use er_rpc::messages;
@@ -407,30 +407,21 @@ impl<'a> Engine<'a> {
     }
 
     /// Picks the pod of `deploy` that can start work soonest at `now`,
-    /// returning `(pod_id, start_time)`.
-    fn assign_pod(&mut self, deploy: usize, now: f64) -> (u64, f64) {
+    /// returning `(pod_id, start_time)` (see [`soonest_start`]).
+    fn assign_pod(&self, deploy: usize, now: f64) -> (u64, f64) {
         let id = self.deploys[deploy].id;
-        let pods = self.cluster.pods_of(id);
-        assert!(
-            !pods.is_empty(),
-            "deployment {} has no pods",
-            self.cluster.deployment_name(id)
-        );
-        let mut best = (pods[0].id(), f64::INFINITY);
-        for p in pods {
+        let pods = self.cluster.pods_of(id).iter().map(|p| {
             let free = self.pod_free.get(p.id() as usize).copied().unwrap_or(0.0);
-            let start = now.max(p.ready_at().as_secs()).max(free);
-            if start < best.1 {
-                best = (p.id(), start);
-                if start <= now {
-                    // `start >= now` for every pod, so an idle, ready pod is
-                    // the global optimum; later pods can only tie, and ties
-                    // go to the earliest pod in deployment order anyway.
-                    break;
-                }
-            }
-        }
-        best
+            (p.id(), p.ready_at().as_secs(), free)
+        });
+        let Some(pick) = soonest_start(now, pods) else {
+            // lint::allow(no_panic): every deployment keeps at least one pod (startup places one, and the HPA floor is one replica)
+            panic!(
+                "deployment {} has no pods",
+                self.cluster.deployment_name(id)
+            );
+        };
+        pick
     }
 
     /// Occupies `pod` for `busy` seconds starting no earlier than `start`,
@@ -515,7 +506,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Records one shard response landing for `qid` at `done`, firing the
-    /// fan-in when it was the last outstanding shard.
+    /// fan-in when it was the last pending shard.
     fn finish_sparse(&mut self, qid: u64, done: f64) {
         let Some(q) = self.queries.get_mut(qid) else {
             return;
@@ -875,52 +866,6 @@ mod tests {
             .map(|pt| pt.value)
             .fold(0.0, f64::max);
         assert!(late_p95 < 400.0, "late p95 {late_p95} ms");
-    }
-
-    #[test]
-    fn assign_pod_picks_the_pod_that_can_start_soonest() {
-        let calib = Calibration::cpu_only();
-        let p = plan(&small_model(), Platform::CpuOnly, Strategy::Elastic, &calib);
-        let cfg = SimulationConfig::new(TrafficSchedule::constant(1.0), 10.0, 1);
-        let mut e = Engine::new(&p, &calib, &cfg);
-        let fe = e.frontend;
-        let id = e.deploys[fe].id;
-        // Pod a is warm; b starts at t = 0 and c at t = 100, so at t = 100
-        // a and b are ready while c is still starting.
-        e.cluster.scale_deployment(id, 1, SimTime::ZERO).unwrap();
-        e.cluster.scale_deployment(id, 2, SimTime::ZERO).unwrap();
-        e.cluster
-            .scale_deployment(id, 3, SimTime::from_secs(100.0))
-            .unwrap();
-        let pods = e.cluster.pods_of(id);
-        let (a, b, c) = (pods[0].id(), pods[1].id(), pods[2].id());
-        let ready_c = pods[2].ready_at().as_secs();
-        let now = 100.0;
-        assert!(pods[1].ready_at().as_secs() <= now && ready_c > now);
-        let gap = ready_c - now;
-        let pick = |e: &mut Engine<'_>, frees: [f64; 3]| {
-            for (pod, t) in [a, b, c].into_iter().zip(frees) {
-                e.occupy(pod, t, 0.0);
-            }
-            e.assign_pod(fe, now)
-        };
-
-        // Idle and ready: a wins at `now`, and b, idle too, loses the tie.
-        assert_eq!(pick(&mut e, [0.0; 3]), (a, now));
-        // An idle, ready pod wins over a busy one earlier in order.
-        assert_eq!(pick(&mut e, [now + 1.0, 0.0, 0.0]), (b, now));
-        // Idle but starting, c is not picked before its `ready_at` while a
-        // ready pod can start sooner.
-        let soon = now + 0.5 * gap;
-        assert_eq!(pick(&mut e, [now + 0.75 * gap, soon, 0.0]), (b, soon));
-        // Every ready pod is busy past `ready_at`: c starts when ready.
-        assert_eq!(
-            pick(&mut e, [ready_c + 1.0, ready_c + 2.0, 0.0]),
-            (c, ready_c)
-        );
-        // Ties go to the earliest pod in deployment order, starting or not.
-        assert_eq!(pick(&mut e, [ready_c, ready_c, 0.0]), (a, ready_c));
-        assert_eq!(pick(&mut e, [ready_c + 1.0, ready_c, 0.0]), (b, ready_c));
     }
 
     /// FNV-1a fold over every observable in the outcome, bit-exact: any

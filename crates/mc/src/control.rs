@@ -1,13 +1,12 @@
 //! The composed control-plane model: HPA × balancer × scheduler × pod
 //! startup, explored over message interleavings.
 //!
-//! Scaling decisions and pod placement call the *production* pure
-//! handlers the simulation engine runs — `HpaPolicy::step` and
-//! `er_cluster::place_pod`. Routing calls `er_rpc::pure`, an
-//! outstanding-counter balancer model: the engine itself routes each RPC
-//! to the pod that can start it soonest and keeps no counters, so the
-//! counters here (and property P3 over them) check the balancer shape,
-//! not engine code. All of it runs over a quantized state:
+//! Scaling decisions, pod placement and routing call the *production*
+//! pure handlers the simulation engine runs — `HpaPolicy::step`,
+//! `er_cluster::place_pod` and `er_cluster::soonest_start`. Routing feeds
+//! the pick the model's own ground truth: a starting pod is ready one tick
+//! from now, and a pod with `k` requests in flight is free `k` ticks from
+//! now. All of it runs over a quantized state:
 //! time advances in 30-second ticks (so the 60 s scale-down stabilization
 //! window is exactly 2 ticks) and traffic is scripted in replica-units of
 //! the HPA target (1 unit = 100 QPS = one replica's capacity).
@@ -25,8 +24,8 @@
 //! with minimized replayable traces.
 
 use er_cluster::{
-    clamp_scale_to_load, place_pod, HpaPolicy, HpaState, NodeView, Placement, PoolView,
-    ResourceRequest, ScalingTarget, SCALE_DOWN_STABILIZATION,
+    clamp_scale_to_load, place_pod, soonest_start, HpaPolicy, HpaState, NodeView, Placement,
+    PoolView, ResourceRequest, ScalingTarget, SCALE_DOWN_STABILIZATION,
 };
 use er_sim::SimTime;
 use er_units::Qps;
@@ -66,6 +65,10 @@ mod flag {
     pub(crate) const THRASH: u8 = 1 << 1;
     /// A node exceeded its capacity (P5).
     pub(crate) const NODE_OVERCOMMIT: u8 = 1 << 2;
+    /// A request was routed to a pod that was not live, started before
+    /// `now` or its pod's readiness, or could have started sooner
+    /// elsewhere (P3).
+    pub(crate) const MISROUTE: u8 = 1 << 3;
 }
 
 /// A deliberately broken handler variant, used to prove the checker
@@ -77,10 +80,9 @@ pub enum Mutation {
     /// The HPA evaluates against a fresh state every tick — the
     /// scale-down stabilization window is forgotten. Caught by P2.
     ForgetStabilization,
-    /// Scale events do not reconcile balancer counters with the live
-    /// replica set (`er_rpc::pure::sync_outstanding` skipped), so a
-    /// recycled replica slot inherits a dead pod's charge. Caught by P3.
-    SkipScaleSync,
+    /// Routing treats starting pods as ready, so a request can be sent
+    /// to a pod before its startup completes. Caught by P3.
+    IgnoreReadiness,
     /// Scale-downs remove one replica more than decided. Caught by P1.
     OverDrain,
     /// Scale-up decisions are silently dropped. Caught by P4.
@@ -173,8 +175,6 @@ pub struct DeployCp {
     pub last_applied_down_tick: Option<u8>,
     /// An HPA decision in flight to the cluster, if any.
     pub pending: Option<u8>,
-    /// Balancer outstanding-request counters (the checked artifact).
-    pub outstanding: Vec<u32>,
     /// True per-replica in-flight counts (the ground truth).
     pub inflight: Vec<u32>,
 }
@@ -221,7 +221,7 @@ pub enum CpAction {
         /// Target deployment.
         d: u8,
     },
-    /// One request is routed to deployment `d` (least-outstanding pick).
+    /// One request is routed to deployment `d` (soonest-start pick).
     Route {
         /// Target deployment.
         d: u8,
@@ -392,13 +392,6 @@ impl ControlPlane {
                 dep.inflight.push(0);
             }
         }
-        let dep = &mut state.deploys[d];
-        if self.cfg.mutation != Mutation::SkipScaleSync {
-            // Reconcile counters with the live set: dead replicas' charges
-            // go, fresh replicas start at zero.
-            let n = dep.replicas();
-            er_rpc::pure::sync_outstanding(&mut dep.outstanding, n);
-        }
         // P5: placement must never overcommit a node.
         let mut pods_per_node = vec![0u64; state.nodes as usize];
         for dep in &state.deploys {
@@ -412,12 +405,45 @@ impl ControlPlane {
         }
     }
 
+    /// Routes one request of deployment `d` with the engine's pick, and
+    /// latches P3 if the pick disagrees with the model's ground truth.
     fn route(&self, state: &mut CpState, d: usize) {
-        let dep = &mut state.deploys[d];
-        let n = dep.replicas();
-        er_rpc::pure::sync_outstanding(&mut dep.outstanding, n);
-        let choice = er_rpc::pure::pick_least(&mut dep.outstanding);
-        dep.inflight[choice] += 1;
+        let now = f64::from(state.tick) * TICK_SECS;
+        let dep = &state.deploys[d];
+        let (live, ready) = (dep.replicas(), dep.ready());
+        // Replica `r`'s true `(ready_at, free_at)`: the newest `starting`
+        // pods come up at the next tick, and each in-flight request holds
+        // its replica for one tick.
+        let truth = |r: usize| {
+            let ready_at = if r < ready { now } else { now + TICK_SECS };
+            (ready_at, now + f64::from(dep.inflight[r]) * TICK_SECS)
+        };
+        let ignore_readiness = self.cfg.mutation == Mutation::IgnoreReadiness;
+        let pick = soonest_start(
+            now,
+            (0..live).map(|r| {
+                let (ready_at, free_at) = truth(r);
+                let ready_at = if ignore_readiness { now } else { ready_at };
+                (r as u64, ready_at, free_at)
+            }),
+        )
+        .map(|(r, start)| (r as usize, start))
+        .filter(|&(r, _)| r < live);
+        // The model's own brute-force minimum over every live pod.
+        let soonest = (0..live)
+            .map(|r| {
+                let (ready_at, free_at) = truth(r);
+                now.max(ready_at).max(free_at)
+            })
+            .fold(f64::INFINITY, f64::min);
+        let ok =
+            pick.is_some_and(|(r, start)| start >= now && start >= truth(r).0 && start <= soonest);
+        if !ok {
+            state.flags |= flag::MISROUTE;
+        }
+        if let Some((r, _)) = pick {
+            state.deploys[d].inflight[r] += 1;
+        }
     }
 }
 
@@ -449,7 +475,6 @@ impl Model for ControlPlane {
                 last_down_tick: None,
                 last_applied_down_tick: None,
                 pending: None,
-                outstanding: Vec::new(),
                 inflight: Vec::new(),
             })
             .collect();
@@ -468,7 +493,6 @@ impl Model for ControlPlane {
                 .expect("initial placement must fit");
             state.deploys[d].pod_nodes.push(node);
             state.deploys[d].inflight.push(0);
-            state.deploys[d].outstanding.push(0);
         }
         state
     }
@@ -553,7 +577,6 @@ impl Model for ControlPlane {
                     return None;
                 }
                 s.deploys[d].inflight[r] -= 1;
-                er_rpc::pure::complete(&mut s.deploys[d].outstanding, r);
             }
         }
         Some(s)
@@ -575,14 +598,9 @@ pub fn properties() -> Vec<Property<ControlPlane>> {
             check: |_, s| s.flags & flag::THRASH == 0,
         },
         Property {
-            name: "balancer_counters_accurate",
+            name: "routes_to_soonest_start",
             kind: PropertyKind::Always,
-            check: |_, s| {
-                s.deploys.iter().all(|dep| {
-                    (0..dep.replicas())
-                        .all(|r| dep.outstanding.get(r).copied().unwrap_or(0) == dep.inflight[r])
-                })
-            },
+            check: |_, s| s.flags & flag::MISROUTE == 0,
         },
         Property {
             name: "converges_to_target_replicas",

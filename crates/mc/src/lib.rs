@@ -13,16 +13,14 @@
 //!   deliveries, routing, completions, traffic steps, and pod startup
 //!   against the property catalog ([`control::properties`]): no
 //!   scale-down below serving capacity, no thrash inside the
-//!   stabilization window, balancer counters exact across replica churn,
-//!   convergence to the target replica count, and no node overcommit.
+//!   stabilization window, every request routed to a live, ready pod at
+//!   the soonest start any pod offers, convergence to the target replica
+//!   count, and no node overcommit.
 //!
-//! The model calls the production pure handlers directly: the HPA and
-//! the scheduler are the same `HpaPolicy::step` and
-//! `er_cluster::place_pod` the simulation engine runs. Routing is
-//! different: the engine sends each RPC to the pod that can start it
-//! soonest and keeps no counters, while the model routes over
-//! outstanding-request counters (`er_rpc::pure`), the balancer shape
-//! property P3 checks.
+//! The model calls the production pure handlers directly: the HPA, the
+//! scheduler and the balancer are the same `HpaPolicy::step`,
+//! `er_cluster::place_pod` and `er_cluster::soonest_start` the simulation
+//! engine runs.
 //!
 //! Seeded [`control::Mutation`]s deliberately break one handler at a time
 //! to prove the checker catches real bugs with minimized traces; the

@@ -8,7 +8,7 @@
 //! The default bound is the documented CI bound (2 deployments × 3 max
 //! replicas × 6 traffic steps); `--smoke` runs the small bound. `--mutate`
 //! seeds a deliberately broken handler (`forget-stabilization`,
-//! `skip-scale-sync`, `over-drain`, `stuck-hpa`, `no-apply-clamp`) —
+//! `ignore-readiness`, `over-drain`, `stuck-hpa`, `no-apply-clamp`) —
 //! useful for inspecting the minimized trace each bug produces; mutated
 //! runs still exit nonzero when (as intended) a property fails. `--out` writes the JSON report to
 //! a file (CI writes `target/er-mc.json`) regardless of `--format`.
@@ -42,7 +42,7 @@ fn parse_args() -> Result<Args, String> {
             "--mutate" => {
                 args.mutate = Some(match it.next().as_deref() {
                     Some("forget-stabilization") => Mutation::ForgetStabilization,
-                    Some("skip-scale-sync") => Mutation::SkipScaleSync,
+                    Some("ignore-readiness") => Mutation::IgnoreReadiness,
                     Some("over-drain") => Mutation::OverDrain,
                     Some("stuck-hpa") => Mutation::StuckHpa,
                     Some("no-apply-clamp") => Mutation::NoApplyClamp,

@@ -46,12 +46,12 @@ fn assert_clean_with_counts(
 
 #[test]
 fn ci_bound_is_exhaustive_and_clean() {
-    assert_clean_with_counts(&run(CpConfig::ci()), (174_640, 32, 179));
+    assert_clean_with_counts(&run(CpConfig::ci()), (184_726, 32, 179));
 }
 
 #[test]
 fn smoke_bound_is_exhaustive_and_clean() {
-    assert_clean_with_counts(&run(CpConfig::smoke()), (13_420, 23, 32));
+    assert_clean_with_counts(&run(CpConfig::smoke()), (14_245, 23, 32));
 }
 
 /// Runs a mutated config and asserts exactly `expect` fails, returning its
@@ -99,18 +99,14 @@ fn forgetting_stabilization_is_caught_as_thrash() {
 }
 
 #[test]
-fn skipping_scale_sync_is_caught_by_counter_accuracy() {
-    // Stale counters only *surface* when a replica slot is recycled:
-    // scale down with a request still charged to the victim, then scale
-    // back up — the fresh replica inherits the dead pod's count. The
-    // traffic script must re-grow after shrinking.
+fn ignoring_readiness_is_caught_by_soonest_start() {
+    // Sending traffic before readiness needs a pod still starting while
+    // every ready pod is busy: scale up, then route twice within the tick.
     let cfg = CpConfig {
-        traffic: vec![vec![1], vec![2], vec![1], vec![2]],
-        max_ticks: 10,
-        mutation: Mutation::SkipScaleSync,
-        ..CpConfig::ci()
+        mutation: Mutation::IgnoreReadiness,
+        ..staircase()
     };
-    let cx = catch(cfg, "balancer_counters_accurate");
+    let cx = catch(cfg, "routes_to_soonest_start");
     assert!(
         cx.actions.len() <= 16,
         "trace not minimized: {}",

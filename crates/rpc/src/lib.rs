@@ -7,10 +7,9 @@
 //! GKE) and the *spreading* of requests over shard replicas. This crate
 //! models the latency: a [`NetworkProfile`] turns message sizes into
 //! transfer latencies and [`messages`] sizes the DLRM request/response
-//! payloads. The simulation engine spreads requests itself (each RPC goes
-//! to the pod that can start it soonest, and no counters are kept);
-//! [`pure`] holds the outstanding-counter routing model the `er-mc`
-//! control-plane checker explores.
+//! payloads. Spreading requests over replicas is not modeled here: the
+//! simulation engine and the `er-mc` control-plane checker both route each
+//! RPC with `er_cluster::soonest_start`, the same pure pick.
 //!
 //! # Examples
 //!
@@ -28,6 +27,5 @@
 
 pub mod messages;
 mod network;
-pub mod pure;
 
 pub use network::NetworkProfile;
