@@ -70,12 +70,15 @@ run_stage "perfsuite smoke" ./target/release/perfsuite --smoke
 # that converter), and f16/i8 gathers stay inside their analytic error
 # bounds (unavailable backends are logged as skipped).
 run_stage "quant parity" ./target/release/perfsuite --quant-parity
-# Full-scale digests: every section, fleet_par included, must match the
-# digest committed in BENCH_perf.json, and a section missing from it fails
-# the stage too. The 0.95x wall-clock floor is skipped because it compares
-# against wall times recorded on another host; the i8 >= 1.8x quant floor
-# is enforced. The report lands in target/, leaving BENCH_perf.json as is.
-run_stage "perfsuite digests" ./target/release/perfsuite --fleet --baseline BENCH_perf.json --no-enforce-speedup --out target/BENCH_perf.json
+# Full-scale digests and paired speed floors: every section, fleet_par
+# included, must match the digest committed in BENCH_perf.json (a section
+# missing from it fails the stage too), and every paired ratio in
+# perf::FLOORS must reach its floor: the median, over interleaved rounds
+# in this same run, of an in-process reference's wall over the kernel's
+# (i8 vs f32 gather, packed vs naive matmul, the detected SIMD rung vs the
+# scalar f16 gather, route words vs plan cuts). Only names and digests are
+# read from BENCH_perf.json; the report lands in target/, leaving it as is.
+run_stage "perfsuite digests" ./target/release/perfsuite --fleet --baseline BENCH_perf.json --out target/BENCH_perf.json
 # The control plane's contract: er-mc exhaustively explores the documented
 # CI bound (2 deployments x 3 replicas x 6 traffic steps) breadth-first over
 # the same pure HPA, placement and soonest-start routing handlers the

@@ -1,24 +1,24 @@
 //! Performance baseline suite: runs the sections of [`er_bench::perf`]
 //! and writes a `BENCH_perf.json` report so every change leaves a perf
-//! trajectory behind. Seven timed sections (eight with `--fleet`), each folding its
+//! trajectory behind. Ten timed sections (eleven with `--fleet`), each folding its
 //! results into a determinism digest; the section list is in the
 //! [`er_bench::perf`] docs.
 //!
 //! Usage:
 //!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--fleet]
-//!             [--quant-parity] [--no-enforce-speedup]
+//!             [--quant-parity]
 //!
 //! A full run writes to `target/BENCH_perf.json` by default and `--smoke`
 //! (a tiny, CI-sized configuration whose digests `tests/digests.rs` pins)
 //! to `target/BENCH_perf_smoke.json`; refreshing the committed
 //! `BENCH_perf.json` takes an explicit `--out BENCH_perf.json`.
-//! Every run validates the emitted JSON schema. `--baseline` points at a
-//! previous `BENCH_perf.json`: the run exits nonzero if that file cannot
-//! be read or is malformed, if a section of this run is missing from it,
-//! or if any digest differs from it. Its `wall_secs` per section are
-//! embedded, speedups computed, and any section slower than 0.95x of its
-//! baseline fails the run (opt out with `--no-enforce-speedup`). Full
-//! mode also enforces the quantized i8 gather at >= 1.8x of f32.
+//! Every run validates the emitted JSON schema and prints each paired
+//! ratio (median and IQR of same-run rounds against an in-process
+//! reference) beside its floor. A full run fails if any ratio falls below
+//! its floor in [`perf::FLOORS`]. `--baseline` points at a previous
+//! `BENCH_perf.json`: the run exits nonzero if that file cannot be read or
+//! is malformed, if a section of this run is missing from it, or if any
+//! digest differs from it. Only names and digests are read from it.
 //! `--quant-parity` runs only the quantized-data-plane checks: f32, f16
 //! and i8 gather digests bit-identical across every available SIMD
 //! backend, every rung's f16 decode exact on all 65,536 bit patterns,
@@ -31,7 +31,7 @@
 
 use std::process::exit;
 
-use er_bench::perf::{self, Digest, QUANT_I8_SPEEDUP_FLOOR, QUANT_ROUNDS};
+use er_bench::perf::{self, Digest};
 use er_model::EmbeddingTable;
 use er_tensor::quant::{f16_from_f32, f16_to_f32};
 use er_tensor::simd::{
@@ -41,16 +41,12 @@ use er_tensor::simd::{
 use er_tensor::{quantize_f16, quantize_i8_rows, Matrix};
 use er_units::ElemKind;
 
-/// Minimum acceptable speedup vs the attached baseline per section.
-const SPEEDUP_FLOOR: f64 = 0.95;
-
 /// The parsed command line.
 #[derive(Default)]
 struct Args {
     smoke: bool,
     fleet: bool,
     quant_parity: bool,
-    no_enforce_speedup: bool,
     out: Option<String>,
     baseline: Option<String>,
 }
@@ -64,7 +60,6 @@ impl Args {
                 "--smoke" => parsed.smoke = true,
                 "--fleet" => parsed.fleet = true,
                 "--quant-parity" => parsed.quant_parity = true,
-                "--no-enforce-speedup" => parsed.no_enforce_speedup = true,
                 "--out" => parsed.out = Some(path_after(&mut it, arg)?),
                 "--baseline" => parsed.baseline = Some(path_after(&mut it, arg)?),
                 other => return Err(format!("unknown argument {other:?}")),
@@ -151,18 +146,7 @@ fn main() {
         &perf::FULL
     };
 
-    let (mut report, quant) = perf::run(scale, args.fleet);
-    println!(
-        "quant gather d64: f16 {:.2}x, i8 {:.2}x vs f32 (median of {QUANT_ROUNDS} paired rounds)",
-        quant.f16, quant.i8,
-    );
-    if !args.smoke && quant.i8 < QUANT_I8_SPEEDUP_FLOOR {
-        fail(&format!(
-            "i8 gather speedup {:.2}x below the {QUANT_I8_SPEEDUP_FLOOR}x floor vs f32",
-            quant.i8
-        ));
-    }
-
+    let mut report = perf::run(scale, args.fleet);
     let baseline_check = baseline.as_ref().map(|text| report.check_baseline(text));
 
     let json = report.to_json();
@@ -192,13 +176,13 @@ fn main() {
         None => {}
     }
 
-    // The perf gate: with a baseline attached, any section below the
-    // floor fails the suite (wall-time noise budget is the 5% margin).
-    if !args.no_enforce_speedup && baseline.is_some() {
-        if let Err(e) = report.enforce_speedups(SPEEDUP_FLOOR) {
-            fail(&format!("speedup floor violated:\n{e}"));
+    // The speed gate: same-run paired ratios against their floors. Smoke
+    // rounds are too short to time, so only a full run is gated.
+    if !args.smoke {
+        if let Err(e) = report.check_floors() {
+            fail(&format!("paired floor violated:\n{e}"));
         }
-        println!("speedup floor ok (every section >= {SPEEDUP_FLOOR}x of baseline)");
+        println!("floors ok (every gated ratio at or above its floor)");
     }
 }
 

@@ -521,7 +521,9 @@ impl Model for ControlPlane {
             {
                 out.push(CpAction::Route { d: d8 });
             }
-            for (r, &inflight) in dep.inflight.iter().enumerate() {
+            // Work queued on a starting pod waits for the tick that makes
+            // it ready; only ready pods complete requests.
+            for (r, &inflight) in dep.inflight.iter().enumerate().take(dep.ready()) {
                 if inflight > 0 {
                     out.push(CpAction::Complete { d: d8, r: r as u8 });
                 }
@@ -573,7 +575,10 @@ impl Model for ControlPlane {
             }
             CpAction::Complete { d, r } => {
                 let (d, r) = (d as usize, r as usize);
-                if d >= s.deploys.len() || s.deploys[d].inflight.get(r).copied().unwrap_or(0) == 0 {
+                if d >= s.deploys.len()
+                    || r >= s.deploys[d].ready()
+                    || s.deploys[d].inflight.get(r).copied().unwrap_or(0) == 0
+                {
                     return None;
                 }
                 s.deploys[d].inflight[r] -= 1;

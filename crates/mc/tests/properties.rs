@@ -2,7 +2,9 @@
 //! suite: every deliberately broken handler must be caught by exactly the
 //! property that owns its bug class, with a minimized trace that replays.
 
-use er_mc::{check, control, replay, Bounds, CpConfig, Mutation};
+use std::collections::HashSet;
+
+use er_mc::{check, control, replay, Bounds, CpAction, CpConfig, Model, Mutation};
 
 fn run(cfg: CpConfig) -> er_mc::CheckReport<control::ControlPlane> {
     let model = control::ControlPlane::new(cfg);
@@ -80,6 +82,45 @@ fn catch(cfg: CpConfig, expect: &str) -> er_mc::Trace<control::ControlPlane> {
         .unwrap()
         .counterexample
         .unwrap()
+}
+
+#[test]
+fn work_on_a_starting_pod_waits_for_readiness() {
+    // `route` queues on a starting pod once every ready pod has two or
+    // more requests in flight. Over every state of the smoke bound, such a
+    // request must not complete before the tick that makes its pod ready.
+    let model = control::ControlPlane::new(CpConfig::smoke());
+    let mut seen = HashSet::new();
+    let mut frontier = vec![model.init()];
+    let mut actions = Vec::new();
+    let mut queued_on_starting = 0;
+    while let Some(state) = frontier.pop() {
+        if !seen.insert(state.clone()) {
+            continue;
+        }
+        actions.clear();
+        model.actions(&state, &mut actions);
+        for (d, dep) in state.deploys.iter().enumerate() {
+            let ready = dep.pod_nodes.len() - usize::from(dep.starting);
+            for r in ready..dep.inflight.len() {
+                if dep.inflight[r] == 0 {
+                    continue;
+                }
+                queued_on_starting += 1;
+                let complete = CpAction::Complete {
+                    d: d as u8,
+                    r: r as u8,
+                };
+                assert!(
+                    !actions.contains(&complete),
+                    "{complete:?} offered on a starting pod in {state:?}"
+                );
+                assert_eq!(model.next(&state, &complete), None);
+            }
+        }
+        frontier.extend(actions.iter().filter_map(|a| model.next(&state, a)));
+    }
+    assert!(queued_on_starting > 0, "no state queues on a starting pod");
 }
 
 #[test]
