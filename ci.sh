@@ -50,6 +50,8 @@ run_stage "er-lint fixtures" cargo test -q -p er-lint --test rule_fixtures
 # er-lint.toml's hot_alloc_entries must still name a real function.
 run_stage "hot-alloc sync" cargo test -q -p er-lint --test hot_alloc_sync
 run_stage "build (tier-1)" cargo build --release
+# Every figure, ablation and extension bench asserts its shapes and the numbers EXPERIMENTS.md quotes.
+run_stage "paper figures" cargo bench -q -p er-bench --benches
 # perfbench/ is its own workspace, so tier-1 never builds it. Building it
 # against its committed lockfile fails on a public API change perfbench
 # calls and on a dependency change that would rewrite perfbench/Cargo.lock.

@@ -48,6 +48,19 @@ fn main() {
     )
     .expect("fits");
     report::row("model-wise", &[("memory", report::gib(mw.memory_bytes))]);
+    // Each policy's saving as its row prints it; EXPERIMENTS.md quotes all.
+    let mut vs_mw = Vec::new();
+    let mut row = |label: &str, memory_bytes: u64| {
+        let saving = report::ratio(mw.memory_bytes as f64, memory_bytes as f64);
+        report::row(
+            label,
+            &[
+                ("memory", report::gib(memory_bytes)),
+                ("vs MW", saving.clone()),
+            ],
+        );
+        vs_mw.push(saving);
+    };
 
     // The paper's DP.
     let dp = SteadyState::size(
@@ -56,16 +69,7 @@ fn main() {
         &calib,
     )
     .expect("fits");
-    report::row(
-        "DP (paper)",
-        &[
-            ("memory", report::gib(dp.memory_bytes)),
-            (
-                "vs MW",
-                report::ratio(mw.memory_bytes as f64, dp.memory_bytes as f64),
-            ),
-        ],
-    );
+    row("DP (paper)", dp.memory_bytes);
 
     // Greedy hot/cold: cut at the rank covering 90% of accesses.
     let hot_rank = (1..=rows)
@@ -80,16 +84,7 @@ fn main() {
         &calib,
     )
     .expect("fits");
-    report::row(
-        "greedy hot/cold @90%",
-        &[
-            ("memory", report::gib(greedy.memory_bytes)),
-            (
-                "vs MW",
-                report::ratio(mw.memory_bytes as f64, greedy.memory_bytes as f64),
-            ),
-        ],
-    );
+    row("greedy hot/cold @90%", greedy.memory_bytes);
 
     // Equal-size shards on the sorted table.
     let mut equal_results = Vec::new();
@@ -101,16 +96,7 @@ fn main() {
             &calib,
         )
         .expect("fits");
-        report::row(
-            &format!("equal-{k} (sorted)"),
-            &[
-                ("memory", report::gib(sized.memory_bytes)),
-                (
-                    "vs MW",
-                    report::ratio(mw.memory_bytes as f64, sized.memory_bytes as f64),
-                ),
-            ],
-        );
+        row(&format!("equal-{k} (sorted)"), sized.memory_bytes);
         equal_results.push(sized.memory_bytes);
     }
 
@@ -132,16 +118,7 @@ fn main() {
             &calib,
         )
         .expect("fits");
-        report::row(
-            &format!("equal-{k} (unsorted)"),
-            &[
-                ("memory", report::gib(sized.memory_bytes)),
-                (
-                    "vs MW",
-                    report::ratio(mw.memory_bytes as f64, sized.memory_bytes as f64),
-                ),
-            ],
-        );
+        row(&format!("equal-{k} (unsorted)"), sized.memory_bytes);
         unsorted_results.push(sized.memory_bytes);
     }
 
@@ -164,6 +141,10 @@ fn main() {
     assert!(
         worst_unsorted as f64 > 1.5 * dp.memory_bytes as f64,
         "scattered hot entries must cost substantially more than the DP"
+    );
+    assert_eq!(
+        vs_mw,
+        ["3.30x", "2.79x", "1.65x", "2.24x", "2.55x", "1.65x", "2.24x", "2.87x"]
     );
     println!("\n[ok] partitioning ablation checks passed");
 }

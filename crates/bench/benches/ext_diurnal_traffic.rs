@@ -82,11 +82,12 @@ fn main() {
     let er_saving = er_static / er_avg;
     // ElasticRec scales small shards in and out; model-wise can only add or
     // remove whole-model replicas, so its footprint tracks load coarsely.
+    let savings = [format!("{mw_saving:.2}x"), format!("{er_saving:.2}x")];
     report::row(
         "conclusion",
         &[
-            ("mw_elastic_saving", format!("{mw_saving:.2}x")),
-            ("er_elastic_saving", format!("{er_saving:.2}x")),
+            ("mw_elastic_saving", savings[0].clone()),
+            ("er_elastic_saving", savings[1].clone()),
         ],
     );
     // Both must keep serving across cycles.
@@ -98,5 +99,10 @@ fn main() {
         er_out.violation_fraction() <= mw_out.violation_fraction(),
         "elastic must not violate the SLA more often than model-wise"
     );
+    assert_eq!(
+        [format!("{mw_avg:.1} GiB"), format!("{er_avg:.1} GiB")],
+        ["77.7 GiB", "37.3 GiB"]
+    );
+    assert_eq!(savings, ["1.24x", "1.07x"]);
     println!("\n[ok] diurnal extension checks passed");
 }

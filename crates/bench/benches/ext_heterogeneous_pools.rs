@@ -8,7 +8,7 @@
 //! a pool of GPU nodes for dense shards. Model-wise allocation cannot use
 //! the cheap pool at all (every monolithic replica needs a GPU).
 //!
-//! Run with `cargo run --release --example heterogeneous_cluster`.
+//! Run with `cargo bench -p er-bench --bench ext_heterogeneous_pools`.
 
 use elasticrec::{plan, Calibration, Platform, SteadyState, Strategy};
 use er_cluster::{HardwareProfile, NodePool};
@@ -33,6 +33,7 @@ fn main() {
     };
 
     println!("CPU-GPU serving at {TARGET_QPS} QPS, homogeneous vs mixed node pools\n");
+    let mut cheaper = Vec::new();
     for model in configs::all_rms() {
         let mw = plan(&model, Platform::CpuGpu, Strategy::ModelWise, &calib);
         let er = plan(&model, Platform::CpuGpu, Strategy::Elastic, &calib);
@@ -55,19 +56,21 @@ fn main() {
             "  elastic    (GPU nodes only):   {:>2} GPU nodes            cost {:>5.2}",
             er_homo.nodes_used, er_homo_cost
         );
+        let saving = format!("{:.2}x", mw_cost / er_mixed_cost);
         println!(
-            "  elastic    (mixed pools):      {:>2} CPU + {:>2} GPU nodes   cost {:>5.2}  ({:.2}x cheaper than model-wise)",
+            "  elastic    (mixed pools):      {:>2} CPU + {:>2} GPU nodes   cost {:>5.2}  ({saving} cheaper than model-wise)",
             er_mixed.nodes_per_pool[0],
             er_mixed.nodes_per_pool[1],
             er_mixed_cost,
-            mw_cost / er_mixed_cost,
         );
         // Only the GPU-needing dense shards occupy GPU nodes now.
         assert!(er_mixed.nodes_per_pool[1] <= er_homo.nodes_used);
+        cheaper.push(saving);
         println!();
     }
     println!(
         "Embedding shards migrate to the CPU pool; GPUs serve only dense\n\
          shards — fine-grained requests turn into real node-cost savings."
     );
+    assert_eq!(cheaper, ["1.72x", "1.54x", "1.09x"]);
 }

@@ -72,6 +72,7 @@ fn main() {
     );
     let mut stale_curve = Vec::new();
     let mut fresh_curve = Vec::new();
+    let mut penalties = Vec::new();
     for drift in [0.0, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let truth = DriftedAccess::new(&snapshot, drift);
         let stale = table_memory(&stale_plan, &truth, &qps, n_t, vector_bytes, min_mem);
@@ -83,15 +84,17 @@ fn main() {
             })
         };
         let fresh = table_memory(&fresh_plan, &truth, &qps, n_t, vector_bytes, min_mem);
+        let penalty = format!("{:.2}x", stale / fresh);
         report::row(
             &format!("drift {:>3.0}%", drift * 100.0),
             &[
                 ("stale_plan", format!("{:.2} GiB", stale.gib())),
                 ("fresh_plan", format!("{:.2} GiB", fresh.gib())),
-                ("staleness_penalty", format!("{:.2}x", stale / fresh)),
+                ("staleness_penalty", penalty.clone()),
                 ("fresh_shards", fresh_plan.num_shards().to_string()),
             ],
         );
+        penalties.push(penalty);
         stale_curve.push(stale);
         fresh_curve.push(fresh);
     }
@@ -113,6 +116,10 @@ fn main() {
     assert!(
         penalty > 1.02 && penalty < 10.0,
         "full-drift penalty {penalty:.2}x out of expected band"
+    );
+    assert_eq!(
+        penalties,
+        ["1.00x", "1.00x", "1.02x", "1.08x", "1.15x", "1.29x"]
     );
     println!("\n[ok] hotness-drift extension checks passed");
 }

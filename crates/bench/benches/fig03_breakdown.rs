@@ -32,23 +32,21 @@ fn main() {
         "Figure 3(a)",
         "FLOPs and memory split (architecture-independent)",
     );
+    let mut dense_flops = Vec::new();
+    let mut dense_mem = Vec::new();
     for cfg in configs::all_rms() {
         let b = CostBreakdown::for_config(&cfg);
+        let flops = format!("{:.1}%", 100.0 * b.dense_flops_fraction());
+        let mem = format!("{:.3}%", 100.0 * (1.0 - b.sparse_memory_fraction()));
         report::row(
             &cfg.name,
             &[
-                (
-                    "dense_flops",
-                    format!("{:.1}%", 100.0 * b.dense_flops_fraction()),
-                ),
+                ("dense_flops", flops.clone()),
                 (
                     "sparse_flops",
                     format!("{:.1}%", 100.0 * (1.0 - b.dense_flops_fraction())),
                 ),
-                (
-                    "dense_mem",
-                    format!("{:.3}%", 100.0 * (1.0 - b.sparse_memory_fraction())),
-                ),
+                ("dense_mem", mem.clone()),
                 (
                     "sparse_mem",
                     format!("{:.1}%", 100.0 * b.sparse_memory_fraction()),
@@ -60,7 +58,11 @@ fn main() {
             b.sparse_memory_fraction() > 0.995,
             "sparse must dominate memory"
         );
+        dense_flops.push(flops);
+        dense_mem.push(mem);
     }
+    assert_eq!(dense_flops, ["80.0%", "86.3%", "99.7%"]);
+    assert_eq!(dense_mem, ["0.001%", "0.002%", "0.023%"]);
 
     report::header(
         "Figure 3(b)",
@@ -86,5 +88,12 @@ fn main() {
     let cpu = latency_split(Platform::CpuOnly, &Calibration::cpu_only(), &configs::rm1()).0;
     let gpu = latency_split(Platform::CpuGpu, &Calibration::cpu_gpu(), &configs::rm1()).0;
     assert!(gpu < cpu, "GPU must shrink the dense latency share");
+    assert_eq!(
+        [
+            format!("{:.0}%", 100.0 * cpu),
+            format!("{:.0}%", 100.0 * gpu)
+        ],
+        ["78%", "38%"]
+    );
     println!("\n[ok] Figure 3 qualitative checks passed");
 }

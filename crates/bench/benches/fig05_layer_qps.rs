@@ -28,6 +28,7 @@ fn layer_qps(platform: Platform, calib: &Calibration, cfg: &er_model::ModelConfi
 }
 
 fn main() {
+    let mut mismatches = Vec::new();
     for (label, platform, calib) in [
         (
             "Figure 5(a) CPU-only",
@@ -48,12 +49,13 @@ fn main() {
             } else {
                 sparse / dense
             };
+            let cell = format!("{mismatch:.2}x");
             report::row(
                 &cfg.name,
                 &[
                     ("dense_qps", format!("{dense:.1}")),
                     ("sparse_qps", format!("{sparse:.1}")),
-                    ("mismatch", format!("{mismatch:.2}x")),
+                    ("mismatch", cell.clone()),
                 ],
             );
             assert!(
@@ -61,8 +63,13 @@ fn main() {
                 "{}: layer QPS must be visibly mismatched",
                 cfg.name
             );
+            mismatches.push(cell);
         }
     }
+    assert_eq!(
+        mismatches,
+        ["3.52x", "4.82x", "61.60x", "1.64x", "2.17x", "7.87x"]
+    );
 
     // RM3's heavy MLPs make its dense layer the slowest on CPU.
     let c = Calibration::cpu_only();

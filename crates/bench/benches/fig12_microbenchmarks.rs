@@ -20,6 +20,11 @@ fn memory_gib(cfg: &ModelConfig, strategy: Strategy, calib: &Calibration) -> f64
         .memory_gib()
 }
 
+/// Memory figures as the rows print them, e.g. `39.9 GiB`.
+fn printed(gibs: &[f64]) -> Vec<String> {
+    gibs.iter().map(|g| format!("{g:.1} GiB")).collect()
+}
+
 fn main() {
     let calib = Calibration::cpu_only();
     let grid = MicrobenchGrid::default();
@@ -83,6 +88,8 @@ fn main() {
         mw_delta > 4.0 * el_delta,
         "model-wise growth {mw_delta:.1} must dwarf elastic growth {el_delta:.1}"
     );
+    assert_eq!(printed(&mw_growth), ["72.3 GiB", "96.4 GiB", "168.6 GiB"]);
+    assert_eq!(printed(&el_growth), ["39.7 GiB", "39.9 GiB", "40.7 GiB"]);
 
     // ---- (b) locality ---------------------------------------------------
     report::header("Figure 12(b)", "memory vs table locality (P)");
@@ -111,10 +118,17 @@ fn main() {
         el_by_locality[2] < el_by_locality[0],
         "elastic memory must shrink with locality"
     );
+    assert_eq!(printed(&mw_by_locality), ["96.4 GiB"; 3]);
+    assert_eq!(
+        printed(&el_by_locality),
+        ["61.0 GiB", "47.9 GiB", "39.9 GiB"]
+    );
 
     // ---- (c) number of tables -------------------------------------------
     report::header("Figure 12(c)", "memory vs number of embedding tables");
     let mut gaps = Vec::new();
+    let mut mw_by_tables = Vec::new();
+    let mut el_by_tables = Vec::new();
     for &n in &grid.table_counts {
         let cfg = configs::rm1().with_num_tables(n);
         let mw = memory_gib(&cfg, Strategy::ModelWise, &calib);
@@ -128,11 +142,21 @@ fn main() {
             ],
         );
         gaps.push(mw - el);
+        mw_by_tables.push(mw);
+        el_by_tables.push(el);
     }
     // The absolute gap must widen with table count (scalability claim).
     for w in gaps.windows(2) {
         assert!(w[1] > w[0], "gap must widen with more tables");
     }
+    assert_eq!(
+        printed(&mw_by_tables),
+        ["10.5 GiB", "39.1 GiB", "96.4 GiB", "192.0 GiB"]
+    );
+    assert_eq!(
+        printed(&el_by_tables),
+        ["4.7 GiB", "16.4 GiB", "39.9 GiB", "63.7 GiB"]
+    );
 
     // ---- (d) shards per table --------------------------------------------
     report::header("Figure 12(d)", "memory vs manual shard count per table");
@@ -173,5 +197,10 @@ fn main() {
         (last - second_last).abs() < 0.25 * by_shards[0].1,
         "memory must plateau at high shard counts"
     );
+    let cheapest = by_shards
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("non-empty");
+    assert_eq!((cheapest.0, auto_shards), (4, 4));
     println!("\n[ok] Figure 12 qualitative checks passed");
 }

@@ -22,6 +22,7 @@ fn main() {
         "Figure 20",
         "memory at 200 QPS: model-wise vs model-wise(cache) vs ElasticRec",
     );
+    let mut latency_cuts = Vec::new();
     let mut cache_savings = Vec::new();
     let mut elastic_vs_cache = Vec::new();
     for cfg in configs::all_rms() {
@@ -47,7 +48,7 @@ fn main() {
             .sum();
         let plain_secs = calib.cpu_sparse_secs(gather_bytes, calib.mw_cores);
         let cached_secs = calib.cached_sparse_secs(gather_bytes, calib.mw_cores, HIT_RATE);
-        let latency_cut = 1.0 - cached_secs / plain_secs;
+        let latency_cut = format!("{:.0}%", 100.0 * (1.0 - cached_secs / plain_secs));
 
         report::row(
             &cfg.name,
@@ -55,57 +56,38 @@ fn main() {
                 ("model-wise", report::gib(mw_s.memory_bytes)),
                 ("mw(cache)", report::gib(ca_s.memory_bytes)),
                 ("elastic", report::gib(el_s.memory_bytes)),
-                ("emb_latency_cut", format!("{:.0}%", 100.0 * latency_cut)),
+                ("emb_latency_cut", latency_cut.clone()),
                 (
                     "er_vs_cache",
                     report::ratio(ca_s.memory_bytes as f64, el_s.memory_bytes as f64),
                 ),
             ],
         );
-        assert!(
-            ca_s.memory_bytes <= mw_s.memory_bytes,
-            "{}: the cache must not increase memory",
-            cfg.name
-        );
-        assert!(
-            el_s.memory_bytes < ca_s.memory_bytes,
-            "{}: elastic must beat even the cached baseline",
-            cfg.name
-        );
+        latency_cuts.push(latency_cut);
         cache_savings.push(1.0 - ca_s.memory_bytes as f64 / mw_s.memory_bytes as f64);
         elastic_vs_cache.push(ca_s.memory_bytes as f64 / el_s.memory_bytes as f64);
     }
 
+    let saving_cells: Vec<String> = cache_savings
+        .iter()
+        .map(|s| format!("{:.0}%", 100.0 * s))
+        .collect();
+    let elastic_cells: Vec<String> = elastic_vs_cache
+        .iter()
+        .map(|r| format!("{r:.1}x"))
+        .collect();
     report::header("Figure 20 summary", "paper-vs-measured");
     report::row(
         "cache memory saving",
         &[
-            (
-                "measured",
-                format!(
-                    "{:?}",
-                    cache_savings
-                        .iter()
-                        .map(|s| format!("{:.0}%", 100.0 * s))
-                        .collect::<Vec<_>>()
-                ),
-            ),
+            ("measured", format!("{saving_cells:?}")),
             ("paper", "41%".to_string()),
         ],
     );
     report::row(
         "elastic vs cached",
         &[
-            (
-                "measured",
-                format!(
-                    "{:?}",
-                    elastic_vs_cache
-                        .iter()
-                        .map(|r| format!("{r:.1}x"))
-                        .collect::<Vec<_>>()
-                ),
-            ),
+            ("measured", format!("{elastic_cells:?}")),
             ("paper", "1.7x".to_string()),
         ],
     );
@@ -116,5 +98,8 @@ fn main() {
         / elastic_vs_cache.len() as f64)
         .exp();
     assert!(gmean > 1.3, "elastic-vs-cache gmean {gmean:.2} too small");
+    assert_eq!(latency_cuts, ["52%", "61%", "31%"]);
+    assert_eq!(saving_cells, ["33%", "38%", "0%"]);
+    assert_eq!(elastic_cells, ["2.0x", "4.0x", "7.8x"]);
     println!("\n[ok] Figure 20 qualitative checks passed");
 }

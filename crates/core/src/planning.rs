@@ -84,15 +84,6 @@ impl ServingPlan {
         self.shards.iter().filter(|s| s.role.is_embedding())
     }
 
-    /// Memory one replica-of-everything would allocate: the sum of all
-    /// shard containers' requests.
-    pub fn single_copy_memory_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.pod.resources().memory_bytes)
-            .sum()
-    }
-
     /// Total shards (deployments) in the plan.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -443,7 +434,7 @@ mod tests {
         assert_eq!(p.table_plans.len(), 10);
         assert!(p.table_plans.iter().all(|t| t.num_shards() == 1));
         // The container holds the entire model: > 25 GB for RM1.
-        assert!(p.single_copy_memory_bytes() > 23 << 30);
+        assert!(p.shards[0].pod.resources().memory_bytes > 23 << 30);
     }
 
     #[test]
@@ -537,7 +528,11 @@ mod tests {
             &calib(),
         );
         let model_bytes = configs::rm1().embedding_bytes();
-        let single = p.single_copy_memory_bytes();
+        let single: u64 = p
+            .shards
+            .iter()
+            .map(|s| s.pod.resources().memory_bytes)
+            .sum();
         // One copy of all shards ~ model size + per-container floors.
         assert!(single > model_bytes);
         assert!(single < 2 * model_bytes, "single={single}");
@@ -571,8 +566,8 @@ mod tests {
         assert!(cached.shards[0].qps_max() > mw.shards[0].qps_max());
         // Memory per replica is unchanged: the CPU copy still exists.
         assert_eq!(
-            cached.single_copy_memory_bytes(),
-            mw.single_copy_memory_bytes()
+            cached.shards[0].pod.resources().memory_bytes,
+            mw.shards[0].pod.resources().memory_bytes
         );
     }
 

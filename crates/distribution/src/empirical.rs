@@ -51,15 +51,6 @@ impl EmpiricalCdf {
         }
         Self { cum }
     }
-
-    /// Access fraction of the entry at sorted rank `r` (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is 0 or out of range.
-    pub fn rank_share(&self, r: u64) -> f64 {
-        self.pmf(r)
-    }
 }
 
 impl AccessModel for EmpiricalCdf {
@@ -103,13 +94,6 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert!((c.cdf(1) - 1.0).abs() < 1e-12);
         assert_eq!(c.coverage(1, 4), 0.0); // cold tail serves nothing
-    }
-
-    #[test]
-    fn rank_share_is_pmf() {
-        let c = EmpiricalCdf::from_counts(&[10, 30, 60]);
-        assert!((c.rank_share(1) - 0.6).abs() < 1e-12);
-        assert!((c.rank_share(3) - 0.1).abs() < 1e-12);
     }
 
     #[test]

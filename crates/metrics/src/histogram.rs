@@ -85,13 +85,6 @@ impl Histogram {
         }
     }
 
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: f64, n: u64) {
-        for _ in 0..n {
-            self.record(value);
-        }
-    }
-
     fn bucket_index(value: f64) -> usize {
         let exp = value.log2().floor() as i32;
         let exp = exp.clamp(MIN_EXP, MIN_EXP + EXPONENTS as i32 - 1);
@@ -317,19 +310,6 @@ mod tests {
         h.reset();
         assert!(h.is_empty());
         assert_eq!(h.sum(), 0.0);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(7.0, 5);
-        for _ in 0..5 {
-            b.record(7.0);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.sum(), b.sum());
-        assert_eq!(a.percentile(0.5), b.percentile(0.5));
     }
 
     #[test]

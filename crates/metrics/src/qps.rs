@@ -90,11 +90,6 @@ impl QpsWindow {
         self.events.len() as f64 / self.window
     }
 
-    /// Number of events currently inside the window (without eviction).
-    pub fn in_window(&self) -> usize {
-        self.events.len()
-    }
-
     /// Total events ever recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -135,7 +130,6 @@ mod tests {
     fn empty_window_reports_zero() {
         let mut w = QpsWindow::new(5.0);
         assert_eq!(w.qps_at(10.0), 0.0);
-        assert_eq!(w.in_window(), 0);
     }
 
     #[test]
@@ -168,7 +162,7 @@ mod tests {
         for i in 0..2000 {
             w.record(i as f64 * 0.01);
         }
-        assert!(w.in_window() <= 101);
+        assert!(w.qps_at(19.99) <= 101.0);
         assert_eq!(w.total(), 2000);
     }
 

@@ -2,7 +2,7 @@
 
 use er_tensor::{Activation, Matrix, Mlp};
 
-use crate::{dot_interaction, CostBreakdown, EmbeddingTable, ModelConfig, QueryBatch};
+use crate::{dot_interaction, EmbeddingTable, ModelConfig, QueryBatch};
 
 /// A fully materialized DLRM: bottom MLP, embedding tables, dot interaction,
 /// and top MLP ending in a sigmoid CTR head (paper Figure 1).
@@ -135,11 +135,6 @@ impl Dlrm {
         let pooled = self.forward_sparse(query);
         self.forward_top(&bottom_out, &pooled)
     }
-
-    /// The cost breakdown for this model's configuration.
-    pub fn cost_breakdown(&self) -> CostBreakdown {
-        CostBreakdown::for_config(&self.config)
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +201,6 @@ mod tests {
         assert_eq!(model.bottom_mlp().out_dim(), 32);
         assert_eq!(model.top_mlp().out_dim(), 1);
         assert_eq!(model.config().name, "RM1");
-        assert!(model.cost_breakdown().dense_flops_fraction() > 0.5);
     }
 
     #[test]

@@ -114,12 +114,6 @@ impl CostBreakdown {
     pub fn sparse_memory_fraction(&self) -> f64 {
         self.sparse.param_bytes / (self.dense.param_bytes + self.sparse.param_bytes)
     }
-
-    /// Fraction of the embedding parameters touched by one query — the
-    /// paper's "0.001% per inference" memory-utility observation.
-    pub fn sparse_touch_fraction(&self) -> f64 {
-        self.sparse.bytes_read / self.sparse.param_bytes
-    }
 }
 
 #[cfg(test)]
@@ -171,15 +165,6 @@ mod tests {
         let f1 = CostBreakdown::for_config(&configs::rm1()).dense.flops;
         let f3 = CostBreakdown::for_config(&configs::rm3()).dense.flops;
         assert!(f3 / f1 > 2.0, "rm1={f1} rm3={f3}");
-    }
-
-    #[test]
-    fn touch_fraction_is_tiny_at_paper_scale() {
-        // Paper: ~0.001% of embedding parameters touched per query at
-        // pooling 100; RM1 uses pooling 128 on 20M-row tables.
-        let b = CostBreakdown::for_config(&configs::rm1());
-        let f = b.sparse_touch_fraction();
-        assert!(f < 1e-3, "touch fraction {f}");
     }
 
     #[test]

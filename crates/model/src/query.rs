@@ -110,15 +110,6 @@ impl TableLookup {
             .map_or(self.indices.len(), |&o| o as usize);
         &self.indices[start..end]
     }
-
-    /// Applies `f` to every index, preserving structure — used for the
-    /// hotness-sort remap.
-    pub fn map_indices(&self, f: impl Fn(u32) -> u32) -> TableLookup {
-        TableLookup {
-            indices: self.indices.iter().map(|&i| f(i)).collect(),
-            offsets: self.offsets.clone(),
-        }
-    }
 }
 
 /// One batched inference query: a dense input matrix plus one
@@ -237,7 +228,8 @@ impl QueryGenerator {
 /// let mut counter = AccessCounter::new(&cfg);
 /// let q = QueryGenerator::new(&cfg).generate(&mut SimRng::seed_from(1));
 /// counter.observe(&q);
-/// assert_eq!(counter.total_accesses(0), q.lookups[0].num_gathers() as u64);
+/// let total: u64 = counter.counts(0).iter().sum();
+/// assert_eq!(total, q.lookups[0].num_gathers() as u64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AccessCounter {
@@ -296,15 +288,6 @@ impl AccessCounter {
         &self.counts[table]
     }
 
-    /// Total recorded accesses to one table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table` is out of range.
-    pub fn total_accesses(&self, table: usize) -> u64 {
-        self.counts[table].iter().sum()
-    }
-
     /// Consumes the counter, returning all tables' counts.
     pub fn into_counts(self) -> Vec<Vec<u64>> {
         self.counts
@@ -332,14 +315,6 @@ mod tests {
         assert!(TableLookup::new(vec![1, 2], vec![0, 2, 1]).is_err()); // decreasing
         assert!(TableLookup::new(vec![1], vec![0, 5]).is_err()); // past the end
         assert!(TableLookup::new(vec![], vec![0]).is_ok()); // empty bag
-    }
-
-    #[test]
-    fn map_indices_preserves_structure() {
-        let l = TableLookup::new(vec![3, 1, 4], vec![0, 1]).unwrap();
-        let m = l.map_indices(|i| i * 10);
-        assert_eq!(m.indices(), &[30, 10, 40]);
-        assert_eq!(m.offsets(), l.offsets());
     }
 
     #[test]
@@ -391,7 +366,7 @@ mod tests {
             expect += q.lookups[0].num_gathers() as u64;
             counter.observe(&q);
         }
-        assert_eq!(counter.total_accesses(0), expect);
+        assert_eq!(counter.counts(0).iter().sum::<u64>(), expect);
         assert_eq!(counter.counts(0).len(), 500);
         // Skewed generation -> hot entries accumulate more counts.
         let head: u64 = counter.counts(0)[..50].iter().sum();

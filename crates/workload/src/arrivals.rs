@@ -14,8 +14,12 @@ use crate::TrafficSchedule;
 /// use er_sim::SimRng;
 ///
 /// let mut a = ArrivalProcess::new(TrafficSchedule::constant(1000.0), SimRng::seed_from(7));
-/// let times = a.arrivals_until(1.0);
-/// assert!((times.len() as f64 - 1000.0).abs() < 150.0); // ~1000 in 1 s
+/// let (mut t, mut arrivals) = (0.0, 0);
+/// while let Some(next) = a.next_arrival(t).filter(|&next| next <= 1.0) {
+///     t = next;
+///     arrivals += 1;
+/// }
+/// assert!((arrivals as f64 - 1000.0).abs() < 150.0); // ~1000 in 1 s
 /// ```
 #[derive(Debug, Clone)]
 pub struct ArrivalProcess {
@@ -70,30 +74,27 @@ impl ArrivalProcess {
             }
         }
     }
-
-    /// All arrivals in `(0, horizon]`.
-    pub fn arrivals_until(&mut self, horizon: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        while let Some(next) = self.next_arrival(t) {
-            if next > horizon {
-                break;
-            }
-            out.push(next);
-            t = next;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// All arrivals in `(0, horizon]`.
+    fn arrivals_until(a: &mut ArrivalProcess, horizon: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        let mut t = 0.0;
+        while let Some(next) = a.next_arrival(t).filter(|&next| next <= horizon) {
+            out.push(next);
+            t = next;
+        }
+        out
+    }
+
     #[test]
     fn constant_rate_mean_matches() {
         let mut a = ArrivalProcess::new(TrafficSchedule::constant(500.0), SimRng::seed_from(3));
-        let times = a.arrivals_until(10.0);
+        let times = arrivals_until(&mut a, 10.0);
         let rate = times.len() as f64 / 10.0;
         assert!((rate - 500.0).abs() < 25.0, "rate={rate}");
     }
@@ -101,7 +102,7 @@ mod tests {
     #[test]
     fn arrivals_are_strictly_increasing() {
         let mut a = ArrivalProcess::new(TrafficSchedule::constant(1000.0), SimRng::seed_from(4));
-        let times = a.arrivals_until(2.0);
+        let times = arrivals_until(&mut a, 2.0);
         for w in times.windows(2) {
             assert!(w[1] > w[0]);
         }
@@ -111,7 +112,7 @@ mod tests {
     fn stepped_rate_changes_density() {
         let schedule = TrafficSchedule::steps(&[(0.0, 100.0), (10.0, 1000.0)]).unwrap();
         let mut a = ArrivalProcess::new(schedule, SimRng::seed_from(5));
-        let times = a.arrivals_until(20.0);
+        let times = arrivals_until(&mut a, 20.0);
         let early = times.iter().filter(|&&t| t <= 10.0).count() as f64 / 10.0;
         let late = times.iter().filter(|&&t| t > 10.0).count() as f64 / 10.0;
         assert!((early - 100.0).abs() < 40.0, "early={early}");
@@ -122,7 +123,7 @@ mod tests {
     fn zero_rate_tail_ends_the_process() {
         let schedule = TrafficSchedule::steps(&[(0.0, 100.0), (1.0, 0.0)]).unwrap();
         let mut a = ArrivalProcess::new(schedule, SimRng::seed_from(6));
-        let times = a.arrivals_until(100.0);
+        let times = arrivals_until(&mut a, 100.0);
         assert!(times.iter().all(|&t| t <= 1.0 + 1e-9));
         assert!(a.next_arrival(50.0).is_none());
     }
@@ -138,8 +139,11 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let s = TrafficSchedule::constant(200.0);
-        let t1 = ArrivalProcess::new(s.clone(), SimRng::seed_from(9)).arrivals_until(1.0);
-        let t2 = ArrivalProcess::new(s, SimRng::seed_from(9)).arrivals_until(1.0);
+        let t1 = arrivals_until(
+            &mut ArrivalProcess::new(s.clone(), SimRng::seed_from(9)),
+            1.0,
+        );
+        let t2 = arrivals_until(&mut ArrivalProcess::new(s, SimRng::seed_from(9)), 1.0);
         assert_eq!(t1, t2);
     }
 }

@@ -165,11 +165,6 @@ impl TrafficSchedule {
         &self.segments
     }
 
-    /// Time of the last rate change.
-    pub fn last_change(&self) -> f64 {
-        self.segments.last().expect("non-empty").0
-    }
-
     /// The maximum rate anywhere in the schedule.
     pub fn peak_rate(&self) -> f64 {
         self.segments.iter().map(|&(_, q)| q).fold(0.0, f64::max)
@@ -194,7 +189,6 @@ mod tests {
         assert_eq!(s.rate_at(4.999), 10.0);
         assert_eq!(s.rate_at(5.0), 20.0);
         assert_eq!(s.rate_at(-1.0), 10.0);
-        assert_eq!(s.last_change(), 5.0);
     }
 
     #[test]

@@ -119,22 +119,32 @@ fn elastic_pays_modest_rpc_latency_over_model_wise() {
 fn sharding_respects_platform_placement_rules() {
     // Section IV-A: sparse shards are CPU-only containers on both
     // platforms; dense shards are GPU-centric only on CPU-GPU.
-    let cpu = plan(
-        &configs::rm2(),
-        Platform::CpuOnly,
-        Strategy::Elastic,
-        &Calibration::cpu_only(),
-    );
-    assert!(cpu.shards.iter().all(|s| s.pod.resources().gpus == 0));
+    for cfg in configs::all_rms() {
+        let cpu = plan(
+            &cfg,
+            Platform::CpuOnly,
+            Strategy::Elastic,
+            &Calibration::cpu_only(),
+        );
+        assert!(
+            cpu.shards.iter().all(|s| s.pod.resources().gpus == 0),
+            "{}",
+            cfg.name
+        );
 
-    let gpu = plan(
-        &configs::rm2(),
-        Platform::CpuGpu,
-        Strategy::Elastic,
-        &Calibration::cpu_gpu(),
-    );
-    assert_eq!(gpu.frontend().pod.resources().gpus, 1);
-    assert!(gpu.embedding_shards().all(|s| s.pod.resources().gpus == 0));
+        let gpu = plan(
+            &cfg,
+            Platform::CpuGpu,
+            Strategy::Elastic,
+            &Calibration::cpu_gpu(),
+        );
+        assert_eq!(gpu.frontend().pod.resources().gpus, 1, "{}", cfg.name);
+        assert!(
+            gpu.embedding_shards().all(|s| s.pod.resources().gpus == 0),
+            "{}",
+            cfg.name
+        );
+    }
 }
 
 #[test]
