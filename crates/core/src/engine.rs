@@ -120,19 +120,22 @@ impl SimulationOutcome {
 enum Event {
     Arrival,
     NodeFailure,
+    /// The embedding RPCs of one fan-out group reach their shards.
+    ///
+    /// Every shard of a group has the same request delay, so its RPCs land
+    /// at the same instant; one event serves the whole group (see
+    /// [`FanOutGroup`]).
     SparseArrive {
         qid: u64,
-        shard: usize,
+        group: usize,
     },
     /// The last pooled embedding response lands back at the dense shard.
     ///
-    /// Scheduled once per query instead of one `SparseDone` per embedding
-    /// shard: an intermediate response only touches the query's private
-    /// counter/max, so the shared-state effect (assigning the top-MLP
-    /// phase) collapses into a single event at `max` of the per-shard
-    /// response times — known as soon as the last `SparseArrive` assigns
-    /// its pod. Halves the event volume of the fan-out path with
-    /// bit-identical outcomes.
+    /// Scheduled once per query, not once per embedding shard: a response
+    /// only touches the query's private counter and running max, so the
+    /// shared-state effect (assigning the top-MLP phase) collapses into a
+    /// single event at the max of the per-shard response times. That max
+    /// is known as soon as the last `SparseArrive` assigns its pods.
     FanIn {
         qid: u64,
     },
@@ -145,12 +148,12 @@ enum Event {
 
 struct QueryState {
     arrive: f64,
-    /// Embedding-shard RPCs whose pod assignment is still pending.
+    /// Fan-out groups whose pod assignment is still pending.
     pending_sparse: usize,
     bottom_start: f64,
     bottom_end: f64,
     /// Running max of per-shard response-landing times; once the last
-    /// `SparseArrive` resolves, this is the fan-in instant.
+    /// group's `SparseArrive` resolves, this is the fan-in instant.
     sparse_done: f64,
     dense_pod: u64,
 }
@@ -230,11 +233,60 @@ pub struct StageBreakdown {
 struct DeployState {
     /// Dense cluster handle, resolved once at startup.
     id: DeployId,
-    qps_window: QpsWindow,
     interval_latency: Histogram,
     policy: HpaPolicy,
     /// The policy's pure state, threaded through [`HpaPolicy::step`].
     hpa: HpaState,
+}
+
+/// Embedding shards that share one request transfer time.
+///
+/// A query's RPC to embedding shard `k` lands at the fan-out start plus the
+/// shard's request delay, which depends only on the shard's expected
+/// gathers and the batch size. Shards whose delays have the same bits land
+/// at the same instant, so one event serves them all.
+#[derive(Debug, Clone, PartialEq)]
+struct FanOutGroup {
+    /// Request transfer time to every shard of the group.
+    req_secs: f64,
+    /// Indices into `plan.shards`, in plan order.
+    shards: Vec<usize>,
+}
+
+/// Each embedding shard of `plan` with its request transfer time, in plan
+/// order.
+fn request_delays(plan: &ServingPlan) -> Vec<(usize, f64)> {
+    let net = plan.platform.network();
+    let batch = plan.model.batch_size as u64;
+    plan.shards
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.role.is_embedding())
+        .map(|(i, s)| {
+            let req = messages::embedding_request_bytes(s.expected_gathers.ceil() as u64, batch);
+            (i, net.transfer_secs(req))
+        })
+        .collect()
+}
+
+/// Groups `(shard, request delay)` pairs by the bit pattern of the delay.
+/// Groups are ordered by their first shard, and each group lists its
+/// shards in input order.
+fn fan_out_groups(delays: &[(usize, f64)]) -> Vec<FanOutGroup> {
+    let mut groups: Vec<FanOutGroup> = Vec::new();
+    for &(shard, req_secs) in delays {
+        match groups
+            .iter_mut()
+            .find(|g| g.req_secs.to_bits() == req_secs.to_bits())
+        {
+            Some(g) => g.shards.push(shard),
+            None => groups.push(FanOutGroup {
+                req_secs,
+                shards: vec![shard],
+            }),
+        }
+    }
+    groups
 }
 
 /// The simulation entry point.
@@ -270,14 +322,13 @@ struct Engine<'a> {
     deploys: Vec<DeployState>,
     /// Index of the frontend deployment in `deploys` / `plan.shards`.
     frontend: usize,
-    /// Indices of embedding shards in `plan.shards`, precomputed so the
-    /// per-arrival fan-out iterates a fixed slice instead of re-filtering
-    /// (and re-allocating) the shard list.
-    emb_shards: Vec<usize>,
-    /// Request transfer time to each embedding shard (parallel to
-    /// `emb_shards`); depends only on the shard's expected gathers and the
-    /// batch size, so it is computed once instead of per arrival.
-    emb_req_secs: Vec<f64>,
+    /// Offered load: one timestamp per arrival. Every deployment sees the
+    /// same query rate (each query visits the frontend and every embedding
+    /// shard once), so the HPA reads this one window for all of them;
+    /// completions would saturate at capacity and hide unserved demand.
+    offered: QpsWindow,
+    /// The embedding shards, grouped by request delay.
+    groups: Vec<FanOutGroup>,
     /// Response transfer time back from any embedding shard.
     emb_resp_secs: f64,
     total_queries: u64,
@@ -298,6 +349,18 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     fn new(plan: &'a ServingPlan, calib: &'a Calibration, cfg: &'a SimulationConfig) -> Self {
+        let groups = fan_out_groups(&request_delays(plan));
+        Self::with_groups(plan, calib, cfg, groups)
+    }
+
+    /// An engine that fans each query out as `groups`, which must cover
+    /// every embedding shard of `plan` once.
+    fn with_groups(
+        plan: &'a ServingPlan,
+        calib: &'a Calibration,
+        cfg: &'a SimulationConfig,
+        groups: Vec<FanOutGroup>,
+    ) -> Self {
         let profile = calib.node_profile(plan.platform == Platform::CpuGpu);
         let mut cluster = Cluster::new(profile, cfg.max_nodes);
         let initial_rate = cfg.schedule.rate_at(0.0).max(1.0);
@@ -323,7 +386,6 @@ impl<'a> Engine<'a> {
             };
             deploys.push(DeployState {
                 id,
-                qps_window: QpsWindow::with_capacity(HPA_INTERVAL_SECS, 1024),
                 interval_latency: Histogram::new(),
                 policy: HpaPolicy::new(cfg.max_replicas, target),
                 hpa: HpaState::default(),
@@ -367,24 +429,8 @@ impl<'a> Engine<'a> {
             queries: QuerySlab::default(),
             deploys,
             frontend,
-            emb_shards: plan
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.role.is_embedding())
-                .map(|(i, _)| i)
-                .collect(),
-            emb_req_secs: plan
-                .shards
-                .iter()
-                .filter(|s| s.role.is_embedding())
-                .map(|s| {
-                    let batch = q.batch_size as u64;
-                    let req =
-                        messages::embedding_request_bytes(s.expected_gathers.ceil() as u64, batch);
-                    net.transfer_secs(req)
-                })
-                .collect(),
+            offered: QpsWindow::with_capacity(HPA_INTERVAL_SECS, 1024),
+            groups,
             emb_resp_secs: net.transfer_secs(messages::embedding_response_bytes(
                 q.batch_size as u64,
                 q.embedding_dim() as u64,
@@ -449,8 +495,7 @@ impl<'a> Engine<'a> {
     fn on_arrival(&mut self, now: f64) {
         self.schedule_arrival(now);
         self.total_queries += 1;
-        let fe = self.frontend;
-        self.deploys[fe].qps_window.record(now);
+        self.offered.record(now);
 
         let (pod, start) = self.assign_pod(self.frontend, now);
         match self.plan.shards[self.frontend].service {
@@ -473,7 +518,7 @@ impl<'a> Engine<'a> {
                 let bottom_end = self.occupy(pod, start, bottom_secs);
                 let qid = self.queries.insert(QueryState {
                     arrive: now,
-                    pending_sparse: self.emb_shards.len(),
+                    pending_sparse: self.groups.len(),
                     bottom_start: start,
                     bottom_end,
                     sparse_done: start,
@@ -481,32 +526,34 @@ impl<'a> Engine<'a> {
                 });
                 self.stages.frontend_wait.record(start - now);
                 self.stages.frontend_service.record(bottom_secs);
-                for k in 0..self.emb_shards.len() {
-                    let shard = self.emb_shards[k];
-                    // HPA sees offered load: completions saturate at
-                    // capacity and would hide unserved demand.
-                    self.deploys[shard].qps_window.record(now);
-                    let at = start + self.emb_req_secs[k];
+                for group in 0..self.groups.len() {
+                    let at = start + self.groups[group].req_secs;
                     self.queue
-                        .schedule(SimTime::from_secs(at), Event::SparseArrive { qid, shard });
+                        .schedule(SimTime::from_secs(at), Event::SparseArrive { qid, group });
                 }
             }
             ShardService::Sparse { .. } => unreachable!("frontend is never a sparse shard"),
         }
     }
 
-    fn on_sparse_arrive(&mut self, now: f64, qid: u64, shard: usize) {
-        let (pod, start) = self.assign_pod(shard, now);
-        let ShardService::Sparse { secs } = self.plan.shards[shard].service else {
-            unreachable!("sparse events only target sparse shards")
-        };
-        let end = self.occupy(pod, start, secs);
-        let done = end + self.emb_resp_secs;
+    /// Assigns a pod on every shard of `group` for `qid`. Each shard is its
+    /// own deployment, so the order within the group does not matter.
+    fn on_sparse_arrive(&mut self, now: f64, qid: u64, group: usize) {
+        let mut done = f64::NEG_INFINITY;
+        for i in 0..self.groups[group].shards.len() {
+            let shard = self.groups[group].shards[i];
+            let (pod, start) = self.assign_pod(shard, now);
+            let ShardService::Sparse { secs } = self.plan.shards[shard].service else {
+                unreachable!("sparse events only target sparse shards")
+            };
+            let end = self.occupy(pod, start, secs);
+            done = done.max(end + self.emb_resp_secs);
+        }
         self.finish_sparse(qid, done);
     }
 
-    /// Records one shard response landing for `qid` at `done`, firing the
-    /// fan-in when it was the last pending shard.
+    /// Records the last of one group's responses landing for `qid` at
+    /// `done`, firing the fan-in when it was the last pending group.
     fn finish_sparse(&mut self, qid: u64, done: f64) {
         let Some(q) = self.queries.get_mut(qid) else {
             return;
@@ -603,6 +650,7 @@ impl<'a> Engine<'a> {
     }
 
     fn on_hpa_tick(&mut self, now: f64) {
+        let qps = self.offered.qps_at(now);
         // Use the frontend's latest full-window latency for its policy.
         let fe_p95 = {
             let fe = &self.deploys[self.frontend];
@@ -618,7 +666,6 @@ impl<'a> Engine<'a> {
             if current == 0 {
                 continue;
             }
-            let qps = self.deploys[i].qps_window.qps_at(now);
             let obs = Observation {
                 qps: Qps::of(qps),
                 p95_latency: if i == self.frontend {
@@ -678,7 +725,7 @@ impl<'a> Engine<'a> {
                 Event::Arrival => self.on_arrival(now),
                 // lint::allow(hot_alloc): cold failure-recovery path
                 Event::NodeFailure => self.on_node_failure(now),
-                Event::SparseArrive { qid, shard } => self.on_sparse_arrive(now, qid, shard),
+                Event::SparseArrive { qid, group } => self.on_sparse_arrive(now, qid, group),
                 Event::FanIn { qid } => self.on_fan_in(now, qid),
                 Event::TopDone { qid } => self.on_top_done(now, qid),
                 // lint::allow(hot_alloc): cold control-plane tick
@@ -910,6 +957,152 @@ mod tests {
             }
         }
         h
+    }
+
+    /// One group per embedding shard: one `SparseArrive` per shard, the
+    /// ungrouped fan-out the grouping must reproduce.
+    fn per_shard(delays: &[(usize, f64)]) -> Vec<FanOutGroup> {
+        delays
+            .iter()
+            .map(|&(shard, req_secs)| FanOutGroup {
+                req_secs,
+                shards: vec![shard],
+            })
+            .collect()
+    }
+
+    /// Asserts that `p` under `cfg` gives the same outcome digest when
+    /// fanned out as `grouped` as when fanned out shard by shard with the
+    /// same delays, and returns the outcome.
+    fn assert_grouping_is_exact(
+        p: &ServingPlan,
+        calib: &Calibration,
+        cfg: &SimulationConfig,
+        delays: &[(usize, f64)],
+        grouped: Vec<FanOutGroup>,
+    ) -> SimulationOutcome {
+        let reference = Engine::with_groups(p, calib, cfg, per_shard(delays)).event_loop();
+        let out = Engine::with_groups(p, calib, cfg, grouped).event_loop();
+        assert_eq!(digest(&out), digest(&reference));
+        assert!(out.completed_queries > 0);
+        out
+    }
+
+    fn assert_computed_groups_are_exact(
+        p: &ServingPlan,
+        calib: &Calibration,
+        cfg: &SimulationConfig,
+    ) -> SimulationOutcome {
+        let delays = request_delays(p);
+        assert_grouping_is_exact(p, calib, cfg, &delays, fan_out_groups(&delays))
+    }
+
+    #[test]
+    fn fan_out_groups_partition_shards_by_delay_bits_in_plan_order() {
+        let d = 0.25f64;
+        let next = f64::from_bits(d.to_bits() + 1);
+        let delays = [(1, d), (2, 0.5), (4, next), (5, d), (7, 0.5), (8, -0.0)];
+        let groups = fan_out_groups(&delays);
+        let expect = |req_secs: f64, shards: &[usize]| FanOutGroup {
+            req_secs,
+            shards: shards.to_vec(),
+        };
+        // Adjacent floats and the two zeros differ in bits, so they stay
+        // apart; each group is ordered by its first shard.
+        assert_eq!(
+            groups,
+            vec![
+                expect(d, &[1, 5]),
+                expect(0.5, &[2, 7]),
+                expect(next, &[4]),
+                expect(-0.0, &[8]),
+            ]
+        );
+        assert!(fan_out_groups(&[]).is_empty());
+
+        // RM1 Elastic: four shard shapes, each repeated across ten tables.
+        // Every embedding shard lands in exactly one group, in plan order.
+        let calib = Calibration::cpu_only();
+        let p = plan(
+            &configs::rm1(),
+            Platform::CpuOnly,
+            Strategy::Elastic,
+            &calib,
+        );
+        let delays = request_delays(&p);
+        assert_eq!(delays.len(), 40);
+        let groups = fan_out_groups(&delays);
+        assert_eq!(groups.len(), 4);
+        let mut covered: Vec<usize> = Vec::new();
+        for g in &groups {
+            assert_eq!(g.shards.len(), 10);
+            assert!(g.shards.windows(2).all(|w| w[0] < w[1]));
+            for &shard in &g.shards {
+                let (_, req) = delays.iter().find(|&&(s, _)| s == shard).unwrap();
+                assert_eq!(req.to_bits(), g.req_secs.to_bits());
+            }
+            covered.extend(&g.shards);
+        }
+        assert!(groups.windows(2).all(|w| w[0].shards[0] < w[1].shards[0]));
+        covered.sort_unstable();
+        let embedding: Vec<usize> = delays.iter().map(|&(s, _)| s).collect();
+        assert_eq!(covered, embedding);
+    }
+
+    #[test]
+    fn grouped_fan_out_matches_per_shard_fan_out() {
+        // Small model, steady traffic.
+        let calib = Calibration::cpu_only();
+        let small = plan(&small_model(), Platform::CpuOnly, Strategy::Elastic, &calib);
+        let cfg = SimulationConfig::new(TrafficSchedule::constant(50.0), 20.0, 42);
+        assert_computed_groups_are_exact(&small, &calib, &cfg);
+
+        // RM1's Figure 19 ramp under a node cap, with a node failure.
+        let rm1 = plan(
+            &configs::rm1(),
+            Platform::CpuOnly,
+            Strategy::Elastic,
+            &calib,
+        );
+        let mut cfg = SimulationConfig::new(TrafficSchedule::figure19(40.0, 4.0), 24.0, 3);
+        cfg.max_nodes = Some(2);
+        cfg.fail_node_at = Some(9.0);
+        let out = assert_computed_groups_are_exact(&rm1, &calib, &cfg);
+        assert!(out.final_nodes_used <= 2);
+
+        // The CPU-GPU platform.
+        let calib = Calibration::cpu_gpu();
+        let gpu = plan(&small_model(), Platform::CpuGpu, Strategy::Elastic, &calib);
+        let cfg = SimulationConfig::new(TrafficSchedule::constant(60.0), 10.0, 9);
+        assert_computed_groups_are_exact(&gpu, &calib, &cfg);
+    }
+
+    #[test]
+    fn grouping_is_exact_when_distinct_delays_land_at_one_instant() {
+        // Two delays one ulp apart: added to a start past the run's first
+        // few milliseconds they round to the same instant, so shards of the
+        // two groups, alternating in plan order, land together.
+        let calib = Calibration::cpu_only();
+        let p = plan(
+            &configs::rm1().with_num_tables(3),
+            Platform::CpuOnly,
+            Strategy::Elastic,
+            &calib,
+        );
+        let near = 0.002f64;
+        let far = f64::from_bits(near.to_bits() + 1);
+        assert_ne!(near.to_bits(), far.to_bits());
+        assert_eq!(1.0 + near, 1.0 + far);
+        let delays: Vec<(usize, f64)> = request_delays(&p)
+            .iter()
+            .enumerate()
+            .map(|(k, &(shard, _))| (shard, if k % 2 == 0 { near } else { far }))
+            .collect();
+        assert!(delays.len() >= 3);
+        let grouped = fan_out_groups(&delays);
+        assert_eq!(grouped.len(), 2);
+        let cfg = SimulationConfig::new(TrafficSchedule::constant(80.0), 15.0, 11);
+        assert_grouping_is_exact(&p, &calib, &cfg, &delays, grouped);
     }
 
     #[test]

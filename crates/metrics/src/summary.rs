@@ -1,5 +1,4 @@
-//! Running scalar summary (count/mean/min/max/variance) using Welford's
-//! online algorithm.
+//! Running scalar summary: count, mean, min and max.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,13 +12,12 @@ use serde::{Deserialize, Serialize};
 /// let mut s = Summary::new();
 /// s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.std_dev(), 2.0);
+/// assert_eq!(s.max(), 9.0);
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: Option<f64>,
     max: Option<f64>,
 }
@@ -37,7 +35,7 @@ impl Summary {
         s
     }
 
-    /// Records one sample.
+    /// Records one sample, updating the mean incrementally.
     ///
     /// # Panics
     ///
@@ -50,7 +48,6 @@ impl Summary {
         self.count += 1;
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
         self.min = Some(self.min.map_or(value, |m| m.min(value)));
         self.max = Some(self.max.map_or(value, |m| m.max(value)));
     }
@@ -81,20 +78,6 @@ impl Summary {
         }
     }
 
-    /// Population variance, or 0 when fewer than two samples exist.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample, or 0 when empty.
     pub fn min(&self) -> f64 {
         self.min.unwrap_or(0.0)
@@ -120,17 +103,14 @@ mod tests {
         let s = Summary::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
 
     #[test]
-    fn mean_and_variance_match_textbook_values() {
+    fn mean_matches_textbook_value() {
         let s = Summary::from_samples([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -148,10 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn single_sample_has_zero_variance() {
+    fn single_sample_is_its_own_mean_min_and_max() {
         let s = Summary::from_samples([42.0]);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.mean(), 42.0);
+        assert_eq!(s.min(), 42.0);
+        assert_eq!(s.max(), 42.0);
     }
 
     #[test]
