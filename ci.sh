@@ -31,7 +31,9 @@ run_stage() {
 
 # er-lint writes the machine-readable report to target/er-lint.json and a
 # per-rule summary row (rule=count) to stderr, which lands in the CI log.
-# Any diagnostic exits nonzero and fails the stage. er-lint.toml puts
+# Any diagnostic exits nonzero and fails the stage. er-lint keeps only
+# what clippy cannot check: ordered f32 reductions, unit mixing, the
+# hot_alloc call-graph proof and stale allow markers. er-lint.toml puts
 # crates/lint and crates/units in the serving scope, so the tooling is
 # held to the serving-path rules by this same stage.
 er_lint_json() {
@@ -40,7 +42,11 @@ er_lint_json() {
 }
 
 run_stage "fmt" cargo fmt --check
-# clippy.toml holds the ambient-input bans (wall clock, std::env, thread_local!).
+# clippy.toml holds the ambient-input bans (wall clock, std::env,
+# thread_local!) and the HashMap/HashSet ban; every crates/*/src/lib.rs
+# denies unwrap, expect, panic!, todo!, unimplemented! and an allow without
+# a reason. An intentional panic site carries #[expect(clippy::..., reason)],
+# which fails this stage once the site no longer panics.
 run_stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_stage "er-lint" er_lint_json
 # Every tests/fixtures/*_bad.rs must yield exactly its expected findings.
@@ -72,15 +78,15 @@ run_stage "perfsuite smoke" ./target/release/perfsuite --smoke
 # that converter), and f16/i8 gathers stay inside their analytic error
 # bounds (unavailable backends are logged as skipped).
 run_stage "quant parity" ./target/release/perfsuite --quant-parity
-# Full-scale digests and paired speed floors: every section, fleet_par
-# included, must match the digest committed in BENCH_perf.json (a section
+# Full-scale digests and paired speed floors: every section, the
+# 1000-node fleet_par included, must match the digest committed in BENCH_perf.json (a section
 # missing from it fails the stage too), and every paired ratio in
 # perf::FLOORS must reach its floor: the median, over interleaved rounds
 # in this same run, of an in-process reference's wall over the kernel's
 # (i8 vs f32 gather, packed vs naive matmul, the detected SIMD rung vs the
 # scalar f16 gather, route words vs plan cuts). Only names and digests are
 # read from BENCH_perf.json; the report lands in target/, leaving it as is.
-run_stage "perfsuite digests" ./target/release/perfsuite --fleet --baseline BENCH_perf.json --out target/BENCH_perf.json
+run_stage "perfsuite digests" ./target/release/perfsuite --baseline BENCH_perf.json --out target/BENCH_perf.json
 # The control plane's contract: er-mc exhaustively explores the documented
 # CI bound (2 deployments x 3 replicas x 6 traffic steps) breadth-first over
 # the same pure HPA, placement and soonest-start routing handlers the

@@ -1,12 +1,11 @@
 //! Performance baseline suite: runs the sections of [`er_bench::perf`]
 //! and writes a `BENCH_perf.json` report so every change leaves a perf
-//! trajectory behind. Ten timed sections (eleven with `--fleet`), each folding its
-//! results into a determinism digest; the section list is in the
-//! [`er_bench::perf`] docs.
+//! trajectory behind. Eleven timed sections (ten with `--smoke`, which
+//! skips the 1000-node `fleet_par`), each folding its results into a
+//! determinism digest; the section list is in the [`er_bench::perf`] docs.
 //!
 //! Usage:
-//!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--fleet]
-//!             [--quant-parity]
+//!   perfsuite [--smoke] [--out PATH] [--baseline PATH] [--quant-parity]
 //!
 //! A full run writes to `target/BENCH_perf.json` by default and `--smoke`
 //! (a tiny, CI-sized configuration whose digests `tests/digests.rs` pins)
@@ -24,8 +23,7 @@
 //! backend, every rung's f16 decode exact on all 65,536 bit patterns,
 //! every SIMD rung's f16 encode equal to `f16_from_f32` on all 2^32 f32
 //! bit patterns (the scalar rung is that reference), and quantized
-//! gathers within their analytic error bounds. `--fleet` adds the
-//! 1000-node synthetic fleet scenario as a timed section, `fleet_par`.
+//! gathers within their analytic error bounds.
 //! An unknown argument, `--out`/`--baseline` without a value, or an
 //! `--out` naming the `--baseline` file is an error.
 
@@ -45,7 +43,6 @@ use er_units::ElemKind;
 #[derive(Default)]
 struct Args {
     smoke: bool,
-    fleet: bool,
     quant_parity: bool,
     out: Option<String>,
     baseline: Option<String>,
@@ -58,7 +55,6 @@ impl Args {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--smoke" => parsed.smoke = true,
-                "--fleet" => parsed.fleet = true,
                 "--quant-parity" => parsed.quant_parity = true,
                 "--out" => parsed.out = Some(path_after(&mut it, arg)?),
                 "--baseline" => parsed.baseline = Some(path_after(&mut it, arg)?),
@@ -146,7 +142,7 @@ fn main() {
         &perf::FULL
     };
 
-    let mut report = perf::run(scale, args.fleet);
+    let mut report = perf::run(scale);
     let baseline_check = baseline.as_ref().map(|text| report.check_baseline(text));
 
     let json = report.to_json();
@@ -341,7 +337,7 @@ mod tests {
 
     #[test]
     fn reports_default_under_target() {
-        let full = parse(&["--fleet", "--baseline", "BENCH_perf.json"]);
+        let full = parse(&["--baseline", "BENCH_perf.json"]);
         assert_eq!(full.out_path().unwrap(), "target/BENCH_perf.json");
         let smoke = parse(&["--smoke"]);
         assert_eq!(smoke.out_path().unwrap(), "target/BENCH_perf_smoke.json");

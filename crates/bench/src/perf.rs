@@ -20,8 +20,8 @@
 //! * `quant_{f32,f16,i8}_d64` — the fused CSR gather over a dim-64 table
 //!   in each storage kind (same index stream, so the paired ratio is the
 //!   bandwidth win of narrow storage);
-//! * `fleet_par` (optional) — the 1000-node synthetic fleet with a node
-//!   failure. It and `par_seq` keep their old names so committed
+//! * `fleet_par` (full scale only) — the 1000-node synthetic fleet with a
+//!   node failure. It and `par_seq` keep their old names so committed
 //!   baselines still match;
 //! * `matmul_rm3`, `gather_f16_rm1`, `route_remap` — serving kernels
 //!   paired with their in-process references (naive matmul, the scalar
@@ -522,16 +522,17 @@ pub const FLOORS: [(&str, f64); 5] = [
     ("route_remap", 1.1),
 ];
 
-/// Runs every section at `scale` in report order, adding `fleet_par`
-/// when `fleet` is set.
-pub fn run(scale: &Scale, fleet: bool) -> PerfReport {
+/// Runs every section at `scale` in report order. `fleet_par` runs at
+/// full scale only: its 1000-node fleet is one fixed scenario, too heavy
+/// for smoke scale.
+pub fn run(scale: &Scale) -> PerfReport {
     let mut report = PerfReport::new(scale.mode);
     report.push(bench_event_queue(scale));
     report.push(bench_forward(scale));
     report.push(bench_sim("fig19_sim", &fig19_config(scale, 1234)));
     report.push(bench_sim("par_seq", &fig19_config(scale, 4321)));
     bench_quant(scale, &mut report);
-    if fleet {
+    if scale.mode == FULL.mode {
         report.push(bench_sim("fleet_par", &fleet_config()));
     }
     bench_matmul(scale, &mut report);
@@ -553,6 +554,10 @@ fn bench_event_queue(scale: &Scale) -> Section {
     let mut digest = Digest::new();
     let ((), wall) = timed(|| {
         for i in 0..scale.queue_ops {
+            #[expect(
+                clippy::expect_used,
+                reason = "every pop is followed by a push, so the queue never drains"
+            )]
             let (t, ev) = q.pop().expect("queue holds `depth` pending events");
             digest.fold_f64(t.as_secs());
             digest.fold_u64(ev);
@@ -582,7 +587,15 @@ fn bench_forward(scale: &Scale) -> Section {
         })
         .collect();
     let cuts = vec![rows / 10, rows / 2, rows];
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed cuts, increasing and ending at the row count"
+    )]
     let plans = vec![PartitionPlan::new(cuts, rows).expect("valid cuts"); 4];
+    #[expect(
+        clippy::expect_used,
+        reason = "one valid plan and one count vector per table"
+    )]
     let sharded = ShardedDlrm::new(model, &counts, plans).expect("valid sharding");
 
     let gen = QueryGenerator::new(&cfg);
@@ -695,7 +708,10 @@ pub fn quant_lookup(rows: u32, inputs: usize, pooling: usize) -> (Vec<u32>, Vec<
 }
 
 /// Runs `f` once and returns its result with the wall seconds it took.
-#[allow(clippy::disallowed_methods)] // benchmarks measure real elapsed time
+#[allow(
+    clippy::disallowed_methods,
+    reason = "benchmarks measure real elapsed time"
+)]
 fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
     let out = f();
@@ -783,6 +799,10 @@ fn bench_quant(scale: &Scale, report: &mut PerfReport) {
 
 /// Seeded uniform matrix in [-1, 1) with one value in five an exact
 /// zero, like the ReLU outputs the kernels see in serving.
+#[expect(
+    clippy::expect_used,
+    reason = "the data vector holds exactly rows * cols values"
+)]
 fn scrambled(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = SimRng::seed_from(seed);
     let data = (0..rows * cols)
@@ -802,6 +822,10 @@ fn bits(m: &Matrix) -> Vec<u32> {
 /// `matmul_rm3`: the packed matmul against the naive one at the RM3
 /// bottom-MLP shape (32×2560×512), which dominates the dense forward
 /// pass. Work units are FLOPs, so units/s reads as FLOP/s.
+#[expect(
+    clippy::expect_used,
+    reason = "the operands are built conforming, m x k times k x n"
+)]
 fn bench_matmul(scale: &Scale, report: &mut PerfReport) {
     let (m, k, n) = (32, 2560, 512);
     let a = scrambled(m, k, (m + k) as u64);
@@ -919,6 +943,10 @@ fn bench_route(scale: &Scale, report: &mut PerfReport) {
         .map(|c| c * rows / 500_000)
         .chain([rows])
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed cuts, scaled monotonically and ending at the row count"
+    )]
     let plan = PartitionPlan::new(cuts, rows).expect("increasing cuts ending at the row count");
     let cdf = LocalityTarget::new(0.90).solve(rows).tabulate();
     let mut rng = SimRng::seed_from(5);
@@ -926,6 +954,10 @@ fn bench_route(scale: &Scale, report: &mut PerfReport) {
         .map(|_| {
             let counts: Vec<u64> = (0..rows).map(|_| rng.index(1 << 20) as u64).collect();
             let perm = HotnessPermutation::from_counts(&counts);
+            #[expect(
+                clippy::expect_used,
+                reason = "four shards of at most 500k rows fit a route word"
+            )]
             let route = RouteTable::new(&plan, &perm).expect("the rows fit a route word");
             // Zipf ranks, 1-based, drawn over the hotness order.
             let lookups = (0..32 * 128)

@@ -4,8 +4,8 @@
 //! so a change to event ordering, the forward pass, the simulation, a
 //! quantized gather or a paired kernel moves it. Changing a pinned value
 //! is then a one-line diff here, not a claim in a change description.
-//! The full-scale digests are checked by `perfsuite --fleet --baseline
-//! BENCH_perf.json`.
+//! The full-scale digests, `fleet_par`'s included, are checked by
+//! `perfsuite --baseline BENCH_perf.json`.
 
 use er_bench::perf;
 
@@ -24,7 +24,7 @@ const PINNED: [(&str, &str); 10] = [
 
 #[test]
 fn smoke_digests_match_the_pinned_values() {
-    let report = perf::run(&perf::SMOKE, false);
+    let report = perf::run(&perf::SMOKE);
     let got: Vec<(&str, &str)> = report
         .sections()
         .iter()

@@ -180,7 +180,10 @@ impl QuerySlab {
                 (u64::from(*gen) << 32) | u64::from(slot)
             }
             None => {
-                // lint::allow(no_panic): 2^32 concurrently live queries is beyond any simulated workload; overflow is a driver bug
+                #[expect(
+                    clippy::expect_used,
+                    reason = "2^32 concurrently live queries is beyond any simulated workload; overflow is a driver bug"
+                )]
                 let slot = u32::try_from(self.slots.len()).expect("query slab exceeds u32 slots");
                 self.slots.push((0, Some(state)));
                 u64::from(slot)
@@ -371,9 +374,12 @@ impl<'a> Engine<'a> {
             let n = SteadyState::replicas_for(shard.qps_max(), initial_rate).min(cfg.max_replicas);
             // The run starts with a warmed-up service; startup delays apply
             // to pods the autoscaler adds later.
+            #[expect(
+                clippy::panic,
+                reason = "startup provisioning; failing loudly before serving begins is correct"
+            )]
             let id = cluster
                 .create_deployment_warm(&shard.name, shard.pod.clone(), n, SimTime::ZERO)
-                // lint::allow(no_panic): startup provisioning; failing loudly before serving begins is correct
                 .unwrap_or_else(|e| panic!("initial deployment failed: {e}"));
             let target = if shard.role.is_embedding() {
                 // The paper stress-tests each shard and uses the QPS where
@@ -460,8 +466,11 @@ impl<'a> Engine<'a> {
             let free = self.pod_free.get(p.id() as usize).copied().unwrap_or(0.0);
             (p.id(), p.ready_at().as_secs(), free)
         });
+        #[expect(
+            clippy::panic,
+            reason = "every deployment keeps at least one pod (startup places one, and the HPA floor is one replica)"
+        )]
         let Some(pick) = soonest_start(now, pods) else {
-            // lint::allow(no_panic): every deployment keeps at least one pod (startup places one, and the HPA floor is one replica)
             panic!(
                 "deployment {} has no pods",
                 self.cluster.deployment_name(id)

@@ -71,11 +71,14 @@ pub struct ServingPlan {
 
 impl ServingPlan {
     /// The dense (or monolithic) orchestrating shard.
+    #[expect(
+        clippy::expect_used,
+        reason = "plan builders always emit a frontend shard before embedding shards"
+    )]
     pub fn frontend(&self) -> &ShardSpec {
         self.shards
             .iter()
             .find(|s| !s.role.is_embedding())
-            // lint::allow(no_panic): plan builders always emit a frontend shard before embedding shards
             .expect("every plan has a frontend shard")
     }
 

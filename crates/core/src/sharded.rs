@@ -211,6 +211,10 @@ impl ShardedDlrm {
     /// Panics if the query addresses a different number of tables than the
     /// model has, or if a lookup id is not a row of its table. An id out of
     /// range panics at its route-word load, before any shard is touched.
+    #[expect(
+        clippy::expect_used,
+        reason = "pooled and partial are both (num_inputs x dim) by construction"
+    )]
     pub fn forward_ws<'w>(&self, query: &QueryBatch, ws: &'w mut ForwardWorkspace) -> &'w Matrix {
         self.check_query(query);
         let tables = query.lookups.len();
@@ -236,7 +240,6 @@ impl ShardedDlrm {
                 );
                 ws.pooled[t]
                     .add_assign(&ws.partial)
-                    // lint::allow(no_panic): pooled and partial are both (num_inputs x dim) by construction
                     .expect("shapes match by construction");
             }
         }

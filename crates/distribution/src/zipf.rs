@@ -135,6 +135,10 @@ impl ZipfDistribution {
             cum.push(acc);
         }
         // Normalize away accumulation error so the last entry is exactly 1.
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects n == 0, so the table has a last entry"
+        )]
         let last = *cum.last().expect("n > 0");
         for c in &mut cum {
             *c /= last;

@@ -10,12 +10,8 @@
 /// workspace-relative with forward slashes; matching is by prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
-    /// Deterministic-execution paths: `HashMap`/`HashSet` iteration is
-    /// banned here. (The wall-clock, environment and thread-local bans
-    /// hold everywhere, through `clippy.toml`.)
-    pub deterministic: Vec<String>,
-    /// Serving hot-path crates: `unwrap`/`expect`/`panic!` are banned in
-    /// non-test library code here.
+    /// Serving hot-path crates: ad-hoc `f32` reductions
+    /// (`float_reduction`) are banned in non-test library code here.
     pub serving: Vec<String>,
     /// Blessed kernel modules: the only places allowed to spell out raw
     /// `f32` reductions (everything else goes through `er_tensor::reduce`).
@@ -38,7 +34,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Self {
-            deterministic: strs(&["crates/sim/src", "crates/core/src", "crates/partition/src"]),
             serving: strs(&[
                 "crates/tensor/src",
                 "crates/model/src",
@@ -104,7 +99,6 @@ impl Config {
             let items = parse_string_array(value.trim())
                 .ok_or_else(|| format!("er-lint.toml line {}: expected a string array", i + 1))?;
             match key.trim() {
-                "deterministic" => cfg.deterministic = items,
                 "serving" => cfg.serving = items,
                 "blessed_kernels" => cfg.blessed_kernels = items,
                 "units" => cfg.units = items,
@@ -151,23 +145,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_covers_the_deterministic_crates() {
-        let cfg = Config::default();
-        assert!(Config::in_paths(
-            "crates/sim/src/time.rs",
-            &cfg.deterministic
-        ));
-        assert!(Config::in_paths(
-            "crates/core/src/engine.rs",
-            &cfg.deterministic
-        ));
-        assert!(!Config::in_paths(
-            "crates/metrics/src/qps.rs",
-            &cfg.deterministic
-        ));
-    }
-
-    #[test]
     fn prefix_match_is_per_component() {
         let p = vec!["crates/sim/src".to_string()];
         assert!(Config::in_paths("crates/sim/src/rng.rs", &p));
@@ -177,11 +154,11 @@ mod tests {
 
     #[test]
     fn toml_overrides_one_key_and_keeps_the_rest() {
-        let cfg = Config::from_toml_str("# comment\n[paths]\nderministic_typo = []");
+        let cfg = Config::from_toml_str("# comment\n[paths]\nserveing_typo = []");
         assert!(cfg.is_err());
-        let cfg = Config::from_toml_str("deterministic = [\"x/y\"]").unwrap();
-        assert_eq!(cfg.deterministic, vec!["x/y".to_string()]);
-        assert_eq!(cfg.serving, Config::default().serving);
+        let cfg = Config::from_toml_str("serving = [\"x/y\"]").unwrap();
+        assert_eq!(cfg.serving, vec!["x/y".to_string()]);
+        assert_eq!(cfg.units, Config::default().units);
     }
 
     #[test]

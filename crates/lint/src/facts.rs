@@ -2,7 +2,7 @@
 //!
 //! The whole-workspace passes ([`crate::graph`]) operate on *facts*, not
 //! token streams: every function a file defines (with its call sites and
-//! panic / allocation sites), every `use` declaration
+//! allocation sites), every `use` declaration
 //! (including `pub use` re-exports and globs), every `lint::allow` marker,
 //! and the file's per-file rule diagnostics computed *before* marker
 //! suppression (so the unused-marker pass can tell which markers earned
@@ -12,29 +12,18 @@ use crate::config::Config;
 use crate::lexer::TokenKind;
 use crate::rules::{rules_pass, Diagnostic, FileContext};
 
-/// What kind of site a [`Site`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// `.unwrap()` / `.expect(..)` / `panic!`-family — feeds `no_panic`.
-    Panic,
-    /// A heap-allocation shape (`Vec::new`, `vec!`, `Box::new`,
-    /// `String::from`, `.clone()`, `.collect()`, `.to_vec()`) — feeds
-    /// `hot_alloc`.
-    Alloc,
-}
-
-/// One interesting token site inside a function body.
+/// One allocation site inside a function body: a heap-allocation shape
+/// (`Vec::new`, `vec!`, `Box::new`, `String::from`, `.clone()`,
+/// `.collect()`, `.to_vec()`) that feeds `hot_alloc`.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// What the site feeds.
-    pub kind: SiteKind,
     /// 1-based line of the site.
     pub line: u32,
     /// 1-based column of the site.
     pub col: u32,
-    /// What the site spells, for the message (`` `.unwrap()` ``).
+    /// What the site spells, for the message (`` `Vec::new` ``).
     pub what: String,
-    /// Blessed by a `lint::allow(<rule>)` marker covering the site.
+    /// Blessed by a `lint::allow(hot_alloc)` marker covering the site.
     pub suppressed: bool,
 }
 
@@ -65,9 +54,7 @@ pub struct FnFact {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Declared with a bare `pub` (scoped `pub(..)` counts as private).
-    pub is_pub: bool,
-    /// Panic / alloc sites inside the body, in token order.
+    /// Allocation sites inside the body, in token order.
     pub sites: Vec<Site>,
     /// Outgoing calls, in token order (duplicates preserved — each call
     /// site carries its own position and suppression state).
@@ -133,24 +120,6 @@ const NON_CALL_KEYWORDS: [&str; 14] = [
     "if", "while", "for", "match", "return", "loop", "fn", "as", "in", "move", "let", "else",
     "break", "continue",
 ];
-
-/// True when the token before the `fn` keyword at `fn_ci` (skipping
-/// `const`/`async`/`unsafe`/`extern "abi"` qualifiers) is a bare `pub`.
-/// `pub(crate)`/`pub(super)` end on `)` and correctly read as private.
-fn is_pub_fn(ctx: &FileContext<'_>, fn_ci: usize) -> bool {
-    let mut j = fn_ci;
-    while j >= 1 {
-        let prev_kind = ctx.kind(j - 1);
-        let qualifier = prev_kind == TokenKind::Literal
-            || (prev_kind == TokenKind::Ident
-                && matches!(ctx.text(j - 1), "const" | "async" | "unsafe" | "extern"));
-        if !qualifier {
-            break;
-        }
-        j -= 1;
-    }
-    j >= 1 && ctx.is_ident(j - 1, "pub")
-}
 
 /// Extracts all facts from one lexed file: runs the per-file rules
 /// (pre-suppression) and walks the token stream once for function
@@ -234,7 +203,6 @@ fn extract_fns_and_imports(ctx: &FileContext<'_>, facts: &mut FileFacts) {
             fns.push(FnFact {
                 name: ctx.text(ci + 1).to_string(),
                 line: tok.line,
-                is_pub: is_pub_fn(ctx, ci),
                 sites: Vec::new(),
                 calls: Vec::new(),
             });
@@ -265,8 +233,8 @@ fn extract_fns_and_imports(ctx: &FileContext<'_>, facts: &mut FileFacts) {
         .collect();
 }
 
-/// Classifies one in-body code token: panic site, alloc site, and/or a
-/// call reference on `cur`.
+/// Classifies one in-body code token: alloc site and/or a call reference
+/// on `cur`.
 fn scan_body_token(ctx: &FileContext<'_>, ci: usize, cur: &mut FnFact) {
     let n = ctx.code.len();
     if ctx.kind(ci) != TokenKind::Ident {
@@ -276,25 +244,14 @@ fn scan_body_token(ctx: &FileContext<'_>, ci: usize, cur: &mut FnFact) {
     let tok = *ctx.tok(ci);
     let next_is = |k: TokenKind| ci + 1 < n && ctx.kind(ci + 1) == k;
     let prev_is_dot = ci >= 1 && ctx.kind(ci - 1) == TokenKind::Punct('.');
-    let mut site = |kind: SiteKind, what: String, rule: &str| {
+    let mut site = |what: String| {
         cur.sites.push(Site {
-            kind,
             line: tok.line,
             col: tok.col,
             what,
-            suppressed: ctx.suppressed(tok.line, rule),
+            suppressed: ctx.suppressed(tok.line, "hot_alloc"),
         });
     };
-
-    // Panic sites: the `no_panic` shapes. The graph pass reports the
-    // ones reachable from a public serving fn.
-    if (t == "unwrap" || t == "expect") && prev_is_dot && next_is(TokenKind::Punct('(')) {
-        site(SiteKind::Panic, format!("`.{t}()`"), "no_panic");
-    } else if (t == "panic" || t == "todo" || t == "unimplemented")
-        && next_is(TokenKind::Punct('!'))
-    {
-        site(SiteKind::Panic, format!("`{t}!`"), "no_panic");
-    }
 
     // Alloc sites — exactly the documented shapes (see DESIGN §9): the
     // grow-only `resize`/`extend`/`with_capacity` family is deliberately
@@ -307,17 +264,17 @@ fn scan_body_token(ctx: &FileContext<'_>, ci: usize, cur: &mut FnFact) {
     {
         let m = ctx.text(ci + 2);
         if ((t == "Vec" || t == "Box") && m == "new") || (t == "String" && m == "from") {
-            site(SiteKind::Alloc, format!("`{t}::{m}`"), "hot_alloc");
+            site(format!("`{t}::{m}`"));
         }
     } else if t == "vec" && next_is(TokenKind::Punct('!')) {
-        site(SiteKind::Alloc, "`vec!`".to_string(), "hot_alloc");
+        site("`vec!`".to_string());
     } else if prev_is_dot && (t == "clone" || t == "collect" || t == "to_vec") {
         // `.clone()` / `.to_vec()` need the call parens; `.collect` may
         // carry a turbofish first.
         let called =
             next_is(TokenKind::Punct('(')) || (t == "collect" && next_is(TokenKind::PathSep));
         if called {
-            site(SiteKind::Alloc, format!("`.{t}()`"), "hot_alloc");
+            site(format!("`.{t}()`"));
         }
     }
 
@@ -559,12 +516,7 @@ fn f() {
 }
 ";
         let f = facts("crates/core/src/x.rs", src);
-        let allocs: Vec<u32> = f.fns[0]
-            .sites
-            .iter()
-            .filter(|s| s.kind == SiteKind::Alloc)
-            .map(|s| s.line)
-            .collect();
+        let allocs: Vec<u32> = f.fns[0].sites.iter().map(|s| s.line).collect();
         assert_eq!(allocs, vec![2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -572,14 +524,7 @@ fn f() {
     fn vec_new_as_a_bare_function_reference_is_still_a_site() {
         let src = "fn f(out: &mut Vec<Vec<u32>>) { out.resize_with(4, Vec::new); }";
         let f = facts("crates/core/src/x.rs", src);
-        assert_eq!(
-            f.fns[0]
-                .sites
-                .iter()
-                .filter(|s| s.kind == SiteKind::Alloc)
-                .count(),
-            1
-        );
+        assert_eq!(f.fns[0].sites.len(), 1);
     }
 
     #[test]
@@ -593,12 +538,7 @@ fn f() {
 }
 ";
         let f = facts("crates/core/src/x.rs", src);
-        let site = f.fns[0]
-            .sites
-            .iter()
-            .find(|s| s.kind == SiteKind::Alloc)
-            .unwrap();
-        assert!(site.suppressed);
+        assert!(f.fns[0].sites[0].suppressed);
         // The marker covers lines 2-3 only; the call on line 4 is live.
         let grow = f.fns[0]
             .calls

@@ -10,17 +10,18 @@
 //!
 //! | rule | scope | catches |
 //! |------|-------|---------|
-//! | `hashmap_iter` | deterministic paths | iteration over `HashMap`/`HashSet` bindings |
-//! | `no_panic` | serving hot path | panics *reachable through the call graph* from a public serving fn |
 //! | `float_reduction` | serving minus blessed kernels | ad-hoc `sum::<f32>` / `product::<f32>` |
 //! | `unit_mixing` | er-units adopter files | raw-f64 arithmetic on resource-named symbols |
 //! | `hot_alloc` | warm serving entries | allocation sites *reachable through the call graph* |
 //! | `unused_allow` | every file | markers that suppress nothing; every marker in a test, bench, example or binary file |
 //!
 //! er-lint keeps only the checks rustc and clippy cannot make. The
-//! wall-clock, environment and thread-local bans live in the workspace
-//! `clippy.toml`, and ambient RNG and `static mut` do not compile here
-//! (the `rand` stub exports no entropy source; `unsafe_code` is denied).
+//! wall-clock, environment, thread-local and `HashMap`/`HashSet` bans live
+//! in the workspace `clippy.toml`; every library crate root denies
+//! `unwrap`, `expect`, `panic!`, `todo!` and `unimplemented!` through
+//! clippy's restriction lints; and ambient RNG and `static mut` do not
+//! compile here (the `rand` stub exports no entropy source; `unsafe_code`
+//! is denied).
 //!
 //! Scopes are path prefixes configured in `er-lint.toml` (see
 //! [`Config`]); intentional exceptions carry a
@@ -30,14 +31,13 @@
 //! The analysis is one pass over the whole workspace. [`check_file`]
 //! runs the per-file token rules over one lexed file. The fact extractor
 //! ([`facts`]) records those diagnostics before marker suppression, plus
-//! every function, call, panic / allocation site and `use` declaration.
+//! every function, call, allocation site and `use` declaration.
 //! [`check_workspace`] resolves the facts of every file into one
 //! inter-crate call graph ([`resolve`]) and runs the graph rules over it
-//! ([`graph`]): cross-crate `no_panic`, `hot_alloc` (the warm serving
-//! fast path reaches no allocation site; entries configured via
-//! `hot_alloc_entries`, cross-checked against the dynamic `alloc-count`
-//! test), and an `unused_allow` audit for markers that no longer suppress
-//! anything. Graph diagnostics carry the full call chain from the entry
+//! ([`graph`]): `hot_alloc` (the warm serving fast path reaches no
+//! allocation site; entries configured via `hot_alloc_entries`,
+//! cross-checked against the dynamic `alloc-count` test), and an
+//! `unused_allow` audit for markers that no longer suppress anything. Graph diagnostics carry the full call chain from the entry
 //! point to the offending site — crate-qualified where the chain crosses
 //! crates.
 //!
@@ -53,16 +53,25 @@
 //! let diags = check_file(&ctx, &cfg);
 //! assert_eq!(diags[0].rule, "float_reduction");
 //!
-//! // `no_panic` follows calls, so it needs the workspace pass.
-//! let src = "pub fn serve(x: Option<u32>) -> u32 { x.unwrap() }";
-//! let facts = [extract_facts(&FileContext::new("crates/rpc/src/lib.rs", src), &cfg)];
+//! // `hot_alloc` follows calls, so it needs the workspace pass.
+//! let src = "pub fn forward_ws(n: usize) -> usize { grow(n) }
+//!            fn grow(n: usize) -> usize { vec![0u8; n].len() }";
+//! let facts = [extract_facts(&FileContext::new("crates/core/src/fast.rs", src), &cfg)];
 //! let diags = check_workspace(&facts, &cfg);
-//! assert_eq!(diags[0].rule, "no_panic");
-//! assert_eq!(diags[0].chain, ["serve"]);
+//! assert_eq!(diags[0].rule, "hot_alloc");
+//! assert_eq!(diags[0].chain, ["forward_ws", "grow"]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations, unreachable_pub, missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod config;
 pub mod facts;

@@ -543,7 +543,10 @@ mod tests {
     use crate::facts::extract_facts;
     use crate::rules::FileContext;
 
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a test helper returning facts and resolved edges side by side"
+    )]
     fn build(files: &[(&str, &str)]) -> (Vec<FileFacts>, Vec<(String, String, Vec<String>)>) {
         let cfg = Config::default();
         let facts: Vec<FileFacts> = files

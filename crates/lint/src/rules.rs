@@ -1,5 +1,5 @@
-//! The rule engine: determinism and hot-path hygiene checks over the
-//! token stream.
+//! The rule engine: float-reduction order and unit-mixing checks over
+//! the token stream.
 //!
 //! Rules are shape matchers over [`crate::lexer`] tokens, scoped by path
 //! class (see [`Config`]) and aware of two escape hatches:
@@ -17,9 +17,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 
 /// Every rule the engine can emit, in stable summary order. This is also
 /// the vocabulary `lint::allow(..)` markers are validated against.
-pub const RULES: [&str; 6] = [
-    "hashmap_iter",
-    "no_panic",
+pub const RULES: [&str; 4] = [
     "float_reduction",
     "unit_mixing",
     "hot_alloc",
@@ -39,8 +37,8 @@ pub struct Diagnostic {
     pub rule: &'static str,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
-    /// For call-graph rules, the function chain from the public entry
-    /// point to the function containing the match (`["serve", "helper",
+    /// For `hot_alloc`, the function chain from the hot entry point to
+    /// the function containing the match (`["forward_ws", "helper",
     /// "inner"]`). Empty for per-file token rules.
     pub chain: Vec<String>,
 }
@@ -286,7 +284,10 @@ fn test_regions(tokens: &[Token], src: &str) -> Vec<bool> {
 /// line above the exception it blesses. Also returns the raw occurrence
 /// list `(line, col, rule)` — minus doc comments, which merely *document*
 /// the marker syntax — for the unused-marker audit.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "the line map and the raw list are built in one walk"
+)]
 fn allow_markers(
     tokens: &[Token],
     src: &str,
@@ -332,8 +333,8 @@ pub fn is_test_or_tool_path(path: &str) -> bool {
 }
 
 /// Runs every applicable per-file rule over one file and drops the
-/// matches an allow marker blesses. The call-graph rules (`no_panic`,
-/// `hot_alloc`, `unused_allow`) need the whole workspace;
+/// matches an allow marker blesses. The call-graph rules (`hot_alloc`,
+/// `unused_allow`) need the whole workspace;
 /// [`crate::graph::check_workspace`] runs them.
 pub fn check_file(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
     let mut out = rules_pass(ctx, cfg);
@@ -351,9 +352,6 @@ pub(crate) fn rules_pass(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic>
         return out;
     }
     let blessed = Config::in_paths(&ctx.path, &cfg.blessed_kernels);
-    if Config::in_paths(&ctx.path, &cfg.deterministic) {
-        hashmap_iter(ctx, &mut out);
-    }
     if Config::in_paths(&ctx.path, &cfg.serving) && !blessed {
         float_reduction(ctx, &mut out);
     }
@@ -379,107 +377,6 @@ fn push(
         message: msg,
         chain: Vec::new(),
     });
-}
-
-/// `hashmap_iter`: iteration over `HashMap`/`HashSet` bindings in
-/// deterministic paths — iteration order varies run to run; use
-/// `BTreeMap`/`BTreeSet` or sort keys first.
-fn hashmap_iter(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    const ITERS: [&str; 9] = [
-        "iter",
-        "iter_mut",
-        "keys",
-        "values",
-        "values_mut",
-        "into_iter",
-        "drain",
-        "retain",
-        "extend",
-    ];
-    // Pass 1: names declared with a HashMap/HashSet type or initializer.
-    let mut tracked: BTreeSet<String> = BTreeSet::new();
-    for ci in 0..ctx.code.len() {
-        let t = ctx.text(ci);
-        if ctx.kind(ci) != TokenKind::Ident || (t != "HashMap" && t != "HashSet") {
-            continue;
-        }
-        // Walk back over a path prefix (`std::collections::`).
-        let mut head = ci;
-        while head >= 2
-            && ctx.kind(head - 1) == TokenKind::PathSep
-            && ctx.kind(head - 2) == TokenKind::Ident
-        {
-            head -= 2;
-        }
-        if head == 0 {
-            continue;
-        }
-        match ctx.kind(head - 1) {
-            // `name: HashMap<..>` (field or let with type annotation).
-            TokenKind::Punct(':') if head >= 2 && ctx.kind(head - 2) == TokenKind::Ident => {
-                tracked.insert(ctx.text(head - 2).to_string());
-            }
-            // `let [mut] name = HashMap::new()`.
-            TokenKind::Punct('=') if head >= 2 && ctx.kind(head - 2) == TokenKind::Ident => {
-                tracked.insert(ctx.text(head - 2).to_string());
-            }
-            _ => {}
-        }
-    }
-    if tracked.is_empty() {
-        return;
-    }
-    // Pass 2: iteration over a tracked name.
-    for ci in 0..ctx.code.len() {
-        if ctx.is_test_token(ci) || ctx.kind(ci) != TokenKind::Ident {
-            continue;
-        }
-        let name = ctx.text(ci);
-        if !tracked.contains(name) {
-            continue;
-        }
-        // `name.iter()` and friends.
-        if ci + 2 < ctx.code.len()
-            && ctx.kind(ci + 1) == TokenKind::Punct('.')
-            && ctx.kind(ci + 2) == TokenKind::Ident
-            && ITERS.contains(&ctx.text(ci + 2))
-        {
-            push(
-                out,
-                ctx,
-                ci,
-                "hashmap_iter",
-                format!(
-                    "iterating `{name}` (a HashMap/HashSet) via `.{}()` is order-nondeterministic; use BTreeMap/BTreeSet or walk sorted keys",
-                    ctx.text(ci + 2)
-                ),
-            );
-            continue;
-        }
-        // `for x in [&[mut]] [self.]name` — the name must end the loop
-        // header expression (next token opens the body or punctuates).
-        let mut j = ci;
-        while j >= 1 {
-            match ctx.kind(j - 1) {
-                TokenKind::Punct('&') | TokenKind::Punct('.') => j -= 1,
-                TokenKind::Ident if ctx.text(j - 1) == "mut" || ctx.text(j - 1) == "self" => j -= 1,
-                _ => break,
-            }
-        }
-        if j >= 1
-            && ctx.is_ident(j - 1, "in")
-            && ci + 1 < ctx.code.len()
-            && ctx.kind(ci + 1) == TokenKind::Punct('{')
-        {
-            push(
-                out,
-                ctx,
-                ci,
-                "hashmap_iter",
-                format!("`for .. in {name}` iterates a HashMap/HashSet in nondeterministic order; use BTreeMap/BTreeSet or walk sorted keys"),
-            );
-        }
-    }
 }
 
 /// `float_reduction`: explicit `sum::<f32>` / `product::<f32>` outside the
@@ -775,14 +672,6 @@ mod tests {
         check_file(&ctx, &Config::default())
     }
 
-    /// The same source linted as a one-file workspace, so the call-graph
-    /// rules (`no_panic` among them) run too.
-    fn check_ws(path: &str, src: &str) -> Vec<Diagnostic> {
-        let cfg = Config::default();
-        let facts = crate::facts::extract_facts(&FileContext::new(path, src), &cfg);
-        crate::graph::check_workspace(&[facts], &cfg)
-    }
-
     #[test]
     fn float_reduction_fires_with_position_and_skips_comments() {
         let d = check(
@@ -810,68 +699,6 @@ let b = xs.iter().sum::<f32>();
     }
 
     #[test]
-    fn no_panic_fires_on_unwrap_expect_panic_only() {
-        let src = "\
-pub fn f(x: Option<u32>) -> u32 {
-    let a = x.unwrap();
-    let b = x.expect(\"msg\");
-    let c = x.unwrap_or(0);
-    if a + b + c == 0 { panic!(\"boom\"); }
-    a
-}
-";
-        let d = check_ws("crates/rpc/src/balancer.rs", src);
-        let rules: Vec<_> = d.iter().map(|x| (x.rule, x.line)).collect();
-        assert_eq!(
-            rules,
-            vec![("no_panic", 2), ("no_panic", 3), ("no_panic", 5)]
-        );
-    }
-
-    #[test]
-    fn no_panic_skips_cfg_test_modules() {
-        let src = "\
-pub fn ok() -> u32 { 1 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    pub fn t() {
-        let x: Option<u32> = None;
-        x.unwrap();
-        panic!(\"fine in tests\");
-    }
-}
-";
-        assert!(check_ws("crates/core/src/sharded.rs", src).is_empty());
-    }
-
-    #[test]
-    fn no_panic_skips_test_bench_example_and_bin_files() {
-        let src = "pub fn main() { None::<u32>.unwrap(); }";
-        assert!(check_ws("crates/core/src/bin/elasticrec.rs", src).is_empty());
-        assert!(check_ws("crates/core/tests/it.rs", src).is_empty());
-        assert!(check_ws("crates/model/benches/b.rs", src).is_empty());
-    }
-
-    #[test]
-    fn hashmap_iteration_is_flagged_lookups_are_not() {
-        let src = "\
-use std::collections::HashMap;
-struct S { pod_free: HashMap<u64, f64> }
-impl S {
-    fn ok(&self) -> Option<&f64> { self.pod_free.get(&1) }
-    fn bad(&self) -> usize { self.pod_free.iter().count() }
-    fn bad2(&self) { for kv in &self.pod_free { let _ = kv; } }
-}
-";
-        let d = check("crates/core/src/engine.rs", src);
-        let lines: Vec<_> = d.iter().map(|x| x.line).collect();
-        assert_eq!(lines, vec![5, 6], "{d:?}");
-        assert!(d.iter().all(|x| x.rule == "hashmap_iter"));
-    }
-
-    #[test]
     fn float_reduction_fires_outside_blessed_kernels_only() {
         let src = "fn f(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }";
         assert_eq!(check("crates/model/src/interaction.rs", src).len(), 1);
@@ -883,8 +710,8 @@ impl S {
 
     #[test]
     fn strings_and_raw_strings_never_match_rules() {
-        let src = r##"pub fn f() -> &'static str { r#"sum::<f32>() .unwrap() panic!"# }"##;
-        assert!(check_ws("crates/core/src/engine.rs", src).is_empty());
+        let src = r##"pub fn f() -> &'static str { r#"sum::<f32>() shard_bytes + dense_flops"# }"##;
+        assert!(check("crates/model/src/flops.rs", src).is_empty());
     }
 
     #[test]
@@ -944,15 +771,50 @@ fn f(a_bytes: Bytes, b_bytes: Bytes, gathers: f64) -> Bytes {
     }
 
     #[test]
+    fn float_reduction_skips_cfg_test_modules() {
+        let src = "\
+pub fn ok() -> u32 { 1 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    pub fn t() {
+        let xs = [1.0f32, 2.0];
+        let _ = xs.iter().sum::<f32>();
+    }
+}
+";
+        assert!(check("crates/core/src/sharded.rs", src).is_empty());
+    }
+
+    #[test]
+    fn float_reduction_skips_test_bench_example_and_bin_files() {
+        let src = "pub fn main() { let _ = [1.0f32].iter().sum::<f32>(); }";
+        assert_eq!(check("crates/core/src/sharded.rs", src).len(), 1);
+        assert!(check("crates/core/src/bin/elasticrec.rs", src).is_empty());
+        assert!(check("crates/core/tests/it.rs", src).is_empty());
+        assert!(check("crates/model/benches/b.rs", src).is_empty());
+        assert!(check("crates/model/examples/e.rs", src).is_empty());
+    }
+
+    #[test]
     fn cfg_test_fn_item_is_exempt_not_the_rest_of_the_file() {
         let src = "\
 #[cfg(test)]
-pub fn helper(x: Option<u32>) -> u32 { x.unwrap() }
+pub fn helper(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }
 
-pub fn hot(x: Option<u32>) -> u32 { x.unwrap() }
+pub fn hot(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let _ = [1.0f32].iter().sum::<f32>();
+    }
+}
 ";
-        let d = check_ws("crates/core/src/planning.rs", src);
-        assert_eq!(d.len(), 1);
+        let d = check("crates/core/src/planning.rs", src);
+        assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 4);
     }
 }

@@ -32,16 +32,24 @@ fn any_violation_fails_the_run_and_a_clean_workspace_passes() {
     let root = workspace("gate");
     let lib = root.join("crates/rpc/src/lib.rs");
 
-    std::fs::write(&lib, "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n").expect("write");
+    std::fs::write(
+        &lib,
+        "pub fn f(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }\n",
+    )
+    .expect("write");
     let out = er_lint(&["--format", "json"], &root);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
-        "an unwrap in a pub serving fn must fail"
+        "an ad-hoc f32 reduction in a serving file must fail"
     );
-    assert!(stdout.contains("\"rule\": \"no_panic\""), "{stdout}");
+    assert!(stdout.contains("\"rule\": \"float_reduction\""), "{stdout}");
 
-    std::fs::write(&lib, "pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n").expect("write");
+    std::fs::write(
+        &lib,
+        "pub fn f(xs: &[f32]) -> f32 { xs.iter().sum::<f64>() as f32 }\n",
+    )
+    .expect("write");
     let out = er_lint(&["--format", "json"], &root);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");

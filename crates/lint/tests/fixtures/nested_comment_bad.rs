@@ -2,7 +2,7 @@
 //! scanner closes the comment at the first `*/` and reads the bait as
 //! code; the real violation comes after the (fully closed) comment.
 
-/* outer /* inner bait: x.unwrap() and panic!("no") */ still commented */
-pub fn serve(x: Option<u32>) -> u32 {
-    x.unwrap()
+/* outer /* inner */ bait: xs.iter().sum::<f32>() still commented */
+pub fn pool(xs: &[f32]) -> f32 {
+    xs.iter().sum::<f32>()
 }

@@ -1,12 +1,12 @@
 //! Fixture: raw strings must not derail the lexer. The literal below
 //! contains a `"#` that would fool naive hash matching, plus bait
-//! (`Instant::now()`, `.unwrap()`) that must NOT be reported — while the
-//! real `.unwrap()` after it MUST be.
+//! (`sum::<f32>()`) that must NOT be reported — while the real
+//! `sum::<f32>()` after it MUST be.
 
 pub fn template() -> &'static str {
-    r##"bait: Instant::now() and x.unwrap() — note this "quote"# stays inside"##
+    r##"bait: xs.iter().sum::<f32>() — note this "quote"# stays inside"##
 }
 
-pub fn serve(x: Option<u32>) -> u32 {
-    x.unwrap()
+pub fn pool(xs: &[f32]) -> f32 {
+    xs.iter().sum::<f32>()
 }

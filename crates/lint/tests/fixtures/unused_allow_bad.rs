@@ -1,9 +1,9 @@
 //! Fixture: stale and unknown suppression markers that the workspace
 //! `unused_allow` audit must flag.
 
-// lint::allow(no_panic): the unwrap this blessed was removed long ago
-pub fn tidy(x: u32) -> u32 {
-    x + 1
+// lint::allow(float_reduction): the reduction this blessed was removed long ago
+pub fn tidy(x: f32) -> f32 {
+    x + 1.0
 }
 
 // lint::allow(not_a_rule): typo'd rule names must not rot silently
@@ -11,7 +11,7 @@ pub fn renamed(x: u32) -> u32 {
     x + 2
 }
 
-pub fn live(x: Option<u32>) -> u32 {
-    // lint::allow(no_panic): fixture-blessed unwrap stays suppressed
-    x.unwrap()
+pub fn live(xs: &[f32]) -> f32 {
+    // lint::allow(float_reduction): fixture-blessed reduction stays suppressed
+    xs.iter().sum::<f32>()
 }

@@ -1,8 +1,8 @@
 //! Per-rule fixture tests: each fixture file is lexed and checked exactly
 //! as the `er-lint` binary would, under a path class that activates the
 //! rule in question, and must produce exactly the expected diagnostics.
-//! The last test guards the ambient-input bans that live in
-//! `clippy.toml` instead of er-lint.
+//! The last test guards the bans that live in `clippy.toml` and the
+//! crate roots instead of er-lint.
 
 use er_lint::facts::extract_facts;
 use er_lint::{check_file, check_workspace, render_json, Config, Diagnostic, FileContext};
@@ -14,7 +14,7 @@ fn check(path_class: &str, src: &str) -> Vec<Diagnostic> {
 }
 
 /// The same source checked as a one-file workspace, so the call-graph
-/// rules (`no_panic` among them) run too.
+/// rules (`unused_allow` among them) run too.
 fn check_graph(path_class: &str, src: &str) -> Vec<Diagnostic> {
     check_graph_files(&[(path_class, src)])
 }
@@ -32,38 +32,6 @@ fn check_graph_files(files: &[(&str, &str)]) -> Vec<Diagnostic> {
 
 fn rules_and_lines(diags: &[Diagnostic]) -> Vec<(&'static str, u32)> {
     diags.iter().map(|d| (d.rule, d.line)).collect()
-}
-
-#[test]
-fn hashmap_iter_fixture_flags_iteration_not_lookup() {
-    let src = include_str!("fixtures/hashmap_iter_bad.rs");
-    let diags = check("crates/sim/src/hashmap_iter_bad.rs", src);
-    assert_eq!(
-        rules_and_lines(&diags),
-        vec![
-            ("hashmap_iter", 12),
-            ("hashmap_iter", 16),
-            ("hashmap_iter", 30)
-        ],
-        "{diags:#?}"
-    );
-    // Diagnostics carry file:line:col and the rule name — the format the
-    // CI gate greps for.
-    assert!(diags[0]
-        .to_string()
-        .starts_with("crates/sim/src/hashmap_iter_bad.rs:12:"));
-    assert!(diags[0].to_string().contains("[hashmap_iter]"));
-}
-
-#[test]
-fn no_panic_fixture_flags_library_code_not_tests() {
-    let src = include_str!("fixtures/no_panic_bad.rs");
-    let diags = check_graph("crates/rpc/src/no_panic_bad.rs", src);
-    assert_eq!(
-        rules_and_lines(&diags),
-        vec![("no_panic", 4), ("no_panic", 5), ("no_panic", 7)],
-        "{diags:#?}"
-    );
 }
 
 #[test]
@@ -97,21 +65,48 @@ fn quant_dequant_fixture_flags_unblessed_dequant_loops() {
 
 #[test]
 fn fixtures_are_clean_when_classed_as_test_files() {
-    // The same sources under tests/ or benches/ raise nothing: no rule
-    // runs in test, bench, example or binary files.
-    let src = include_str!("fixtures/no_panic_bad.rs");
-    assert!(check_graph("crates/rpc/tests/no_panic_bad.rs", src).is_empty());
+    // The same sources under tests/, benches/, examples/ or bin/ raise
+    // nothing: no rule runs in test, bench, example or binary files.
     let src = include_str!("fixtures/float_reduction_bad.rs");
-    assert!(check("crates/model/benches/float_reduction_bad.rs", src).is_empty());
+    for class in [
+        "crates/model/tests/float_reduction_bad.rs",
+        "crates/model/benches/float_reduction_bad.rs",
+        "crates/model/examples/float_reduction_bad.rs",
+        "crates/model/src/bin/float_reduction_bad.rs",
+    ] {
+        assert!(check(class, src).is_empty(), "{class}");
+    }
+    let diags = check_graph_files(&[
+        (
+            "crates/core/tests/entry.rs",
+            include_str!("fixtures/hot_alloc_entry.rs"),
+        ),
+        (
+            "crates/tensor/tests/scratch.rs",
+            include_str!("fixtures/hot_alloc_bad.rs"),
+        ),
+    ]);
+    assert!(diags.is_empty(), "{diags:#?}");
 }
 
 #[test]
 fn config_override_can_extend_a_scope() {
-    let src = include_str!("fixtures/hashmap_iter_bad.rs");
-    let ctx = FileContext::new("crates/metrics/src/qps.rs", src);
-    assert!(check_file(&ctx, &Config::default()).is_empty());
-    let cfg = Config::from_toml_str("deterministic = [\"crates/metrics/src\"]").unwrap();
-    assert_eq!(check_file(&ctx, &cfg).len(), 3);
+    // `grow_scratch` is no default hot entry; naming it in the config
+    // makes its allocation a finding.
+    let src = include_str!("fixtures/hot_alloc_bad.rs");
+    let facts = [extract_facts(
+        &FileContext::new("crates/tensor/src/scratch.rs", src),
+        &Config::default(),
+    )];
+    assert!(check_workspace(&facts, &Config::default()).is_empty());
+    let cfg = Config::from_toml_str("hot_alloc_entries = [\"grow_scratch\"]").unwrap();
+    let diags = check_workspace(&facts, &cfg);
+    assert_eq!(
+        rules_and_lines(&diags),
+        vec![("hot_alloc", 6)],
+        "{diags:#?}"
+    );
+    assert_eq!(diags[0].chain, vec!["grow_scratch"]);
 }
 
 #[test]
@@ -168,40 +163,25 @@ fn unit_mixing_qps_latency_fixture_flags_the_littles_law_product() {
 }
 
 #[test]
-fn panic_reach_fixture_reports_the_cross_function_chain() {
-    let src = include_str!("fixtures/panic_reach_bad.rs");
-    let diags = check_graph("crates/rpc/src/panic_reach_bad.rs", src);
-    assert_eq!(
-        rules_and_lines(&diags),
-        vec![("no_panic", 15)],
-        "{diags:#?}"
-    );
-    assert_eq!(diags[0].chain, vec!["serve", "helper", "inner"]);
-    assert!(
-        diags[0].message.contains("serve -> helper -> inner"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn raw_string_trap_fixture_flags_the_real_unwrap_not_the_bait() {
+fn raw_string_trap_fixture_flags_the_real_reduction_not_the_bait() {
     let src = include_str!("fixtures/raw_string_trap_bad.rs");
-    let diags = check_graph("crates/rpc/src/raw_string_trap_bad.rs", src);
+    let diags = check("crates/model/src/raw_string_trap_bad.rs", src);
     assert_eq!(
         rules_and_lines(&diags),
-        vec![("no_panic", 11)],
+        vec![("float_reduction", 11)],
         "{diags:#?}"
     );
-    assert_eq!(diags[0].chain, vec!["serve"]);
 }
 
 #[test]
-fn nested_comment_fixture_flags_the_real_unwrap_not_the_bait() {
+fn nested_comment_fixture_flags_the_real_reduction_not_the_bait() {
     let src = include_str!("fixtures/nested_comment_bad.rs");
-    let diags = check_graph("crates/rpc/src/nested_comment_bad.rs", src);
-    assert_eq!(rules_and_lines(&diags), vec![("no_panic", 7)], "{diags:#?}");
-    assert_eq!(diags[0].chain, vec!["serve"]);
+    let diags = check("crates/model/src/nested_comment_bad.rs", src);
+    assert_eq!(
+        rules_and_lines(&diags),
+        vec![("float_reduction", 7)],
+        "{diags:#?}"
+    );
 }
 
 #[test]
@@ -255,37 +235,6 @@ fn hot_alloc_fixture_reports_the_cross_crate_chain_in_json() {
     );
 }
 
-#[test]
-fn xcrate_panic_fixture_reports_the_three_crate_chain_in_json() {
-    let diags = check_graph_files(&[
-        (
-            "crates/rpc/src/router.rs",
-            include_str!("fixtures/xcrate_panic_root.rs"),
-        ),
-        (
-            "crates/cluster/src/placement.rs",
-            include_str!("fixtures/xcrate_panic_mid.rs"),
-        ),
-        (
-            "crates/tensor/src/probe.rs",
-            include_str!("fixtures/xcrate_panic_bad.rs"),
-        ),
-    ]);
-    assert_eq!(rules_and_lines(&diags), vec![("no_panic", 7)], "{diags:#?}");
-    assert_eq!(diags[0].path, "crates/tensor/src/probe.rs");
-    assert_eq!(
-        diags[0].chain,
-        vec!["route", "er_cluster::choose_slot", "er_tensor::probe_len"]
-    );
-    let json = render_json(&diags);
-    assert!(
-        json.contains(
-            "\"chain\": [\"route\", \"er_cluster::choose_slot\", \"er_tensor::probe_len\"]"
-        ),
-        "{json}"
-    );
-}
-
 /// Every `*_bad.rs` fixture must be covered by an exact-expectation test
 /// above AND must produce at least one diagnostic under its designated
 /// path class — so adding a fixture without wiring its expectations fails
@@ -296,8 +245,6 @@ fn every_bad_fixture_is_wired_to_expectations() {
     // checked in the same mini-workspace as (fixture name, path class)).
     type Companions = &'static [(&'static str, &'static str)];
     let expected: &[(&str, &str, bool, usize, Companions)] = &[
-        ("hashmap_iter_bad.rs", "crates/sim/src/f.rs", false, 3, &[]),
-        ("no_panic_bad.rs", "crates/rpc/src/f.rs", true, 3, &[]),
         (
             "float_reduction_bad.rs",
             "crates/model/src/f.rs",
@@ -333,15 +280,20 @@ fn every_bad_fixture_is_wired_to_expectations() {
             3,
             &[],
         ),
-        ("panic_reach_bad.rs", "crates/rpc/src/f.rs", true, 1, &[]),
         (
             "raw_string_trap_bad.rs",
-            "crates/rpc/src/f.rs",
-            true,
+            "crates/model/src/f.rs",
+            false,
             1,
             &[],
         ),
-        ("nested_comment_bad.rs", "crates/rpc/src/f.rs", true, 1, &[]),
+        (
+            "nested_comment_bad.rs",
+            "crates/model/src/f.rs",
+            false,
+            1,
+            &[],
+        ),
         ("unused_allow_bad.rs", "crates/rpc/src/f.rs", true, 2, &[]),
         (
             "hot_alloc_bad.rs",
@@ -349,16 +301,6 @@ fn every_bad_fixture_is_wired_to_expectations() {
             true,
             1,
             &[("hot_alloc_entry.rs", "crates/core/src/entry.rs")],
-        ),
-        (
-            "xcrate_panic_bad.rs",
-            "crates/tensor/src/probe.rs",
-            true,
-            1,
-            &[
-                ("xcrate_panic_mid.rs", "crates/cluster/src/placement.rs"),
-                ("xcrate_panic_root.rs", "crates/rpc/src/router.rs"),
-            ],
         ),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -418,14 +360,17 @@ fn every_bad_fixture_is_wired_to_expectations() {
     }
 }
 
-/// The wall-clock, environment and thread-local bans live only in the
-/// workspace `clippy.toml`, which `ci.sh` enforces with `cargo clippy
-/// --workspace --all-targets -D warnings`. Dropping an entry would narrow
-/// a ban silently, so each one is pinned here.
+/// The wall-clock, environment, thread-local and `HashMap`/`HashSet`
+/// bans live only in the workspace `clippy.toml`, and the panic bans only
+/// in each library crate root's deny line; `ci.sh` enforces both with
+/// `cargo clippy --workspace --all-targets -D warnings`. Dropping an
+/// entry, or adding a crate without the deny line, would narrow a ban
+/// silently, so each one is pinned here.
 #[test]
 fn clippy_toml_keeps_every_ambient_input_ban() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../clippy.toml");
-    let text = std::fs::read_to_string(&path).expect("workspace clippy.toml readable");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text =
+        std::fs::read_to_string(root.join("clippy.toml")).expect("workspace clippy.toml readable");
     let entry = |key: &str, item: &str| {
         let section = text
             .split_once(&format!("{key} = ["))
@@ -453,4 +398,46 @@ fn clippy_toml_keeps_every_ambient_input_ban() {
         entry("disallowed-macros", "std::thread_local"),
         "clippy.toml no longer bans `std::thread_local!`"
     );
+    for ty in ["std::collections::HashMap", "std::collections::HashSet"] {
+        assert!(
+            entry("disallowed-types", ty),
+            "clippy.toml no longer bans `{ty}`"
+        );
+    }
+    // Test code may unwrap, expect and panic; library code may not.
+    for key in [
+        "allow-unwrap-in-tests",
+        "allow-expect-in-tests",
+        "allow-panic-in-tests",
+    ] {
+        assert!(
+            text.lines().any(|l| l.trim() == format!("{key} = true")),
+            "clippy.toml no longer sets `{key} = true`"
+        );
+    }
+
+    // Every library crate root denies the panic shapes, with no exception
+    // list: an intentional site carries `#[expect(clippy::..., reason)]`.
+    let deny = "#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]";
+    let mut roots = 0;
+    for dir in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let lib = dir.expect("crates/ entry").path().join("src/lib.rs");
+        let Ok(src) = std::fs::read_to_string(&lib) else {
+            continue;
+        };
+        roots += 1;
+        assert!(
+            src.contains(deny),
+            "{} lacks the crate-level panic deny line",
+            lib.display()
+        );
+    }
+    assert!(roots > 0, "no crate roots under crates/");
 }

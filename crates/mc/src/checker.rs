@@ -9,8 +9,8 @@
 //! models this crate builds, where fairness is encoded in the action
 //! guards (e.g. a tick cannot fire while a control message is undelivered).
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -184,7 +184,7 @@ pub fn check<M: Model>(model: &M, properties: &[Property<M>], bounds: Bounds) ->
     let init = model.init();
     let init_fp = fingerprint(&init);
     // fp -> how we first reached it (None for the root).
-    let mut parents: HashMap<u64, Option<(u64, M::Action)>> = HashMap::new();
+    let mut parents: BTreeMap<u64, Option<(u64, M::Action)>> = BTreeMap::new();
     parents.insert(init_fp, None);
 
     let mut frontier: VecDeque<(M::State, usize)> = VecDeque::new();
@@ -268,7 +268,7 @@ pub fn check<M: Model>(model: &M, properties: &[Property<M>], bounds: Bounds) ->
 /// forward to produce a verified trace.
 fn reconstruct<M: Model>(
     model: &M,
-    parents: &HashMap<u64, Option<(u64, M::Action)>>,
+    parents: &BTreeMap<u64, Option<(u64, M::Action)>>,
     mut fp: u64,
 ) -> Trace<M> {
     let mut actions = Vec::new();
@@ -277,6 +277,10 @@ fn reconstruct<M: Model>(
         fp = *parent;
     }
     actions.reverse();
+    #[expect(
+        clippy::expect_used,
+        reason = "every recorded parent pointer is a transition the model took"
+    )]
     let end_state = replay(model, &actions).expect("parent-pointer trace must replay");
     Trace { actions, end_state }
 }

@@ -161,7 +161,7 @@ impl CpConfig {
 }
 
 /// One deployment's slice of the control-plane state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeployCp {
     /// Node index of each scheduled pod, oldest first (`len` = replicas).
     pub pod_nodes: Vec<u8>,
@@ -194,7 +194,7 @@ impl DeployCp {
 }
 
 /// The whole control-plane state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpState {
     /// Current tick (0-based; time = `tick × TICK_SECS`).
     pub tick: u8,
@@ -488,6 +488,10 @@ impl Model for ControlPlane {
         // Every deployment starts with one warm replica, like the
         // engine's warmed-up initial deployments.
         for d in 0..self.cfg.deployments() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the built-in bounds give every deployment's first replica a node"
+            )]
             let node = self
                 .place_one(&mut state, d)
                 .expect("initial placement must fit");

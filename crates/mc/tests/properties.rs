@@ -2,7 +2,7 @@
 //! suite: every deliberately broken handler must be caught by exactly the
 //! property that owns its bug class, with a minimized trace that replays.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use er_mc::{check, control, replay, Bounds, CpAction, CpConfig, Model, Mutation};
 
@@ -90,7 +90,7 @@ fn work_on_a_starting_pod_waits_for_readiness() {
     // more requests in flight. Over every state of the smoke bound, such a
     // request must not complete before the tick that makes its pod ready.
     let model = control::ControlPlane::new(CpConfig::smoke());
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     let mut frontier = vec![model.init()];
     let mut actions = Vec::new();
     let mut queued_on_starting = 0;

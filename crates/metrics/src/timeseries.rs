@@ -98,6 +98,10 @@ impl TimeSeries {
 
     /// Value in effect at time `t`: the most recent observation at or before
     /// `t` (step interpolation), or `None` if `t` precedes the first point.
+    #[expect(
+        clippy::expect_used,
+        reason = "simulated times are never NaN; a NaN time is a caller bug"
+    )]
     pub fn value_at(&self, t: f64) -> Option<f64> {
         match self
             .points

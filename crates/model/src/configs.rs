@@ -66,8 +66,11 @@ impl ModelConfig {
     /// # Panics
     ///
     /// Panics if the model has no tables.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: configs are built with at least one table"
+    )]
     pub fn embedding_dim(&self) -> u32 {
-        // lint::allow(no_panic): documented panic: configs are built with at least one table
         self.tables.first().expect("model has tables").dim
     }
 
@@ -80,7 +83,10 @@ impl ModelConfig {
     /// bottom-MLP output concatenated with all pairwise dots among the
     /// `(1 + num_tables)` latent vectors.
     pub fn interaction_dim(&self) -> usize {
-        // lint::allow(no_panic): documented panic: configs are built with a non-empty bottom MLP
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: configs are built with a non-empty bottom MLP"
+        )]
         let d = *self.bottom_mlp.last().expect("bottom MLP is non-empty");
         let n = self.tables.len() + 1;
         d + n * (n - 1) / 2
@@ -103,7 +109,10 @@ impl ModelConfig {
     /// Panics if `n` is zero or the model has no tables to clone.
     pub fn with_num_tables(mut self, n: usize) -> Self {
         assert!(n > 0, "a DLRM needs at least one embedding table");
-        // lint::allow(no_panic): documented panic: configs are built with at least one table
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: configs are built with at least one table"
+        )]
         let proto = *self.tables.first().expect("model has tables");
         self.tables = vec![proto; n];
         self

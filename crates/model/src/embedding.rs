@@ -129,8 +129,12 @@ impl EmbeddingTable {
     /// Panics if this table is not f32 — requantizing already-lossy storage
     /// would silently compound error.
     pub fn quantized(&self, kind: ElemKind) -> EmbeddingTable {
-        let TableStorage::F32(data) = &self.storage else {
-            // lint::allow(no_panic): documented panic surface of quantized(): requantizing lossy storage would compound error
+        #[expect(
+            clippy::panic,
+            reason = "documented panic surface of quantized(): requantizing lossy storage would compound error"
+        )]
+        let TableStorage::F32(data) = &self.storage
+        else {
             panic!(
                 "quantized() requires f32 source storage, this table is {}",
                 self.elem_kind()
@@ -187,8 +191,12 @@ impl EmbeddingTable {
             "embedding id {id} out of range ({})",
             self.rows
         );
-        let TableStorage::F32(data) = &self.storage else {
-            // lint::allow(no_panic): documented panic surface of vector(): quantized rows have no exact f32 vector
+        #[expect(
+            clippy::panic,
+            reason = "documented panic surface of vector(): quantized rows have no exact f32 vector"
+        )]
+        let TableStorage::F32(data) = &self.storage
+        else {
             panic!(
                 "vector() requires f32 storage, this table is {}",
                 self.elem_kind()
@@ -290,8 +298,12 @@ impl EmbeddingTable {
     /// Panics if this table is not f32 (bounds are derived from the exact
     /// values), or if any index is out of range.
     pub fn quant_error_bound(&self, kind: ElemKind, indices: &[u32], offsets: &[u32]) -> Matrix {
-        let TableStorage::F32(data) = &self.storage else {
-            // lint::allow(no_panic): documented panic surface of quant_error_bound(): bounds derive from exact f32 values
+        #[expect(
+            clippy::panic,
+            reason = "documented panic surface of quant_error_bound(): bounds derive from exact f32 values"
+        )]
+        let TableStorage::F32(data) = &self.storage
+        else {
             panic!("quant_error_bound() requires the f32 source table");
         };
         let d = self.dim as usize;

@@ -71,7 +71,10 @@ pub fn dense_phase_flops(config: &ModelConfig) -> (Flops, Flops) {
     let batch = config.batch_size;
     let bottom = mlp_costs(config.num_dense_features, &config.bottom_mlp, batch).flops;
     let top = mlp_costs(config.interaction_dim(), &config.top_mlp, batch).flops;
-    // lint::allow(no_panic): ModelConfig guarantees a non-empty bottom MLP
+    #[expect(
+        clippy::expect_used,
+        reason = "ModelConfig guarantees a non-empty bottom MLP"
+    )]
     let d = *config.bottom_mlp.last().expect("bottom MLP non-empty");
     let inter = interaction_flops(batch, d, config.tables.len());
     (bottom, top + Flops::of(inter as f64))
@@ -83,7 +86,10 @@ impl CostBreakdown {
         let batch = config.batch_size;
         let bottom = mlp_costs(config.num_dense_features, &config.bottom_mlp, batch);
         let top = mlp_costs(config.interaction_dim(), &config.top_mlp, batch);
-        // lint::allow(no_panic): ModelConfig guarantees a non-empty bottom MLP
+        #[expect(
+            clippy::expect_used,
+            reason = "ModelConfig guarantees a non-empty bottom MLP"
+        )]
         let d = *config.bottom_mlp.last().expect("bottom MLP non-empty");
         let inter = interaction_flops(batch, d, config.tables.len());
 

@@ -20,6 +20,14 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations, unreachable_pub)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod configs;
 mod dlrm;

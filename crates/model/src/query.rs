@@ -180,6 +180,10 @@ impl QueryGenerator {
                 dense.set(r, c, rng.uniform() as f32);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "generator pushes offsets in ascending order ending within indices"
+        )]
         let lookups = self
             .tables
             .iter()
@@ -194,7 +198,6 @@ impl QueryGenerator {
                         indices.push((rank - 1).min(t.rows - 1) as u32);
                     }
                 }
-                // lint::allow(no_panic): generator pushes offsets in ascending order ending within indices
                 TableLookup::new(indices, offsets).expect("generator builds valid offsets")
             })
             .collect();

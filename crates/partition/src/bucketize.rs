@@ -244,6 +244,7 @@ pub fn bucketize_routed_into(
 /// `decode`s to `(shard, local row)` and is pushed onto that shard's index
 /// array, after every shard opens the id's input range.
 #[inline]
+#[expect(clippy::expect_used, reason = "non-emptiness asserted three lines up")]
 fn scatter_into(
     ids: &[u32],
     offsets: &[u32],
@@ -257,7 +258,6 @@ fn scatter_into(
         assert!(w[1] >= w[0], "offset array must be non-decreasing");
     }
     assert!(
-        // lint::allow(no_panic): non-emptiness asserted three lines up
         *offsets.last().expect("non-empty") as usize <= ids.len(),
         "last offset exceeds index array"
     );

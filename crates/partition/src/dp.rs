@@ -30,13 +30,20 @@ enum Shards {
 /// `ends` must be strictly increasing 1-based ranks finishing at the table
 /// length. `cost(k, j)` prices a shard covering ranks `(k, j]`. Shard
 /// counts above the number of candidates are clamped to it.
+#[expect(
+    clippy::expect_used,
+    reason = "DP cuts are strictly increasing and end at len"
+)]
 fn partition_over_candidates(
     ends: &[u64],
     shards: Shards,
     cost: &impl Fn(u64, u64) -> f64,
 ) -> PartitionPlan {
     let b = ends.len();
-    // lint::allow(no_panic): callers pass >=1 candidate (documented contract)
+    #[expect(
+        clippy::expect_used,
+        reason = "callers pass >=1 candidate (documented contract)"
+    )]
     let table_len = *ends.last().expect("candidate list is non-empty");
     let rows = match shards {
         Shards::AtMost(s) | Shards::Exactly(s) => s.min(b),
@@ -71,16 +78,18 @@ fn partition_over_candidates(
     }
 
     let last = b - 1;
+    #[expect(
+        clippy::expect_used,
+        reason = "costs are finite-or-INFINITY, never NaN; s_max >= 1 is a documented caller contract"
+    )]
     let best_s = match shards {
         Shards::Exactly(_) => rows - 1,
         // Global optimum over shard counts; ties keep the fewest shards.
         Shards::AtMost(_) => (0..rows)
             .min_by(|&x, &y| {
                 let (cx, cy) = (mem[x][last], mem[y][last]);
-                // lint::allow(no_panic): costs are finite-or-INFINITY, never NaN
                 cx.partial_cmp(&cy).expect("costs are not NaN")
             })
-            // lint::allow(no_panic): s_max >= 1 is a documented caller contract
             .expect("s_max >= 1"),
     };
 
@@ -97,7 +106,6 @@ fn partition_over_candidates(
         s -= 1;
     }
     cuts.reverse();
-    // lint::allow(no_panic): DP cuts are strictly increasing and end at len
     PartitionPlan::new(cuts, table_len).expect("DP produces valid cuts")
 }
 

@@ -56,7 +56,10 @@ impl PartitionPlan {
                 )));
             }
         }
-        // lint::allow(no_panic): emptiness rejected at the top of this fn
+        #[expect(
+            clippy::expect_used,
+            reason = "emptiness rejected at the top of this fn"
+        )]
         let last = *cuts.last().expect("non-empty");
         if last != table_len {
             return Err(PlanError(format!(

@@ -20,6 +20,14 @@
 
 #![deny(unsafe_code)] // allowed back on in exactly one module: simd.rs
 #![deny(missing_debug_implementations, unreachable_pub)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 mod activation;
 pub mod aligned;

@@ -44,7 +44,10 @@ impl Linear {
         let data = (0..in_dim * out_dim)
             .map(|_| rng.gen_range(-bound..bound))
             .collect();
-        // lint::allow(no_panic): data vector is exactly in_dim * out_dim elements by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "data vector is exactly in_dim * out_dim elements by construction"
+        )]
         let weights = Matrix::from_vec(in_dim, out_dim, data).expect("sized by construction");
         Self {
             weights: weights.packed(),
@@ -111,12 +114,18 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if `x.cols() != in_dim()`.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic surface of forward_into(): input width must match"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "bias length equals out_dim since construction"
+    )]
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_packed_into(&self.weights, out)
-            // lint::allow(no_panic): documented panic surface of forward_into(): input width must match
             .unwrap_or_else(|e| panic!("linear layer shape mismatch: {e}"));
         out.add_row_broadcast_in_place(&self.bias)
-            // lint::allow(no_panic): bias length equals out_dim since construction
             .expect("bias width checked at construction");
         self.activation.apply_in_place(out);
     }

@@ -533,9 +533,10 @@ fn accumulate<const R: usize, const NP: usize>(
 ) -> [[[f32; PANEL]; NP]; R] {
     let kc = slabs[0].len();
     let arows: [&[f32]; R] = core::array::from_fn(|r| &arows[r][..kc]);
-    // `kk` indexes R + NP buffers at once; an iterator form would need a
-    // zip that breaks the const-size unroll.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`kk` indexes R + NP buffers at once; an iterator form would need a zip that breaks the const-size unroll"
+    )]
     for kk in 0..kc {
         let bv: [&[f32; PANEL]; NP] = core::array::from_fn(|q| &slabs[q][kk]);
         for r in 0..R {

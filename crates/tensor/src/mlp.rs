@@ -51,7 +51,7 @@ impl Mlp {
 
     /// Replaces the final layer's activation (e.g. sigmoid for the CTR head).
     pub fn with_output_activation(mut self, activation: Activation) -> Self {
-        // lint::allow(no_panic): constructors reject empty layer stacks
+        #[expect(clippy::expect_used, reason = "constructors reject empty layer stacks")]
         let last = self.layers.pop().expect("MLP has at least one layer");
         let (w, b) = (last.in_dim(), last.out_dim());
         // Rebuild the final layer with identical weights but a new activation:
@@ -75,8 +75,8 @@ impl Mlp {
     }
 
     /// Output width of the final layer.
+    #[expect(clippy::expect_used, reason = "constructors reject empty layer stacks")]
     pub fn out_dim(&self) -> usize {
-        // lint::allow(no_panic): constructors reject empty layer stacks
         self.layers.last().expect("non-empty").out_dim()
     }
 

@@ -35,7 +35,10 @@
 //! the workspace is allowed to use `unsafe` — every other crate root
 //! carries `#![forbid(unsafe_code)]`, and `er-tensor` itself denies it
 //! outside this module.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "declares the target_feature kernels and calls them after the runtime feature check"
+)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::gather::Decode;

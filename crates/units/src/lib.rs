@@ -53,6 +53,14 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations, unreachable_pub, missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 use core::fmt;
 use core::iter::Sum;

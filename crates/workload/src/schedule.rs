@@ -95,6 +95,10 @@ impl TrafficSchedule {
     /// # Panics
     ///
     /// Panics if `base` or `step_secs` is non-positive.
+    #[expect(
+        clippy::expect_used,
+        reason = "steps start at 0 and rise strictly, with positive finite rates"
+    )]
     pub fn figure19(base: f64, step_secs: f64) -> Self {
         assert!(base > 0.0 && base.is_finite(), "base rate must be positive");
         assert!(
@@ -119,6 +123,10 @@ impl TrafficSchedule {
     ///
     /// Panics unless `0 <= low <= high`, `period_secs > 0`,
     /// `steps_per_period >= 2`, and `periods >= 1`.
+    #[expect(
+        clippy::expect_used,
+        reason = "steps start at 0 and rise strictly, with finite non-negative rates"
+    )]
     pub fn diurnal(
         low: f64,
         high: f64,
@@ -149,6 +157,10 @@ impl TrafficSchedule {
     }
 
     /// Target rate at time `t` (clamped to the first segment before 0).
+    #[expect(
+        clippy::expect_used,
+        reason = "segment starts are finite (checked in `steps`); a NaN `t` is a caller bug"
+    )]
     pub fn rate_at(&self, t: f64) -> f64 {
         match self
             .segments
