@@ -692,7 +692,7 @@ fn digest_outcome(out: &SimulationOutcome) -> Digest {
 /// Deterministic CSR lookup over `rows`: `inputs` bags of `pooling`
 /// hash-scattered indices, so repeated gathers stream the whole table
 /// instead of re-hitting a small cached working set.
-pub fn quant_lookup(rows: u32, inputs: usize, pooling: usize) -> (Vec<u32>, Vec<u32>) {
+fn quant_lookup(rows: u32, inputs: usize, pooling: usize) -> (Vec<u32>, Vec<u32>) {
     let mut indices = Vec::with_capacity(inputs * pooling);
     let mut offsets = Vec::with_capacity(inputs);
     for input in 0..inputs as u64 {

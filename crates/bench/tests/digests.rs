@@ -1,4 +1,6 @@
-//! Pins every smoke-scale perfsuite digest.
+//! Pins every smoke-scale perfsuite digest. This test is the only
+//! smoke-scale run of the perfsuite sections; the `perfsuite` binary
+//! runs them at full scale.
 //!
 //! Each digest folds the bit patterns of a section's observable results,
 //! so a change to event ordering, the forward pass, the simulation, a

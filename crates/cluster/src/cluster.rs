@@ -412,11 +412,6 @@ impl Cluster {
         losses
     }
 
-    /// Number of failed nodes.
-    pub fn failed_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.failed).count()
-    }
-
     /// Per-node `(pool, allocated)` snapshots, for introspection and
     /// invariant checking.
     pub fn node_allocations(&self) -> Vec<(usize, ResourceRequest)> {
@@ -663,7 +658,6 @@ mod tests {
         let losses = c.fail_node(0);
         assert_eq!(losses, vec![(d, 2)]);
         assert_eq!(c.replicas_of(d), 2);
-        assert_eq!(c.failed_nodes(), 1);
         // Re-scaling provisions around the failed node.
         c.scale_deployment(d, 4, SimTime::from_secs(1.0)).unwrap();
         assert_eq!(c.replicas_of(d), 4);

@@ -43,9 +43,6 @@ pub struct HardwareProfile {
     pub mem_bytes: Bytes,
     /// Peak DRAM bandwidth.
     pub mem_bw_bytes_per_sec: BytesPerSec,
-    /// Fraction of peak bandwidth achievable by random embedding gathers
-    /// (sparse accesses miss in cache and under-utilize DRAM pages).
-    pub gather_efficiency: f64,
     /// Attached GPU, if any.
     pub gpu: Option<GpuSpec>,
 }
@@ -62,7 +59,6 @@ impl HardwareProfile {
             cpu_flops_per_sec: FlopsPerSec::of(1.5e12),
             mem_bytes: Bytes::of_u64(384 << 30),
             mem_bw_bytes_per_sec: BytesPerSec::of(256.0e9),
-            gather_efficiency: 0.30,
             gpu: None,
         }
     }
@@ -76,7 +72,6 @@ impl HardwareProfile {
             cpu_flops_per_sec: FlopsPerSec::of(0.6e12),
             mem_bytes: Bytes::of_u64(120 << 30),
             mem_bw_bytes_per_sec: BytesPerSec::of(100.0e9),
-            gather_efficiency: 0.30,
             gpu: Some(GpuSpec::tesla_t4()),
         }
     }
@@ -84,11 +79,6 @@ impl HardwareProfile {
     /// CPU millicores available for scheduling.
     pub fn cpu_millicores(&self) -> u64 {
         self.cpu_cores.millicores()
-    }
-
-    /// Effective bandwidth seen by random embedding gathers.
-    pub fn effective_gather_bandwidth(&self) -> BytesPerSec {
-        self.mem_bw_bytes_per_sec * self.gather_efficiency
     }
 
     /// Whether the node carries a GPU.
@@ -118,13 +108,6 @@ mod tests {
         let gpu = n.gpu.expect("has T4");
         assert_eq!(gpu.hbm_bytes, Bytes::of_u64(16 << 30));
         assert!(gpu.flops_per_sec > n.cpu_flops_per_sec);
-    }
-
-    #[test]
-    fn gather_bandwidth_is_derated() {
-        let n = HardwareProfile::cpu_only_node();
-        assert!(n.effective_gather_bandwidth() < n.mem_bw_bytes_per_sec);
-        assert!((n.effective_gather_bandwidth().raw() - 256.0e9 * 0.30).abs() < 1.0);
     }
 
     #[test]

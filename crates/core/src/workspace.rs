@@ -11,7 +11,7 @@ use er_tensor::Matrix;
 ///
 /// Buffers start tiny and grow to the workload's peak shapes on the first
 /// few calls; from then on a steady-state forward performs **zero heap
-/// allocations** (asserted by the `alloc-count` test suite). One workspace
+/// allocations** (asserted by `tests/zero_alloc.rs`). One workspace
 /// serves one caller at a time; create one per thread with
 /// [`crate::ShardedDlrm::workspace`].
 ///

@@ -1,23 +1,21 @@
 //! Proof that the serving fast path is allocation-free at steady state.
 //!
-//! Behind the `alloc-count` feature this binary installs a counting global
-//! allocator and asserts that, once a [`elasticrec::ForwardWorkspace`] is
-//! warm, a full sharded forward pass performs **zero** heap allocations —
-//! the end-to-end guarantee the pooled buffers, `bucketize_routed_into`, the
-//! `gather_pool_into` kernel, and the MLP ping-pong scratch combine to
-//! deliver. It also asserts that a warm [`er_sim::EventQueue`] churns
-//! (pop one, schedule one) without allocating. Run with:
+//! This binary installs a counting global allocator and asserts that, once
+//! a [`elasticrec::ForwardWorkspace`] is warm, a full sharded forward pass
+//! performs **zero** heap allocations — the end-to-end guarantee the pooled
+//! buffers, `bucketize_routed_into`, the `gather_pool_into` kernel, and the
+//! MLP ping-pong scratch combine to deliver. It also asserts that a warm
+//! [`er_sim::EventQueue`] churns (pop one, schedule one) without
+//! allocating. It runs under tier-1 (`cargo test`); alone:
 //!
 //! ```text
-//! cargo test -p elasticrec --features alloc-count --test zero_alloc
+//! cargo test -p elasticrec --test zero_alloc
 //! ```
 //!
-//! The feature gate exists because a `#[global_allocator]` is
-//! process-global: inside the shared test binary it would instrument every
-//! other test. This file is its own integration-test crate, so the
-//! allocator's scope is exactly these tests.
+//! A `#[global_allocator]` is process-wide, but this file is its own
+//! integration-test binary and the counters are per thread, so no other
+//! test and no other thread lands in a measured window.
 
-#![cfg(feature = "alloc-count")]
 // The counting allocator keeps per-thread counters; clippy checks
 // `thread_local!` only at crate level, so the allow is crate-wide here.
 #![allow(clippy::disallowed_macros)]

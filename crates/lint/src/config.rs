@@ -26,7 +26,7 @@ pub struct Config {
     /// Each entry is a bare fn name (`forward_ws`, matching every fn of
     /// that name) or `path.rs::name` to pin one definition
     /// (`crates/core/src/engine.rs::event_loop`). The list mirrors what
-    /// the dynamic `alloc-count` test drives (see `zero_alloc.rs`); the
+    /// the dynamic counting-allocator test drives (`zero_alloc.rs`); the
     /// `hot_alloc_sync` test keeps the two in lockstep.
     pub hot_alloc_entries: Vec<String>,
 }

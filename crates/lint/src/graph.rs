@@ -4,7 +4,7 @@
 //! into one inter-crate graph, and two passes run over it:
 //!
 //! * **`hot_alloc`** — the warm serving fast path (the entry list in
-//!   `er-lint.toml`, kept in sync with the dynamic `alloc-count` test)
+//!   `er-lint.toml`, kept in sync with the dynamic `zero_alloc` test)
 //!   must reach no allocation site *through calls*, across crate
 //!   boundaries (`core → cluster → tensor`). The diagnostic carries the
 //!   shortest call chain, crate-qualified where it crosses crates

@@ -36,7 +36,7 @@
 //! inter-crate call graph ([`resolve`]) and runs the graph rules over it
 //! ([`graph`]): `hot_alloc` (the warm serving fast path reaches no
 //! allocation site; entries configured via `hot_alloc_entries`,
-//! cross-checked against the dynamic `alloc-count` test), and an
+//! cross-checked against the dynamic `zero_alloc` test), and an
 //! `unused_allow` audit for markers that no longer suppress anything. Graph diagnostics carry the full call chain from the entry
 //! point to the offending site — crate-qualified where the chain crosses
 //! crates.
@@ -84,4 +84,4 @@ pub mod walk;
 pub use config::Config;
 pub use facts::FileFacts;
 pub use graph::{check_workspace, hot_entry_drift};
-pub use rules::{check_file, render_json, Diagnostic, FileContext, RULES};
+pub use rules::{check_file, Diagnostic, FileContext, RULES};

@@ -2,17 +2,16 @@
 //! nonzero on any violation.
 //!
 //! ```text
-//! er-lint [--format json|text] [ROOT]
+//! er-lint [ROOT]
 //! ```
 //!
 //! `ROOT` defaults to the current directory. The whole workspace is
 //! scanned in one pass (the call graph needs every file).
 //!
-//! Reads `ROOT/er-lint.toml` when present (see [`er_lint::Config`]). Text
-//! output prints `path:line:col: [rule] message` per violation; JSON output
-//! prints one stable array of `{"rule", "path", "line", "col", "message",
-//! "chain"}` objects to stdout. A per-rule count summary always goes to
-//! stderr.
+//! Reads `ROOT/er-lint.toml` when present (see [`er_lint::Config`]).
+//! Prints `path:line:col: [rule] message` per violation to stdout (a
+//! `hot_alloc` message spells out its call chain) and a per-rule count
+//! summary to stderr.
 
 #![forbid(unsafe_code)]
 
@@ -20,32 +19,19 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use er_lint::facts::extract_facts;
-use er_lint::{check_workspace, hot_entry_drift, render_json, walk, Config, FileContext, RULES};
+use er_lint::{check_workspace, hot_entry_drift, walk, Config, FileContext, RULES};
 
-struct Args {
-    root: PathBuf,
-    json: bool,
-}
-
+/// The workspace root: the last positional argument, else `.`.
 #[allow(clippy::disallowed_methods)] // the binary's entry point parses its own arguments
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: PathBuf::from("."),
-        json: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next().as_deref() {
-                Some("json") => args.json = true,
-                Some("text") => args.json = false,
-                other => return Err(format!("--format takes `json` or `text`, got {other:?}")),
-            },
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            root => args.root = PathBuf::from(root),
+fn parse_root() -> Result<PathBuf, String> {
+    let mut root = PathBuf::from(".");
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`"));
         }
+        root = PathBuf::from(arg);
     }
-    Ok(args)
+    Ok(root)
 }
 
 fn main() -> ExitCode {
@@ -59,16 +45,16 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    let cfg = load_config(&args.root)?;
-    let files = walk::rust_files(&args.root, &cfg)
-        .map_err(|e| format!("walking {}: {e}", args.root.display()))?;
+    let root = parse_root()?;
+    let cfg = load_config(&root)?;
+    let files =
+        walk::rust_files(&root, &cfg).map_err(|e| format!("walking {}: {e}", root.display()))?;
 
     let mut facts = Vec::with_capacity(files.len());
     for path in &files {
         // Non-UTF-8 or unreadable: nothing for a Rust lexer to do.
         if let Ok(src) = std::fs::read_to_string(path) {
-            let ctx = FileContext::new(walk::relative(&args.root, path), &src);
+            let ctx = FileContext::new(walk::relative(&root, path), &src);
             facts.push(extract_facts(&ctx, &cfg));
         }
     }
@@ -77,12 +63,8 @@ fn run() -> Result<ExitCode, String> {
     diags.extend(hot_entry_drift(&facts, &cfg));
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 
-    if args.json {
-        println!("{}", render_json(&diags));
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
+    for d in &diags {
+        println!("{d}");
     }
 
     let mut summary = String::new();

@@ -53,53 +53,6 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-fn json_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// The stable machine-readable schema: an array of objects with exactly
-/// the keys `rule`, `path`, `line`, `col`, `message`, `chain`. This is
-/// what `--format json` prints and what `target/er-lint.json` holds.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str("  {\"rule\": ");
-        json_escaped(d.rule, &mut out);
-        out.push_str(", \"path\": ");
-        json_escaped(&d.path, &mut out);
-        out.push_str(&format!(
-            ", \"line\": {}, \"col\": {}, \"message\": ",
-            d.line, d.col
-        ));
-        json_escaped(&d.message, &mut out);
-        out.push_str(", \"chain\": [");
-        for (j, link) in d.chain.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            json_escaped(link, &mut out);
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < diags.len() { ",\n" } else { "\n" });
-    }
-    out.push(']');
-    out
-}
-
 /// A lexed file plus everything the rules need to scope their matches.
 #[derive(Debug)]
 pub struct FileContext<'a> {
@@ -237,7 +190,6 @@ fn test_regions(tokens: &[Token], src: &str) -> Vec<bool> {
                     }
                     k += 1;
                 }
-                let body_start = k;
                 let mut brace = 0usize;
                 let mut paren = 0usize;
                 let mut end = code.len().saturating_sub(1);
@@ -270,7 +222,6 @@ fn test_regions(tokens: &[Token], src: &str) -> Vec<bool> {
                     *slot = true;
                 }
                 ci = end + 1;
-                let _ = body_start;
                 continue;
             }
         }

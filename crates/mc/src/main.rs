@@ -2,7 +2,7 @@
 //! property report, exit nonzero on any counterexample.
 //!
 //! ```text
-//! er-mc [--smoke] [--mutate NAME] [--format json|text] [--out PATH]
+//! er-mc [--smoke] [--mutate NAME]
 //! ```
 //!
 //! The default bound is the documented CI bound (2 deployments × 3 max
@@ -10,21 +10,20 @@
 //! seeds a deliberately broken handler (`forget-stabilization`,
 //! `ignore-readiness`, `over-drain`, `stuck-hpa`, `no-apply-clamp`) —
 //! useful for inspecting the minimized trace each bug produces; mutated
-//! runs still exit nonzero when (as intended) a property fails. `--out` writes the JSON report to
-//! a file (CI writes `target/er-mc.json`) regardless of `--format`.
+//! runs still exit nonzero when (as intended) a property fails. The report
+//! is text on stdout: the bound, the state counts, one PASS or FAIL line
+//! per property and every minimized counterexample.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use er_mc::{check, control, render_json, Bounds, CpConfig, Mutation};
+use er_mc::{check, control, Bounds, CpConfig, Mutation};
 
 struct Args {
     smoke: bool,
     mutate: Option<Mutation>,
-    json: bool,
-    out: Option<String>,
 }
 
 #[allow(clippy::disallowed_methods)] // the binary's entry point parses its own arguments
@@ -32,8 +31,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         smoke: false,
         mutate: None,
-        json: false,
-        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -49,15 +46,6 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown mutation {other:?}")),
                 });
             }
-            "--format" => match it.next().as_deref() {
-                Some("json") => args.json = true,
-                Some("text") => args.json = false,
-                other => return Err(format!("--format takes `json` or `text`, got {other:?}")),
-            },
-            "--out" => match it.next() {
-                Some(path) => args.out = Some(path),
-                None => return Err("--out takes a path".into()),
-            },
             flag => return Err(format!("unknown flag `{flag}`")),
         }
     }
@@ -103,39 +91,25 @@ fn main() -> ExitCode {
     let report = check(&model, &props, Bounds::default());
     let elapsed = start.elapsed();
 
-    let json = render_json(&bound, &report);
-    if let Some(path) = &args.out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("er-mc: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if args.json {
-        println!("{json}");
-    } else {
-        println!("er-mc: bound: {bound}");
-        println!(
-            "er-mc: {} distinct states, depth {}, {} terminal states, {:.2}s{}",
-            report.states,
-            report.max_depth,
-            report.terminals,
-            elapsed.as_secs_f64(),
-            if report.truncated { " (truncated)" } else { "" },
-        );
-        for p in &report.properties {
-            match &p.counterexample {
-                None => println!("er-mc: PASS {}", p.name),
-                Some(cx) => {
-                    println!(
-                        "er-mc: FAIL {} — minimized counterexample ({} events):",
-                        p.name,
-                        cx.actions.len()
-                    );
-                    print!("{}", cx.render());
-                }
+    println!("er-mc: bound: {bound}");
+    println!(
+        "er-mc: {} distinct states, depth {}, {} terminal states, {:.2}s{}",
+        report.states,
+        report.max_depth,
+        report.terminals,
+        elapsed.as_secs_f64(),
+        if report.truncated { " (truncated)" } else { "" },
+    );
+    for p in &report.properties {
+        match &p.counterexample {
+            None => println!("er-mc: PASS {}", p.name),
+            Some(cx) => {
+                println!(
+                    "er-mc: FAIL {} — minimized counterexample ({} events):",
+                    p.name,
+                    cx.actions.len()
+                );
+                print!("{}", cx.render());
             }
         }
     }

@@ -28,13 +28,6 @@ impl Summary {
         Self::default()
     }
 
-    /// Creates a summary from a collection of samples.
-    pub fn from_samples<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Self::new();
-        s.extend(iter);
-        s
-    }
-
     /// Records one sample, updating the mean incrementally.
     ///
     /// # Panics
@@ -98,6 +91,12 @@ impl Summary {
 mod tests {
     use super::*;
 
+    fn summary<const N: usize>(samples: [f64; N]) -> Summary {
+        let mut s = Summary::new();
+        s.extend(samples);
+        s
+    }
+
     #[test]
     fn empty_summary_is_zeroed() {
         let s = Summary::new();
@@ -109,13 +108,13 @@ mod tests {
 
     #[test]
     fn mean_matches_textbook_value() {
-        let s = Summary::from_samples([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        let s = summary([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn min_max_track_extremes() {
-        let s = Summary::from_samples([-3.0, 7.5, 0.0]);
+        let s = summary([-3.0, 7.5, 0.0]);
         assert_eq!(s.min(), -3.0);
         assert_eq!(s.max(), 7.5);
         assert_eq!(s.count(), 3);
@@ -123,13 +122,13 @@ mod tests {
 
     #[test]
     fn sum_is_consistent_with_mean() {
-        let s = Summary::from_samples([1.0, 2.0, 3.0]);
+        let s = summary([1.0, 2.0, 3.0]);
         assert!((s.sum() - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn single_sample_is_its_own_mean_min_and_max() {
-        let s = Summary::from_samples([42.0]);
+        let s = summary([42.0]);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.min(), 42.0);
         assert_eq!(s.max(), 42.0);

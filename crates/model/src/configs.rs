@@ -31,12 +31,6 @@ impl EmbeddingTableConfig {
     pub fn vector_bytes(&self) -> u64 {
         self.elem.row_bytes(self.dim).whole()
     }
-
-    /// This table stored at a different element precision.
-    pub fn with_elem(mut self, elem: ElemKind) -> Self {
-        self.elem = elem;
-        self
-    }
 }
 
 /// A complete DLRM workload configuration.
@@ -294,13 +288,13 @@ mod tests {
 
     #[test]
     fn elem_kind_shrinks_config_bytes() {
-        let t = rm1().tables[0];
-        assert_eq!(t.elem, ElemKind::F32);
-        assert_eq!(t.with_elem(ElemKind::F16).vector_bytes(), 64);
-        // i8: 32 code bytes + one 4-byte scale per row.
-        assert_eq!(t.with_elem(ElemKind::I8).vector_bytes(), 36);
-        assert_eq!(t.with_elem(ElemKind::I8).bytes(), RM_TABLE_ROWS * (32 + 4));
+        assert_eq!(rm1().tables[0].elem, ElemKind::F32);
+        let f16 = rm1().with_elem_kind(ElemKind::F16).tables[0];
+        assert_eq!(f16.vector_bytes(), 64);
         let m = rm1().with_elem_kind(ElemKind::I8);
+        // i8: 32 code bytes + one 4-byte scale per row.
+        assert_eq!(m.tables[0].vector_bytes(), 36);
+        assert_eq!(m.tables[0].bytes(), RM_TABLE_ROWS * (32 + 4));
         assert!(m.tables.iter().all(|t| t.elem == ElemKind::I8));
         // 0.1 + 0.9 dense/sparse ratio unchanged: quantization only moves
         // the sparse byte count, never the architecture.

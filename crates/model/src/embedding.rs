@@ -290,8 +290,8 @@ impl EmbeddingTable {
     /// gathered rows of the analytic per-element quantization bound
     /// (`0.5001·scale` for i8, `2⁻¹¹·|v| + 2⁻²⁴` for f16; see
     /// [`er_tensor::quant`]), plus a small accumulation-rounding slack.
-    /// Zero everywhere for `ElemKind::F32`. The proptests and the
-    /// `--quant-parity` CI stage assert observed error ≤ this bound.
+    /// Zero everywhere for `ElemKind::F32`. The proptests assert observed
+    /// error ≤ this bound.
     ///
     /// # Panics
     ///

@@ -278,18 +278,6 @@ impl Secs {
     pub const fn as_millis(self) -> f64 {
         self.0 * 1e3
     }
-
-    /// The rate sustained by one query per this period: `1 / t`.
-    pub fn recip(self) -> Qps {
-        Qps(1.0 / self.0)
-    }
-}
-
-impl Qps {
-    /// The per-query period at this rate: `1 / qps`.
-    pub fn recip(self) -> Secs {
-        Secs(1.0 / self.0)
-    }
 }
 
 /// Queries (a dimensionless count) over a duration is a rate.
@@ -387,8 +375,7 @@ impl fmt::Display for ElemKind {
 /// A whole number of logical CPU cores.
 ///
 /// Integer-backed (schedulers count cores); convert explicitly with
-/// [`Cores::millicores`] (Kubernetes requests) or [`Cores::as_f64`]
-/// (rate scaling).
+/// [`Cores::millicores`] (Kubernetes requests) or [`Cores::raw`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct Cores(u32);
@@ -410,11 +397,6 @@ impl Cores {
     /// Kubernetes-style millicores (`cores x 1000`).
     pub const fn millicores(self) -> u64 {
         self.0 as u64 * 1000
-    }
-
-    /// The count as an `f64` scaling factor for per-core rates.
-    pub const fn as_f64(self) -> f64 {
-        self.0 as f64
     }
 }
 
@@ -464,7 +446,6 @@ mod tests {
         let latency = Secs::from_millis(4.0);
         let qps: Qps = 1.0 / latency;
         assert!((qps.raw() - 250.0).abs() < 1e-9);
-        assert!((qps.recip().raw() - 0.004).abs() < 1e-12);
         // target traffic / per-replica QPS -> replica count (dimensionless).
         let replicas = Qps::of(1000.0) / qps;
         assert!((replicas - 4.0).abs() < 1e-9);
@@ -519,7 +500,6 @@ mod tests {
         let c = Cores::of(64);
         assert_eq!(c.raw(), 64);
         assert_eq!(c.millicores(), 64_000);
-        assert_eq!(c.as_f64(), 64.0);
         assert_eq!(Cores::of(2) + Cores::of(3), Cores::of(5));
         assert_eq!(Cores::of(5) - Cores::of(3), Cores::of(2));
         assert!(Cores::of(2) < Cores::of(3));
